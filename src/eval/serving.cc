@@ -19,6 +19,19 @@ bool Excluded(const serving_internal::PreparedRequest& prepared, Index item) {
                             prepared.exclude->end(), item);
 }
 
+// Items per ScoreFloor test in the fused full-catalog pass.
+constexpr Index kFloorChunk = 16;
+
+// True when any of scores[0, kFloorChunk) is >= floor. Kept as a loop (not
+// unrolled) so the compiler emits it as vector compares and one horizontal
+// add; NaN compares false, and TopKHeap::Push drops NaN anyway.
+bool ChunkReachesFloor(const Real* scores, Real floor) {
+  Index hits = 0;
+#pragma GCC unroll 1
+  for (Index j = 0; j < kFloorChunk; ++j) hits += scores[j] >= floor;
+  return hits != 0;
+}
+
 }  // namespace
 
 namespace serving_internal {
@@ -145,7 +158,7 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
                          const std::vector<RecRequest>& requests,
                          const PreparedBatch& batch,
                          const ServingSharedState& state, Index item_block,
-                         ThreadPool* pool, ScoringArena* arena,
+                         ThreadPool* pool, ArenaPool* arenas,
                          std::vector<TopKHeap>* heaps) {
   const std::vector<PreparedRequest>& prepared = batch.requests;
   FIRZEN_CHECK_EQ(static_cast<Index>(prepared.size()),
@@ -157,45 +170,86 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
   const std::vector<bool>& is_cold = state.is_cold;
 
   if (!batch.streamed.empty()) {
+    // Full-catalog requests: one pass over item_block-wide tiles, sharded
+    // across the pool. Each worker scores its tiles into its own panel
+    // through its own leased arena and selects into worker-local heaps;
+    // the caller then merges those heaps. The merge is exact because
+    // RanksBefore is a strict total order: the top-k of a union is the
+    // top-k of the parts' top-k lists, pushed in any order (the MergeTopK
+    // argument), so responses cannot depend on the tile width or the
+    // number of workers.
     const std::vector<Index>& users = batch.streamed_users;
-    Matrix panel;  // streamed.size() x item_block, reused per block
-    for (Index block_begin = 0; block_begin < range.size();
-         block_begin += item_block) {
-      // Local view coordinates; global id = range.begin + local id.
-      const ItemBlock block{block_begin,
-                            std::min(block_begin + item_block, range.size())};
-      panel.ResizeUninitialized(static_cast<Index>(users.size()),
-                                block.size());
-      scorer.ScoreBlock(users, block, MatrixView(&panel), arena);
-      // Requests are independent: each shard feeds disjoint heaps.
-      ParallelFor(
-          pool, static_cast<Index>(batch.streamed.size()),
-          [&](Index begin, Index end) {
-            for (Index r = begin; r < end; ++r) {
-              const size_t idx = batch.streamed[static_cast<size_t>(r)];
+    const Index num_tiles = (range.size() + item_block - 1) / item_block;
+    // One slot per shard, indexed by its first tile: shards write disjoint
+    // slots, and ParallelFor returns only after every shard has finished.
+    std::vector<std::vector<TopKHeap>> shard_heaps(
+        static_cast<size_t>(num_tiles));
+    ParallelFor(
+        pool, num_tiles,
+        [&](Index tile_begin, Index tile_end) {
+          const ArenaPool::Lease arena = arenas->Acquire();
+          // A worker can retain no more items than its tiles hold, so its
+          // heaps never reserve past that, however large k is.
+          const Index shard_items =
+              std::min(tile_end * item_block, range.size()) -
+              tile_begin * item_block;
+          std::vector<TopKHeap>& local =
+              shard_heaps[static_cast<size_t>(tile_begin)];
+          local.reserve(batch.streamed.size());
+          for (size_t idx : batch.streamed) {
+            local.emplace_back(std::min(requests[idx].k, shard_items));
+          }
+          Matrix panel;  // streamed.size() x item_block, reused per tile
+          for (Index t = tile_begin; t < tile_end; ++t) {
+            // Local view coordinates; global id = range.begin + local id.
+            const ItemBlock tile{t * item_block,
+                                 std::min((t + 1) * item_block, range.size())};
+            panel.ResizeUninitialized(static_cast<Index>(users.size()),
+                                      tile.size());
+            scorer.ScoreBlock(users, tile, MatrixView(&panel), arena.get());
+            for (size_t r = 0; r < batch.streamed.size(); ++r) {
+              const size_t idx = batch.streamed[r];
               const RecRequest& request = requests[idx];
               const PreparedRequest& p = prepared[idx];
-              TopKHeap& heap = (*heaps)[idx];
-              const Real* row = panel.row(r);
-              for (Index local = block.begin; local < block.end; ++local) {
-                const Index item = range.begin + local;
-                const Real score = row[local - block.begin];
-                // Threshold first: once the heap is warm, almost every
-                // item fails this one comparison, skipping the exclusion
-                // search and cold lookup. Bit-neutral (see MightAccept).
-                if (!heap.MightAccept(item, score)) continue;
-                if (request.cold_only &&
-                    !is_cold[static_cast<size_t>(item)]) {
+              TopKHeap& heap = local[r];
+              const Real* row = panel.row(static_cast<Index>(r));
+              for (Index c0 = 0; c0 < tile.size(); c0 += kFloorChunk) {
+                const Index c1 = std::min(c0 + kFloorChunk, tile.size());
+                // Once the heap is warm almost every chunk lies wholly
+                // below its floor and costs a few vector instructions.
+                // Then the per-item threshold, before the exclusion search
+                // and cold lookup. Both are bit-neutral: a skipped item
+                // would have left the heap unchanged.
+                if (c1 - c0 == kFloorChunk &&
+                    !ChunkReachesFloor(row + c0, heap.ScoreFloor())) {
                   continue;
                 }
-                if (Excluded(p, item)) continue;
-                heap.Push(item, score);
+                for (Index c = c0; c < c1; ++c) {
+                  const Index item = range.begin + tile.begin + c;
+                  const Real score = row[c];
+                  if (!heap.MightAccept(item, score)) continue;
+                  if (request.cold_only &&
+                      !is_cold[static_cast<size_t>(item)]) {
+                    continue;
+                  }
+                  if (Excluded(p, item)) continue;
+                  heap.Push(item, score);
+                }
               }
             }
-          },
-          /*min_shard_size=*/8);
+          }
+        },
+        /*min_shard_size=*/1);
+    for (std::vector<TopKHeap>& local : shard_heaps) {
+      for (size_t r = 0; r < local.size(); ++r) {
+        TopKHeap& heap = (*heaps)[batch.streamed[r]];
+        for (const ScoredItem& e : local[r].Sorted()) {
+          heap.Push(e.item, e.score);
+        }
+      }
     }
   }
+  if (batch.explicit_idx.empty()) return;
 
   // Explicit pools: execute the batch plan over this range. Streams the
   // in-range slice of `pool_items` (global ids, sorted) in bounded chunks
@@ -205,6 +259,7 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
   // rounding) never depends on the range. `filter` = chunk items may be
   // outside a request's own pool and must be membership-checked (union
   // mode only).
+  const ArenaPool::Lease arena = arenas->Acquire();
   Matrix chunk_scores;
   std::vector<Index> chunk_local;
   const auto stream_pool = [&](const std::vector<Index>& pool_items,
@@ -229,7 +284,7 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
       chunk_scores.ResizeUninitialized(static_cast<Index>(users.size()),
                                        static_cast<Index>(chunk_local.size()));
       scorer.ScoreCandidates(users, chunk_local, MatrixView(&chunk_scores),
-                             arena);
+                             arena.get());
       ParallelFor(
           pool, static_cast<Index>(idxs.size()),
           [&](Index row_begin, Index row_end) {
@@ -242,7 +297,7 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
               for (size_t j = begin; j < end; ++j) {
                 const Index item = pool_items[j];
                 const Real score = row[j - begin];
-                // Threshold first, as in the streamed loop above.
+                // Threshold first, as in the streamed pass above.
                 if (!heap.MightAccept(item, score)) continue;
                 if (filter &&
                     !std::binary_search(p.pool_sorted.begin(),
@@ -355,10 +410,9 @@ std::vector<RecResponse> ServingEngine::RecommendBatchDirect(
   if (requests.empty()) return responses;
 
   // All mutable per-call state is local (or leased): the prepared requests,
-  // heaps, score panels, and the scoring arena. Concurrent RecommendBatch
+  // heaps, score panels, and the scoring arenas. Concurrent RecommendBatch
   // calls on this const engine therefore never share scratch; they
   // interleave freely on the thread pool (per-call completion groups).
-  const ArenaPool::Lease arena = arenas_.Acquire();
   const serving_internal::PreparedBatch batch =
       serving_internal::PrepareBatch(requests, *state_, num_items_);
   std::vector<TopKHeap> heaps;
@@ -369,7 +423,7 @@ std::vector<RecResponse> ServingEngine::RecommendBatchDirect(
   // one-shard case of the shared ranking core.
   serving_internal::RankRequestsInRange(
       *scorer_, {0, num_items_}, requests, batch, *state_,
-      options_.item_block, options_.pool, arena.get(), &heaps);
+      options_.item_block, options_.pool, &arenas_, &heaps);
 
   for (size_t i = 0; i < requests.size(); ++i) {
     responses[i].user = requests[i].user;

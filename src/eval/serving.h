@@ -1,8 +1,9 @@
 // Online-serving engine: top-K recommendation queries against a trained
 // Recommender through the block-streaming Scorer API. Scoring and ranking
-// are fused — item panels stream through a bounded min-heap per request —
-// so a batch of requests peaks at O(batch_users * item_block) memory for
-// any catalog size; the full users x items score matrix never materializes.
+// are fused — pool workers score item tiles and select into bounded
+// min-heaps — so a batch of requests peaks at
+// O(workers * batch_users * item_block) memory for any catalog size; the
+// full users x items score matrix never materializes.
 //
 // Thread safety: one ServingEngine safely serves any number of concurrent
 // request threads. The scorer is shared (it is logically const; per-call
@@ -128,12 +129,16 @@ struct RecResponse {
 };
 
 struct ServingEngineOptions {
-  /// Streamed scoring panel width (items per ScoreBlock call). Per-batch
-  /// peak memory is batch_users * item_block * sizeof(Real).
-  Index item_block = 8192;
-  /// Pool for the fused ranking loops (heap pushes); nullptr =
-  /// ThreadPool::Global(). Scoring kernels themselves parallelize over the
-  /// global pool, as everywhere in the tensor layer.
+  /// Tile width of the fused score-and-select pass (items per ScoreBlock
+  /// call). Each pool worker holds one batch_users x item_block score
+  /// panel, so per-batch peak scoring memory is
+  /// workers * batch_users * item_block * sizeof(Real); the default keeps
+  /// a 256-user panel (1 MB) in L2. Explicit candidate pools stream in
+  /// chunks of the same width.
+  Index item_block = 512;
+  /// Pool the fused pass shards its item tiles over (and the explicit-pool
+  /// heap loops run on); nullptr = ThreadPool::Global(). Scoring inside a
+  /// pool worker runs inline on that worker.
   ThreadPool* pool = nullptr;
   /// Numeric tier for the minted scorer (model-based constructor only; an
   /// explicitly passed scorer keeps its own). kInt8 scores through the

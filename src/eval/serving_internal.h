@@ -87,24 +87,30 @@ PreparedBatch PrepareBatch(const std::vector<RecRequest>& requests,
 /// and pushes each eligible item into (*heaps)[i] keyed by GLOBAL item id.
 /// `scorer` is a view whose local item j is global item range.begin + j —
 /// the base scorer itself when the range spans the whole catalog, an
-/// ItemRangeScorer for a shard. Full-catalog requests share one fused
-/// ScoreBlock+heap stream over `item_block`-wide panels; explicit pools
-/// execute `batch`'s plan restricted to the range: the in-range slice of
-/// the union (or of each group's pool) streams in bounded chunks while the
-/// user batches stay exactly as planned, so per-cell scores — and
-/// therefore responses — cannot depend on the range partitioning. The
-/// heaps retain a unique top-k under RanksBefore, so ranking a catalog as
-/// one range or as many disjoint ranges retains exactly the same
+/// ItemRangeScorer for a shard.
+///
+/// Full-catalog requests share one fused pass: a ParallelFor over
+/// `item_block`-wide item tiles in which each worker scores its tiles for
+/// the whole streamed user batch and selects into worker-local heaps, which
+/// are then merged into `heaps`. Explicit pools execute `batch`'s plan
+/// restricted to the range: the in-range slice of the union (or of each
+/// group's pool) streams in `item_block`-bounded chunks while the user
+/// batches stay exactly as planned. Per-cell scores are batch- and
+/// partition-invariant and the heaps retain a unique top-k under
+/// RanksBefore, so ranking a catalog as one range or as many disjoint
+/// ranges, in any tile width, on any pool, retains exactly the same
 /// candidates at the same scores.
 ///
-/// `arena` carries this call's scoring scratch and must not be shared with
-/// a concurrent call; `pool` drives the per-request heap-push loops
-/// (nullptr = inline). heaps->size() must equal requests.size().
+/// `arenas` supplies the scoring scratch: every worker of the fused pass
+/// leases its own arena, and the explicit-pool plan leases one. `pool`
+/// runs the fused pass and the explicit-pool heap loops (nullptr =
+/// inline). An exception thrown by the scorer on any worker reaches the
+/// caller (see ParallelFor). heaps->size() must equal requests.size().
 void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
                          const std::vector<RecRequest>& requests,
                          const PreparedBatch& batch,
                          const ServingSharedState& state, Index item_block,
-                         ThreadPool* pool, ScoringArena* arena,
+                         ThreadPool* pool, ArenaPool* arenas,
                          std::vector<TopKHeap>* heaps);
 
 }  // namespace serving_internal

@@ -135,38 +135,27 @@ std::vector<RecResponse> ShardedServingEngine::RecommendBatchDirect(
 
   // Where the parallelism goes is a throughput choice only — per-shard
   // heaps are disjoint and per-cell scores partition-invariant, so both
-  // placements below produce bit-identical responses. An outer
-  // shard-parallel loop pins each shard's scoring to one pool worker
-  // (nested ParallelFor degrades inline), which starves
-  // internally-parallel scorers when there are fewer shards than workers;
-  // run shards sequentially then, SHARING one arena so its caches (the
-  // gathered user batch, FullScoreAdapter's full rows) amortize across
-  // shards instead of being rebuilt per shard. With at least one shard per
-  // worker, the outer loop is the parallelism and each shard leases a
-  // private arena.
-  const bool shard_parallel =
-      num_shards >= static_cast<Index>(options_.pool->num_threads());
-  std::vector<ArenaPool::Lease> arenas;
-  const Index num_arenas = shard_parallel ? num_shards : 1;
-  arenas.reserve(static_cast<size_t>(num_arenas));
-  for (Index a = 0; a < num_arenas; ++a) arenas.push_back(arenas_.Acquire());
-  const auto rank_shard = [&](Index s, ScoringArena* arena) {
+  // placements below produce bit-identical responses. With at least one
+  // shard per worker, an outer shard-parallel loop is the parallelism and
+  // each shard's fused pass runs inline on its worker; with fewer shards
+  // than workers, shards run one after another and each fused pass shards
+  // its item tiles across the pool. Either way every worker leases its own
+  // arena from arenas_.
+  const auto rank_shard = [&](Index s) {
     serving_internal::RankRequestsInRange(
         *shards_[static_cast<size_t>(s)], ranges_[static_cast<size_t>(s)],
-        requests, batch, *state_, options_.item_block, options_.pool, arena,
-        &shard_heaps[static_cast<size_t>(s)]);
+        requests, batch, *state_, options_.item_block, options_.pool,
+        &arenas_, &shard_heaps[static_cast<size_t>(s)]);
   };
-  if (shard_parallel) {
+  if (num_shards >= static_cast<Index>(options_.pool->num_threads())) {
     ParallelFor(
         options_.pool, num_shards,
         [&](Index begin, Index end) {
-          for (Index s = begin; s < end; ++s) {
-            rank_shard(s, arenas[static_cast<size_t>(s)].get());
-          }
+          for (Index s = begin; s < end; ++s) rank_shard(s);
         },
         /*min_shard_size=*/1);
   } else {
-    for (Index s = 0; s < num_shards; ++s) rank_shard(s, arenas[0].get());
+    for (Index s = 0; s < num_shards; ++s) rank_shard(s);
   }
 
   // Merge: per request, sort the concatenated per-shard top-k lists under

@@ -79,8 +79,9 @@ struct ShardedServingOptions {
   /// Optional explicit shard layout: interior cut points as accepted by
   /// RangesFromBoundaries. Empty = balanced num_shards layout.
   std::vector<Index> boundaries;
-  /// Streamed scoring panel width per shard (items per ScoreBlock call).
-  Index item_block = 8192;
+  /// Tile width of each shard's fused score-and-select pass (items per
+  /// ScoreBlock call), as in ServingEngineOptions.
+  Index item_block = 512;
   /// Pool the shards (and the fused ranking loops inside each shard) run
   /// on; nullptr = ThreadPool::Global().
   ThreadPool* pool = nullptr;

@@ -5,6 +5,7 @@
 #ifndef FIRZEN_EVAL_TOPK_H_
 #define FIRZEN_EVAL_TOPK_H_
 
+#include <limits>
 #include <vector>
 
 #include "src/util/common.h"
@@ -45,6 +46,17 @@ class TopKHeap {
   bool MightAccept(Index item, Real score) const {
     return static_cast<Index>(heap_.size()) < k_ ||
            RanksBefore({item, score}, heap_.front());
+  }
+
+  /// Lowest score Push can still accept: -infinity until the heap is full,
+  /// then the current k-th best score (a candidate tying it may still win
+  /// on item id). A run of scores all below the floor — or NaN — leaves
+  /// the heap unchanged, so ranking loops test whole chunks against it,
+  /// vectorized, before MightAccept.
+  Real ScoreFloor() const {
+    return static_cast<Index>(heap_.size()) < k_
+               ? -std::numeric_limits<Real>::infinity()
+               : heap_.front().score;
   }
 
   /// Sorts the retained candidates best-first in place and returns them.

@@ -187,12 +187,9 @@ void ShardServer::HandleConnection(net::UniqueFd conn) {
     std::vector<TopKHeap> heaps;
     heaps.reserve(requests.size());
     for (const RecRequest& req : requests) heaps.emplace_back(req.k);
-    {
-      ArenaPool::Lease arena = arenas_.Acquire();
-      serving_internal::RankRequestsInRange(*view_, shard_, requests, batch,
-                                            *state_, options_.item_block,
-                                            options_.pool, arena.get(), &heaps);
-    }
+    serving_internal::RankRequestsInRange(*view_, shard_, requests, batch,
+                                          *state_, options_.item_block,
+                                          options_.pool, &arenas_, &heaps);
     std::vector<wire::ShardReply> replies(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       replies[i].user = requests[i].user;
@@ -203,13 +200,15 @@ void ShardServer::HandleConnection(net::UniqueFd conn) {
     if (stall > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(stall));
     }
+    // Count before replying: a client holding this reply must see its
+    // batch in requests_served() / batches_served().
+    requests_served_.fetch_add(requests.size(), std::memory_order_relaxed);
+    batches_served_.fetch_add(1, std::memory_order_relaxed);
     if (!net::SendFrame(fd, wire::FrameType::kRecReplyBatch,
                         wire::EncodeReplyBatch(replies))
              .ok()) {
       return;
     }
-    requests_served_.fetch_add(requests.size(), std::memory_order_relaxed);
-    batches_served_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -43,9 +43,10 @@ struct ShardServerOptions {
   /// Where to listen: "host:port" (port 0 = kernel-assigned, published via
   /// bound_address()) or "unix:/path".
   std::string listen_address = "127.0.0.1:0";
-  /// Streamed scoring panel width, as in the in-process engines.
-  Index item_block = 8192;
-  /// Pool for the fused ranking loops; nullptr = ThreadPool::Global().
+  /// Tile width of the fused score-and-select pass, as in the in-process
+  /// engines.
+  Index item_block = 512;
+  /// Pool the fused pass runs on; nullptr = ThreadPool::Global().
   ThreadPool* pool = nullptr;
   /// Upper bound for request user ids (requests with user >= num_users get
   /// a wire error instead of an out-of-bounds gather). 0 = no check — only
@@ -96,7 +97,9 @@ class ShardServer {
   Index shard_end() const { return shard_.end; }
   Index num_items() const { return num_items_; }
 
-  /// Requests answered so far across all connections (monotonic).
+  /// Requests answered so far across all connections (monotonic). Both
+  /// counters move before the reply is sent, so a client that holds a
+  /// reply always finds its batch counted.
   uint64_t requests_served() const {
     return requests_served_.load(std::memory_order_relaxed);
   }

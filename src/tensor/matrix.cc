@@ -2,6 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+
+#if defined(__AVX__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "src/util/thread_pool.h"
 
@@ -93,12 +98,12 @@ Matrix Matrix::Transposed() const {
 
 namespace {
 
-// Register/cache blocking geometry: kMr rows of A are processed together so
-// every streamed row of B is reused kMr times (a 4x cut in B memory traffic
-// versus the row-at-a-time seed kernel), accumulating into a kMr x kNc
-// scratch panel that stays resident in L1 (4 * 512 * 8B = 16KB). The inner
-// j-loop is long, branch-free and unit-stride — the shape compilers
-// autovectorize best.
+// Cache blocking for the A * B path (GemmRowShard): kMr rows of A are
+// processed together so every streamed row of B is reused kMr times,
+// accumulating into a kMr x kNc scratch panel (4 * 512 * 8B = 16KB, L1).
+// The inner j-loop is long, branch-free and unit-stride — the shape
+// compilers autovectorize best. The A * B^T path packs B^T in kNc-column
+// panels too, but computes from registers (see RegisterTile below).
 constexpr Index kMr = 4;
 constexpr Index kNc = 512;
 
@@ -106,15 +111,14 @@ constexpr Index kNc = 512;
 // A * B^T kernel builds its per-element p-chain from. On hardware with a
 // fused-multiply-add unit std::fma is a single instruction AND a single
 // IEEE rounding, so two differently-compiled loops (the small-batch dot
-// path's p-reduction vs the panel kernel's j-vectorized update) are
-// guaranteed to produce bit-identical chains — which is what makes scores
+// path's p-reduction vs the register tile's vector lanes) are guaranteed
+// to produce bit-identical chains — which is what makes scores
 // independent of the user-batch size. Without hardware FMA, std::fma is a
 // slow libm call and plain `acc + a * b` contraction is at the compiler's
 // whim per loop shape, so the BT dispatcher below then routes EVERY batch
-// size through the one panel kernel instead (slower at small m, but the
-// invariance contract survives).
-#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
-#define FIRZEN_HAS_HW_FMA 1
+// size through the one register-tile kernel instead (slower at small m,
+// but the invariance contract survives).
+#ifdef FIRZEN_HAS_HW_FMA
 inline Real MulAdd(Real a, Real b, Real acc) { return std::fma(a, b, acc); }
 #else
 inline Real MulAdd(Real a, Real b, Real acc) { return acc + a * b; }
@@ -122,8 +126,7 @@ inline Real MulAdd(Real a, Real b, Real acc) { return acc + a * b; }
 
 // scratch[r][0:jw] += A[i+r, p] * B[p, jb:jb+jw] for r < kMr, streaming p.
 // Accumulation per output element is a p-ordered MulAdd chain, which keeps
-// results bit-identical for any row sharding (and, with hardware FMA, for
-// any other kernel accumulating the same chain).
+// results bit-identical for any row sharding.
 inline void MicroKernel4(Index k, Index jw, const Real* a, Index lda,
                          const Real* b, Index ldb, Real* scratch) {
   Real* s0 = scratch;
@@ -195,36 +198,128 @@ void GemmRowShard(Index row_begin, Index row_end, Index k, Index n,
   }
 }
 
+// Register blocking for the A * B^T path: a kMr x kNr tile of C lives in
+// vector registers for the whole p loop (16 zmm accumulators on AVX-512),
+// so the loop body is loads of one packed B^T row and a broadcast per A
+// row feeding 16 independent FMAs — no accumulator traffic through memory.
+// B^T is packed in kNr-column slivers laid out [p][kNr]; a sliver
+// (k * kNr * 8B = 16KB at k = 64) stays in L1 while a block of kMc A rows
+// streams past it, and a kNc-column panel of slivers (256KB at k = 64)
+// stays in L2 across row blocks.
+constexpr Index kNr = 32;
+constexpr Index kMc = 64;
+static_assert(kNc % kNr == 0, "panels hold whole slivers");
+static_assert(kMc % kMr == 0, "row blocks hold whole tiles");
+
+// One vector of lanes and the operations RegisterTile needs. The
+// vector FMA intrinsics round exactly once per lane, like std::fma, so the
+// lane width changes which cells are computed together, never a bit of
+// any cell. Without a vector FMA the "vector" is one Real and MulAdd.
+#if defined(__AVX512F__)
+using Lanes = __m512d;
+constexpr Index kLanes = 8;
+inline Lanes LoadLanes(const Real* p) { return _mm512_loadu_pd(p); }
+inline void StoreLanes(Real* p, Lanes v) { _mm512_storeu_pd(p, v); }
+inline Lanes Broadcast(Real v) { return _mm512_set1_pd(v); }
+inline Lanes MulLanes(Lanes a, Lanes b) { return _mm512_mul_pd(a, b); }
+inline Lanes MulAddLanes(Lanes a, Lanes b, Lanes acc) {
+  return _mm512_fmadd_pd(a, b, acc);
+}
+#elif defined(__AVX__) && defined(__FMA__)
+using Lanes = __m256d;
+constexpr Index kLanes = 4;
+inline Lanes LoadLanes(const Real* p) { return _mm256_loadu_pd(p); }
+inline void StoreLanes(Real* p, Lanes v) { _mm256_storeu_pd(p, v); }
+inline Lanes Broadcast(Real v) { return _mm256_set1_pd(v); }
+inline Lanes MulLanes(Lanes a, Lanes b) { return _mm256_mul_pd(a, b); }
+inline Lanes MulAddLanes(Lanes a, Lanes b, Lanes acc) {
+  return _mm256_fmadd_pd(a, b, acc);
+}
+#else
+using Lanes = Real;
+constexpr Index kLanes = 1;
+inline Lanes LoadLanes(const Real* p) { return *p; }
+inline void StoreLanes(Real* p, Lanes v) { *p = v; }
+inline Lanes Broadcast(Real v) { return v; }
+inline Lanes MulLanes(Lanes a, Lanes b) { return a * b; }
+inline Lanes MulAddLanes(Lanes a, Lanes b, Lanes acc) {
+  return MulAdd(a, b, acc);
+}
+#endif
+
+// out[r * ldo + j] = alpha * (sum over p of a[r * lda + p] *
+// sliver[p * kNr + j]) for r < kMr, j < kNr: each sum one p-ordered MulAdd
+// chain starting from +0.0, then one rounded multiply by alpha — the same
+// operations, in the same order, as a scalar loop. Columns go in groups of
+// four lane vectors per row (all of kNr at once on AVX-512), which keeps
+// the kMr x 4 accumulators in registers on every tier.
+inline void RegisterTile(Index k, const Real* a, Index lda,
+                         const Real* sliver, Real alpha, Real* out,
+                         Index ldo) {
+  constexpr Index kVecs = 4;
+  constexpr Index kGroup = kVecs * kLanes;
+  static_assert(kNr % kGroup == 0, "column groups tile the sliver");
+  for (Index g = 0; g < kNr; g += kGroup) {
+    Lanes acc[kMr][kVecs];
+#pragma GCC unroll 4
+    for (Index r = 0; r < kMr; ++r) {
+#pragma GCC unroll 4
+      for (Index v = 0; v < kVecs; ++v) acc[r][v] = Broadcast(0.0);
+    }
+    for (Index p = 0; p < k; ++p) {
+      const Real* bp = sliver + p * kNr + g;
+      Lanes bv[kVecs];
+#pragma GCC unroll 4
+      for (Index v = 0; v < kVecs; ++v) bv[v] = LoadLanes(bp + v * kLanes);
+#pragma GCC unroll 4
+      for (Index r = 0; r < kMr; ++r) {
+        const Lanes av = Broadcast(a[r * lda + p]);
+#pragma GCC unroll 4
+        for (Index v = 0; v < kVecs; ++v) {
+          acc[r][v] = MulAddLanes(av, bv[v], acc[r][v]);
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (Index r = 0; r < kMr; ++r) {
+#pragma GCC unroll 4
+      for (Index v = 0; v < kVecs; ++v) {
+        StoreLanes(out + r * ldo + g + v * kLanes,
+                   MulLanes(Broadcast(alpha), acc[r][v]));
+      }
+    }
+  }
+}
+
 // One shard of C = alpha * A * B^T + beta * C covering rows
 // [row_begin, row_end) and columns [col_begin, col_end), with A row-major
 // (lda elements per row) and B given untransposed as row-major rows of
-// width k. col_begin must lie on the global kNc panel grid (callers shard
-// either whole rows or whole panels), so a given output column is always
-// packed at the same offset of an identically-shaped panel no matter how
-// the work was split. Instead of materializing all of B^T — an O(k * n)
-// transient that rivals the compute at catalog scale — each kNc column
-// panel of B^T (k x jw, at most k * kNc elements) is packed into
-// shard-local scratch and consumed by the micro-kernel. Pack and compute
-// deliberately live in ONE function: splitting them across a call boundary
-// costs gcc its loop fusion here (~1.35x measured on the 512x64x8192
-// scoring shape).
+// width k. Instead of materializing all of B^T — an O(k * n) transient
+// that rivals the compute at catalog scale — each kNc-column panel of B^T
+// is packed into shard-local slivers (at most k * kNc elements, the ragged
+// last sliver zero-padded) and consumed by RegisterTile.
 //
 // THE batch-size-invariance kernel: every row tile — including the ragged
-// tail, padded below with zero rows — goes through the one MicroKernel4
-// call site, so each output cell is the same p-ordered MulAdd chain over
-// its own A row and packed B column regardless of m, tile position, or
-// shard layout. noinline keeps one machine-code copy of the kernel for
-// both dispatch modes below, so even without hardware FMA (where the chain
-// is plain contractible `+  *` and therefore compiler-shaped) the two
-// modes cannot diverge.
+// tail, padded below with zero rows — and every sliver — including the
+// ragged one — goes through RegisterTile, so each output cell is the same
+// p-ordered MulAdd chain over its own A row and B row regardless of m,
+// tile position, panel offset or shard layout. Padding rows and columns
+// compute chains that are never stored. noinline keeps one machine-code
+// copy of the kernel for both dispatch modes below.
 __attribute__((noinline)) void GemmPanelShardBT(
     Index row_begin, Index row_end, Index col_begin, Index col_end, Index k,
     Real alpha, const Real* a, Index lda, const Real* b, Real beta, Real* c,
     Index ldc) {
-  Real scratch[kMr * kNc];
-  std::vector<Real> panel(static_cast<size_t>(k) * kNc);
-  // Pad the ragged row tile (if any) to kMr rows once per shard: zero rows
-  // contribute exact zeros to their scratch rows, which are never stored.
+  // Full tiles of a beta == 0 product go straight from registers to C;
+  // ragged tiles and beta != 0 go through `tile` first.
+  alignas(64) Real tile[kMr * kNr];
+  // Packing writes every panel entry (padding included) before it is read,
+  // so the buffer is left uninitialized, and sized to the columns at hand.
+  const Index panel_cols =
+      std::min<Index>(kNc, (col_end - col_begin + kNr - 1) / kNr * kNr);
+  const std::unique_ptr<Real[]> panel(
+      new Real[static_cast<size_t>(k * panel_cols)]);
+  // Pad the ragged row tile (if any) to kMr rows once per shard.
   const Index ragged = (row_end - row_begin) % kMr;
   const Index ragged_begin = row_end - ragged;
   std::vector<Real> edge;
@@ -237,32 +332,45 @@ __attribute__((noinline)) void GemmPanelShardBT(
   }
   for (Index jb = col_begin; jb < col_end; jb += kNc) {
     const Index jw = std::min<Index>(kNc, col_end - jb);
-    for (Index j = 0; j < jw; ++j) {
-      const Real* brow = b + (jb + j) * k;
+    const Index num_slivers = (jw + kNr - 1) / kNr;
+    for (Index s = 0; s < num_slivers; ++s) {
+      Real* sliver = panel.get() + s * k * kNr;
+      const Index sw = std::min<Index>(kNr, jw - s * kNr);
+      for (Index j = 0; j < sw; ++j) {
+        const Real* brow = b + (jb + s * kNr + j) * k;
+        for (Index p = 0; p < k; ++p) sliver[p * kNr + j] = brow[p];
+      }
       for (Index p = 0; p < k; ++p) {
-        panel[static_cast<size_t>(p * jw + j)] = brow[p];
+        std::fill(sliver + p * kNr + sw, sliver + (p + 1) * kNr, 0.0);
       }
     }
-    const Real* bp = panel.data();
-    for (Index i = row_begin; i < row_end; i += kMr) {
-      const Index mr = std::min<Index>(kMr, row_end - i);
-      for (Index r = 0; r < kMr; ++r) {
-        Real* srow = scratch + r * kNc;
-        for (Index j = 0; j < jw; ++j) srow[j] = 0.0;
-      }
-      if (mr == kMr) {
-        MicroKernel4(k, jw, a + i * lda, lda, bp, jw, scratch);
-      } else {
-        MicroKernel4(k, jw, edge.data(), k, bp, jw, scratch);
-      }
-      for (Index r = 0; r < mr; ++r) {
-        const Real* srow = scratch + r * kNc;
-        Real* crow = c + (i + r) * ldc + jb;
-        if (beta == 0.0) {
-          for (Index j = 0; j < jw; ++j) crow[j] = alpha * srow[j];
-        } else {
-          for (Index j = 0; j < jw; ++j) {
-            crow[j] = MulAdd(beta, crow[j], alpha * srow[j]);
+    for (Index ib = row_begin; ib < row_end; ib += kMc) {
+      const Index ie = std::min<Index>(ib + kMc, row_end);
+      for (Index s = 0; s < num_slivers; ++s) {
+        const Real* sliver = panel.get() + s * k * kNr;
+        const Index j0 = jb + s * kNr;
+        const Index sw = std::min<Index>(kNr, jw - s * kNr);
+        for (Index i = ib; i < ie; i += kMr) {
+          const Index mr = std::min<Index>(kMr, ie - i);
+          const bool direct = mr == kMr && sw == kNr && beta == 0.0;
+          Real* out = direct ? c + i * ldc + j0 : tile;
+          const Index ldo = direct ? ldc : kNr;
+          if (mr == kMr) {
+            RegisterTile(k, a + i * lda, lda, sliver, alpha, out, ldo);
+          } else {
+            RegisterTile(k, edge.data(), k, sliver, alpha, out, ldo);
+          }
+          if (direct) continue;
+          for (Index r = 0; r < mr; ++r) {
+            const Real* trow = tile + r * kNr;
+            Real* crow = c + (i + r) * ldc + j0;
+            if (beta == 0.0) {
+              for (Index j = 0; j < sw; ++j) crow[j] = trow[j];
+            } else {
+              for (Index j = 0; j < sw; ++j) {
+                crow[j] = MulAdd(beta, crow[j], trow[j]);
+              }
+            }
           }
         }
       }
@@ -277,9 +385,9 @@ constexpr Index kBTMinShardRows = 64;
 
 #ifdef FIRZEN_HAS_HW_FMA
 // Batches up to this many rows skip panel packing entirely and run the
-// tiled dot path below; past it the packing amortizes and the panel
-// kernel wins. Purely a perf threshold — both sides accumulate the
-// identical exactly-rounded chain.
+// tiled dot path below; past it the packing amortizes and the
+// register-tile kernel wins. Purely a perf threshold — both sides
+// accumulate the identical exactly-rounded chain.
 constexpr Index kDotLanesMaxRows = 8;
 
 // One shard of the zero-pack dot path: rows [0, m) x columns
@@ -350,11 +458,11 @@ void GemmDotTileShardBT(Index m, Index k, Index col_begin, Index col_end,
 // BATCH-SIZE INVARIANCE: c(i, j) is bit-identical for any m — a user's
 // scores do not depend on how many other users share the batch, which is
 // what lets the admission front end fuse concurrent requests with no
-// observable effect. Above the cutoff, rows shard over the panel kernel;
-// at or below it, either the zero-pack dot path runs the very same
+// observable effect. Above the cutoff, rows shard over the register-tile
+// kernel; at or below it, either the zero-pack dot path runs the very same
 // per-element MulAdd chain (exactly-rounded hardware FMA, so the two
 // differently-shaped loops cannot round apart), or — without hardware FMA
-// — the panel kernel itself runs column-sharded. Either way the cutoff
+// — the register-tile kernel itself runs column-sharded. Either way the cutoff
 // picks a parallelization strategy, never a numerical path.
 void GemmDispatchBT(Index m, Index k, Index n, Real alpha, const Real* a,
                     Index lda, const Real* b, Real beta, Real* c, Index ldc,
@@ -388,11 +496,8 @@ void GemmDispatchBT(Index m, Index k, Index n, Real alpha, const Real* a,
 #endif
     // Mid-size batches (and, without hardware FMA, every small batch —
     // two differently-shaped loops cannot be pinned to one rounding
-    // there): run the one panel kernel, sharding whole kNc column panels
-    // across the pool since there are too few rows to shard. Panel
-    // boundaries stay on the global grid, which keeps the packed panel
-    // shapes — and therefore per-cell rounding — identical to the
-    // row-sharded mode.
+    // there): run the one register-tile kernel, sharding whole kNc column
+    // panels across the pool since there are too few rows to shard.
     const Index num_panels = (n + kNc - 1) / kNc;
     const Index min_panels = std::max<Index>(
         1, 65536 / std::max<Index>(1, m * k * kNc));
@@ -438,7 +543,8 @@ void Gemm(bool trans_a, bool trans_b, Real alpha, const Matrix& a,
   if (m == 0 || n == 0) return;
 
   // A * B^T never materializes B^T: GemmDispatchBT packs bounded
-  // kNc-column panels of B^T inside the one batch-size-invariant kernel
+  // kNc-column panels of B^T slivers inside the one batch-size-invariant
+  // kernel
   // (column-sharded at small m, row-sharded otherwise). Only A is packed
   // when transposed (rare; turns strided loads into streaming ones at an
   // O(m*k) cost against the kernel's O(mnk)).

@@ -1,8 +1,9 @@
 // Dense row-major matrix with the handful of kernels the autograd engine
-// needs. No external BLAS: Gemm is a register-blocked (4x8 micro-tile),
-// cache-blocked kernel whose outer row dimension is sharded across the
-// global thread pool. Results are bit-identical for any pool size because
-// every output element is a straight k-ordered sum.
+// needs. No external BLAS: Gemm is cache-blocked, and its A * B^T path (the
+// scoring kernel) computes 4 x 32 output tiles from vector registers over
+// B^T packed in 32-column slivers. Work is sharded across the global thread
+// pool. Results are bit-identical for any pool size because every output
+// element is a straight k-ordered sum.
 #ifndef FIRZEN_TENSOR_MATRIX_H_
 #define FIRZEN_TENSOR_MATRIX_H_
 
@@ -11,6 +12,14 @@
 #include "src/util/check.h"
 #include "src/util/common.h"
 #include "src/util/rng.h"
+
+// Defined when the target has a fused multiply-add instruction. The
+// A * B^T kernels then build every output cell from exactly-rounded
+// std::fma steps, so any two of them agree bit for bit with a scalar
+// std::fma p-chain (tests/kernel_parity_test.cc pins this).
+#if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
+#define FIRZEN_HAS_HW_FMA 1
+#endif
 
 namespace firzen {
 
@@ -137,7 +146,7 @@ class MatrixView {
 /// GemmBT): at or below this many A rows the kernel shards whole B^T column
 /// panels across the pool (few user rows, vast catalogs — row sharding has
 /// nothing to split), above it it shards rows. BOTH sides run the one
-/// panel-packed micro-kernel, so the cutoff is purely a parallelization
+/// register-tile kernel, so the cutoff is purely a parallelization
 /// choice: every output cell is a fixed p-ordered accumulation determined
 /// only by its own A row and B row, and scores are bit-identical no matter
 /// how many other rows share the batch. Exported so tests can pin
@@ -150,11 +159,12 @@ inline constexpr Index kGemmBTColumnShardMaxRows = 32;
 /// otherwise it is resized (uninitialized, then fully overwritten). Rows of C
 /// are sharded across `pool` (nullptr = ThreadPool::Global()); results do not
 /// depend on the pool size. The trans_b path never materializes B^T: every
-/// row shard packs B^T one bounded kNc-column panel at a time, so peak
-/// scratch is O(k * kNc) per worker instead of O(k * n), with shard height
-/// floored so the re-pack stays amortized; at or below
-/// kGemmBTColumnShardMaxRows rows the same kernel shards column panels
-/// instead (see above), keeping results bit-identical for any batch size.
+/// row shard packs B^T one bounded 512-column panel (of 32-column slivers)
+/// at a time, so peak scratch is O(k * 512) per worker instead of
+/// O(k * n), with shard height floored so the re-pack stays amortized; at
+/// or below kGemmBTColumnShardMaxRows rows the same kernel shards column
+/// panels instead (see above), keeping results bit-identical for any batch
+/// size.
 void Gemm(bool trans_a, bool trans_b, Real alpha, const Matrix& a,
           const Matrix& b, Real beta, Matrix* c, ThreadPool* pool = nullptr);
 
@@ -163,8 +173,8 @@ void Gemm(bool trans_a, bool trans_b, Real alpha, const Matrix& a,
 /// b_rows + j * k). This is the block-scoring kernel: a row range (or a
 /// gathered candidate pack) of an item-embedding table scores against a user
 /// batch with zero copies of the table. out must be a.rows() x n. Every
-/// output element is a straight p-ordered sum through the one panel
-/// micro-kernel, so results are bit-identical to the full-matrix
+/// output element is a straight p-ordered sum through the one register-tile
+/// kernel, so results are bit-identical to the full-matrix
 /// Gemm(trans_b) path for any block partitioning, any pool size, and any
 /// user-batch size (the admission front end's coalescing contract).
 void GemmBT(const Matrix& a, const Real* b_rows, Index n, MatrixView out,

@@ -1,6 +1,7 @@
 #include "src/util/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 #include "src/util/env.h"
 
@@ -8,6 +9,8 @@ namespace firzen {
 namespace {
 
 thread_local bool t_in_pool_worker = false;
+// True while the calling thread runs the shard ParallelFor keeps for it.
+thread_local bool t_in_caller_shard = false;
 
 }  // namespace
 
@@ -85,7 +88,7 @@ void ParallelFor(ThreadPool* pool, Index n,
                  Index min_shard_size) {
   if (n <= 0) return;
   if (pool == nullptr || pool->num_threads() <= 1 || n <= min_shard_size ||
-      ThreadPool::InWorker()) {
+      ThreadPool::InWorker() || t_in_caller_shard) {
     fn(0, n);
     return;
   }
@@ -96,23 +99,44 @@ void ParallelFor(ThreadPool* pool, Index n,
   // Per-call completion group: the caller waits for ITS shards only, not
   // for the pool-wide queue to drain (ThreadPool::Wait). Concurrent
   // ParallelFor callers — e.g. serving requests sharing the global pool —
-  // therefore do not block on each other's work.
+  // therefore do not block on each other's work. A shard that throws still
+  // counts as finished; the group keeps the first exception and the caller
+  // rethrows it once every shard is done, so `fn`'s captures stay alive for
+  // the shards still running and the pool worker never unwinds.
   struct Group {
     Mutex mu;
     CondVar cv;
     Index pending FIRZEN_GUARDED_BY(mu);
+    std::exception_ptr error FIRZEN_GUARDED_BY(mu);
   };
-  Group group{{}, {}, (n + shard - 1) / shard};
-  for (Index begin = 0; begin < n; begin += shard) {
-    const Index end = std::min(begin + shard, n);
-    pool->Submit([&fn, &group, begin, end] {
+  Group group{{}, {}, (n + shard - 1) / shard, nullptr};
+  const auto run_shard = [&fn, &group](Index begin, Index end) {
+    std::exception_ptr error;
+    try {
       fn(begin, end);
-      MutexLock lock(group.mu);
-      if (--group.pending == 0) group.cv.NotifyOne();
-    });
+    } catch (...) {
+      error = std::current_exception();
+    }
+    MutexLock lock(group.mu);
+    if (error != nullptr && group.error == nullptr) group.error = error;
+    if (--group.pending == 0) group.cv.NotifyOne();
+  };
+  for (Index begin = shard; begin < n; begin += shard) {
+    const Index end = std::min(begin + shard, n);
+    pool->Submit([&run_shard, begin, end] { run_shard(begin, end); });
   }
-  MutexLock lock(group.mu);
-  while (group.pending != 0) group.cv.Wait(lock);
+  // The caller runs the first shard itself instead of idling until the
+  // workers finish. Like a worker, it runs nested parallel sections inline.
+  t_in_caller_shard = true;
+  run_shard(0, shard);
+  t_in_caller_shard = false;
+  std::exception_ptr error;
+  {
+    MutexLock lock(group.mu);
+    while (group.pending != 0) group.cv.Wait(lock);
+    error = group.error;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 }  // namespace firzen

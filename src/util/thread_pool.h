@@ -55,12 +55,17 @@ class ThreadPool {
   bool stop_ FIRZEN_GUARDED_BY(mu_) = false;
 };
 
-/// Splits [0, n) into contiguous shards and runs `fn(begin, end)` on the pool.
-/// Executes inline when pool is null, n is small, or the caller is itself a
-/// pool worker (nested parallelism degrades to serial instead of
-/// deadlocking). Shard boundaries never split an index, so kernels whose
-/// per-index work is order-independent produce bit-identical results for any
-/// pool size.
+/// Splits [0, n) into at most pool->num_threads() contiguous shards; the
+/// calling thread runs the first shard and pool workers the rest.
+/// Executes inline when pool is null, n is small, or the caller is itself
+/// running a shard (a pool worker, or a caller inside its own shard):
+/// nested parallelism degrades to serial instead of deadlocking. Shard
+/// boundaries never split an index, so kernels whose per-index work is
+/// order-independent produce bit-identical results for any pool size.
+///
+/// If `fn` throws, the exception reaches the caller: inline runs propagate
+/// it directly; pooled runs let every other shard finish, then rethrow the
+/// first exception any shard threw. The pool stays usable afterwards.
 void ParallelFor(ThreadPool* pool, Index n,
                  const std::function<void(Index, Index)>& fn,
                  Index min_shard_size = 256);

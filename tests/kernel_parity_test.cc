@@ -131,7 +131,7 @@ TEST(KernelParityTest, GemmAlphaBetaAccumulateMatchesNaive) {
 // depend on how many rows A has. Every m below is sliced from the same
 // 130-row A, so row r of every result must match row r of the 130-row
 // reference bit-for-bit — across the lane-dot path (m <= 8), the
-// column-sharded panel path (m <= 32), the row-sharded panel path, ragged
+// column-sharded register-tile path (m <= 32), the row-sharded one, ragged
 // row tiles (m % 4 != 0), and both pool sizes. This is the kernel half of
 // the admission-batching determinism contract (the serving half lives in
 // scorer_parity_test and serving_admission_test).
@@ -208,6 +208,97 @@ TEST(KernelParityTest, GemmBTBlockSlicesMatchFullTransB) {
     }
   }
 }
+
+#ifdef FIRZEN_HAS_HW_FMA
+// A fixed oracle for the A * B^T kernels. On FMA hardware every cell of
+// Gemm(trans_b) and GemmBT is defined as: a p-ordered chain of
+// exactly-rounded multiply-adds from +0.0, times alpha, then (beta != 0)
+// one more fma(beta, c, .). A scalar std::fma loop computes exactly that,
+// so the kernels must match it bit for bit — an independent reference,
+// where the tests above mostly compare the kernels with each other.
+Real FmaChain(const Real* a, const Real* b, Index k) {
+  Real acc = 0.0;
+  for (Index p = 0; p < k; ++p) acc = std::fma(a[p], b[p], acc);
+  return acc;
+}
+
+// Shapes straddle the 4 x 32 register tile and the 512-column panel: n
+// below, at and past one sliver and one panel; m across the small-batch
+// dot path, the column-sharded and the row-sharded modes.
+TEST(KernelParityTest, GemmTransBMatchesScalarFmaOracleExactly) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  uint64_t seed = 500;
+  for (const Index n : {1, 31, 32, 33, 511, 513, 1300}) {
+    for (const Index m : {1, 3, 4, 5, 8, 9, 33, 130}) {
+      for (const Index k : {1, 37, 64}) {
+        const Matrix a = RandomMatrix(m, k, ++seed);
+        const Matrix b = RandomMatrix(n, k, ++seed);
+        const Matrix at = a.Transposed();
+        for (ThreadPool* pool : {&pool1, &pool4}) {
+          Matrix got;
+          Gemm(false, true, 1.0, a, b, 0.0, &got, pool);
+          Matrix got_ta;
+          Gemm(true, true, 1.0, at, b, 0.0, &got_ta, pool);
+          Matrix got_bt(m, n);
+          GemmBT(a, b.row(0), n, MatrixView(&got_bt), pool);
+          for (Index i = 0; i < m; ++i) {
+            for (Index j = 0; j < n; ++j) {
+              const Real want = FmaChain(a.row(i), b.row(j), k);
+              ASSERT_EQ(got(i, j), want)
+                  << "m=" << m << " k=" << k << " n=" << n << " i=" << i
+                  << " j=" << j << " pool=" << pool->num_threads();
+              ASSERT_EQ(got_ta(i, j), want) << "trans_a m=" << m;
+              ASSERT_EQ(got_bt(i, j), want) << "GemmBT m=" << m;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The oracle with alpha/beta scaling, and GemmBT writing a strided column
+// window of a wider matrix: cells outside the window stay untouched.
+TEST(KernelParityTest, GemmTransBBetaAndStridedOutputsMatchFmaOracle) {
+  ThreadPool pool4(4);
+  const Index k = 37;
+  const Index n = 513;
+  for (const Index m : {3, 9, 40, 130}) {
+    const Matrix a = RandomMatrix(m, k, 600 + static_cast<uint64_t>(m));
+    const Matrix b = RandomMatrix(n, k, 700 + static_cast<uint64_t>(m));
+    const Matrix c0 = RandomMatrix(m, n, 800 + static_cast<uint64_t>(m));
+    for (const Real alpha : {1.0, -0.5, 3.0}) {
+      for (const Real beta : {1.0, 0.25}) {
+        Matrix got = c0;
+        Gemm(false, true, alpha, a, b, beta, &got, &pool4);
+        for (Index i = 0; i < m; ++i) {
+          for (Index j = 0; j < n; ++j) {
+            const Real want = std::fma(
+                beta, c0(i, j), alpha * FmaChain(a.row(i), b.row(j), k));
+            ASSERT_EQ(got(i, j), want) << "m=" << m << " alpha=" << alpha
+                                       << " beta=" << beta << " j=" << j;
+          }
+        }
+      }
+    }
+    const Real sentinel = -7.25;
+    for (const Index begin : {Index{0}, Index{3}, Index{40}}) {
+      Matrix wide(m, n + 45, sentinel);
+      GemmBT(a, b.row(0), n, MatrixView::Columns(&wide, begin, n), &pool4);
+      for (Index i = 0; i < m; ++i) {
+        for (Index j = 0; j < wide.cols(); ++j) {
+          const bool inside = j >= begin && j < begin + n;
+          const Real want =
+              inside ? FmaChain(a.row(i), b.row(j - begin), k) : sentinel;
+          ASSERT_EQ(wide(i, j), want)
+              << "m=" << m << " begin=" << begin << " j=" << j;
+        }
+      }
+    }
+  }
+}
+#endif  // FIRZEN_HAS_HW_FMA
 
 // Sparse fixture with interaction-graph shape quirks: empty rows, a dense
 // hub row, duplicate-free random tail.

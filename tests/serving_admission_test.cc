@@ -31,6 +31,7 @@
 #include "src/models/scorer.h"
 #include "src/models/serialize.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -47,16 +48,20 @@ Matrix RandomEmb(Index rows, Index cols, uint64_t seed) {
 }
 
 // Scorer that throws on the Nth ScoreBlock call (1-based) and scores
-// normally otherwise — the fault model for "a backend died mid-pass".
-// Thread-safe: the call counter is atomic, everything else delegates to a
+// normally otherwise — the fault model for "a backend died mid-pass". With
+// `only_block_begin` >= 0, only calls scoring the block that starts at that
+// item count toward N, which pins the fault to one item tile.
+// Thread-safe: the counters are atomic, everything else delegates to a
 // shared DotProductScorer.
 class FaultInjectionScorer : public Scorer {
  public:
-  FaultInjectionScorer(Matrix user_emb, Matrix item_emb, int throw_on_call)
+  FaultInjectionScorer(Matrix user_emb, Matrix item_emb, int throw_on_call,
+                       Index only_block_begin = -1)
       : user_emb_(std::move(user_emb)),
         item_emb_(std::move(item_emb)),
         inner_(user_emb_, item_emb_),
-        throw_on_(throw_on_call) {}
+        throw_on_(throw_on_call),
+        only_block_begin_(only_block_begin) {}
 
   using Scorer::ScoreBlock;
   using Scorer::ScoreCandidates;
@@ -65,7 +70,10 @@ class FaultInjectionScorer : public Scorer {
 
   void ScoreBlock(const std::vector<Index>& users, ItemBlock block,
                   MatrixView out, ScoringArena* arena) const override {
-    if (calls_.fetch_add(1) + 1 == throw_on_) {
+    calls_.fetch_add(1);
+    if ((only_block_begin_ < 0 || block.begin == only_block_begin_) &&
+        counted_.fetch_add(1) + 1 == throw_on_) {
+      threw_on_worker_ = ThreadPool::InWorker();
       throw std::runtime_error("injected scorer fault");
     }
     inner_.ScoreBlock(users, block, out, arena);
@@ -78,14 +86,24 @@ class FaultInjectionScorer : public Scorer {
   }
 
   int score_block_calls() const { return calls_.load(); }
+  // Whether the throwing call ran on a pool worker (read after the pass).
+  bool threw_on_worker() const { return threw_on_worker_.load(); }
 
  private:
   Matrix user_emb_;
   Matrix item_emb_;
   DotProductScorer inner_;
   int throw_on_;
+  Index only_block_begin_;
   mutable std::atomic<int> calls_{0};
+  mutable std::atomic<int> counted_{0};
+  mutable std::atomic<bool> threw_on_worker_{false};
 };
+
+// ScoreBlock calls one fused full-catalog pass makes: one per item tile.
+int TilesPerPass(Index item_block) {
+  return static_cast<int>((kItems + item_block - 1) / item_block);
+}
 
 class AdmissionFixture : public ::testing::Test {
  protected:
@@ -621,18 +639,23 @@ TEST_F(AdmissionFixture, ThrowingBackendFailsTicketsWithStatusAndRecovers) {
 }
 
 // The regression the fault-injection scorer pins: a backend exception in
-// the MIDDLE of a fused pass (the Nth ScoreBlock call, here the second
-// pass's catalog stream) rejects EVERY coalesced ticket of that pass with
-// a per-ticket kBackendError — followers neither hang nor see a torn
+// the MIDDLE of a fused pass (the Nth ScoreBlock call, here the first tile
+// of the second pass) rejects EVERY coalesced ticket of that pass with a
+// per-ticket kBackendError — followers neither hang nor see a torn
 // result — while earlier and later passes serve normally.
 TEST_F(AdmissionFixture, FaultInjectionScorerFailsWholeFusedPass) {
-  // 2500 items under the default 8192 item_block = exactly one ScoreBlock
-  // call per full-catalog fused pass, so pass #2 is call #2.
+  // An inline pool scores the tiles in order on the dispatching thread, so
+  // pass #2 starts at call TilesPerPass + 1 and stops right there.
+  ThreadPool inline_pool(0);
+  ServingEngineOptions engine_options;
+  engine_options.pool = &inline_pool;
+  const int tiles = TilesPerPass(engine_options.item_block);
+  ASSERT_GT(tiles, 1);
   auto scorer = std::make_unique<FaultInjectionScorer>(
       RandomEmb(kUsers, kDim, 1), RandomEmb(kItems, kDim, 2),
-      /*throw_on_call=*/2);
+      /*throw_on_call=*/tiles + 1);
   const FaultInjectionScorer* fault = scorer.get();
-  const ServingEngine engine(std::move(scorer), dataset_);
+  const ServingEngine engine(std::move(scorer), dataset_, engine_options);
   AdmissionOptions options;
   options.max_batch = 4;
   options.max_wait_us = 0;
@@ -655,10 +678,64 @@ TEST_F(AdmissionFixture, FaultInjectionScorerFailsWholeFusedPass) {
     EXPECT_TRUE(responses[i].items.empty()) << i;
   }
   EXPECT_EQ(admission.backend_failures(), 1u);
-  EXPECT_EQ(fault->score_block_calls(), 2);
+  EXPECT_EQ(fault->score_block_calls(), tiles + 1);
+  EXPECT_FALSE(fault->threw_on_worker());
 
   // The fault was one-shot: the controller (and engine) serve again, and
   // the served answer matches the healthy reference model bit-exactly.
+  const StaticRecommender reference("ref", RandomEmb(kUsers, kDim, 1),
+                                    RandomEmb(kItems, kDim, 2));
+  const ServingEngine reference_engine(&reference, dataset_);
+  const RecResponse again = admission.Recommend(requests[0]);
+  const RecResponse want =
+      reference_engine.RecommendBatchDirect({requests[0]})[0];
+  ExpectSameResponse(again, want, 0);
+}
+
+// The same fault on a LATER tile of pass 2, thrown on a pool worker while
+// sibling shards keep scoring: ParallelFor hands the exception to the
+// dispatching thread, which fails the whole pass exactly as above.
+TEST_F(AdmissionFixture, FaultOnPoolWorkerTileFailsWholeFusedPass) {
+  ThreadPool pool(4);
+  ServingEngineOptions engine_options;
+  engine_options.pool = &pool;
+  engine_options.item_block = 128;
+  const int tiles = TilesPerPass(engine_options.item_block);
+  ASSERT_GE(tiles, 8);
+  // The last tile belongs to the last shard, which a worker runs (the
+  // calling thread runs the first); its second scoring is pass 2's.
+  const Index last_tile_begin = (tiles - 1) * engine_options.item_block;
+  auto scorer = std::make_unique<FaultInjectionScorer>(
+      RandomEmb(kUsers, kDim, 1), RandomEmb(kItems, kDim, 2),
+      /*throw_on_call=*/2, last_tile_begin);
+  const FaultInjectionScorer* fault = scorer.get();
+  const ServingEngine engine(std::move(scorer), dataset_, engine_options);
+  AdmissionOptions options;
+  options.max_batch = 4;
+  options.max_wait_us = 0;
+  const AdmissionController admission(&engine, options);
+
+  std::vector<RecRequest> requests(8);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].user = static_cast<Index>(i);
+    requests[i].k = 5;
+  }
+  const auto responses = admission.RecommendBatch(requests);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(responses[i].status, RecStatus::kOk) << i;
+    EXPECT_FALSE(responses[i].items.empty()) << i;
+  }
+  for (size_t i = 4; i < 8; ++i) {
+    EXPECT_EQ(responses[i].status, RecStatus::kBackendError) << i;
+    EXPECT_EQ(responses[i].user, requests[i].user) << i;
+    EXPECT_TRUE(responses[i].items.empty()) << i;
+  }
+  EXPECT_EQ(admission.backend_failures(), 1u);
+  EXPECT_TRUE(fault->threw_on_worker());
+  // The throwing tile is its shard's last, so every tile of pass 2 was
+  // scored: the fault neither skipped nor repeated work.
+  EXPECT_EQ(fault->score_block_calls(), 2 * tiles);
+
   const StaticRecommender reference("ref", RandomEmb(kUsers, kDim, 1),
                                     RandomEmb(kItems, kDim, 2));
   const ServingEngine reference_engine(&reference, dataset_);

@@ -15,6 +15,7 @@
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/util/logging.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -473,6 +474,122 @@ TEST(ServingEngineParityTest, FusedMatchesMaterializedForTrainedModel) {
             << "block=" << block;
         EXPECT_EQ(responses[r].items[j].score, reference[r][j].score)
             << "block=" << block;
+      }
+    }
+  }
+}
+
+// The fused full-catalog pass (item tiles sharded over the pool,
+// worker-local heaps, one merge) must answer bit-identically to
+// materialize-then-rank: score the whole catalog in one ScoreBlock call,
+// then offer every eligible item to one heap. Swept over pool sizes, tile
+// widths from 1 item to past the catalog, every exclusion policy, the cold
+// shelf, k past the number of eligible items, and the int8 tier.
+TEST(ServingEngineParityTest, FusedPassMatchesMaterializeThenRank) {
+  constexpr Index kUsers = 24;
+  constexpr Index kItems = 1100;
+  constexpr Index kDim = 16;
+  Dataset dataset;
+  dataset.num_users = kUsers;
+  dataset.num_items = kItems;
+  dataset.is_cold_item.assign(static_cast<size_t>(kItems), false);
+  for (Index i = 0; i < kItems; i += 5) {
+    dataset.is_cold_item[static_cast<size_t>(i)] = true;
+  }
+  Rng rng(31);
+  for (Index u = 0; u < kUsers; ++u) {
+    for (int t = 0; t < 40; ++t) {
+      dataset.train.push_back({u, rng.UniformInt(kItems)});
+    }
+  }
+  const StaticRecommender model("fused", RandomEmb(kUsers, kDim, 7),
+                                RandomEmb(kItems, kDim, 8));
+  const std::vector<std::vector<Index>> seen = dataset.TrainItemsByUser();
+
+  std::vector<RecRequest> requests;
+  for (Index u = 0; u < kUsers; ++u) {
+    RecRequest request;
+    request.user = u;
+    request.k = (u % 4 == 0) ? 1 : 5 + 7 * (u % 3);
+    request.cold_only = u % 3 == 1;
+    switch (u % 3) {
+      case 0:
+        request.exclusion = ExclusionPolicy::kTrainSeen;
+        break;
+      case 1:
+        request.exclusion = ExclusionPolicy::kNone;
+        break;
+      default:
+        request.exclusion = ExclusionPolicy::kCustom;
+        for (int t = 0; t < 30; ++t) {
+          request.exclude.push_back(rng.UniformInt(kItems));
+        }
+        break;
+    }
+    requests.push_back(std::move(request));
+  }
+  // k past the eligible count: a cold-shelf request over 1/5 of the catalog.
+  requests[1].k = kItems;
+
+  for (const ScoringPrecision precision :
+       {ScoringPrecision::kFp32, ScoringPrecision::kInt8}) {
+    // Materialize-then-rank reference through an identically minted scorer.
+    std::vector<Index> users;
+    for (const RecRequest& request : requests) users.push_back(request.user);
+    Matrix scores(static_cast<Index>(users.size()), kItems);
+    ScoringArena arena;
+    model.MakeScorer(precision)->ScoreBlock(users, {0, kItems},
+                                            MatrixView(&scores), &arena);
+    std::vector<std::vector<ScoredItem>> want;
+    for (size_t r = 0; r < requests.size(); ++r) {
+      const RecRequest& request = requests[r];
+      std::vector<Index> exclude;
+      if (request.exclusion == ExclusionPolicy::kTrainSeen) {
+        exclude = seen[static_cast<size_t>(request.user)];
+      } else if (request.exclusion == ExclusionPolicy::kCustom) {
+        exclude = request.exclude;
+        std::sort(exclude.begin(), exclude.end());
+      }
+      TopKHeap heap(request.k);
+      for (Index item = 0; item < kItems; ++item) {
+        if (request.cold_only &&
+            !dataset.is_cold_item[static_cast<size_t>(item)]) {
+          continue;
+        }
+        if (std::binary_search(exclude.begin(), exclude.end(), item)) {
+          continue;
+        }
+        heap.Push(item, scores(static_cast<Index>(r), item));
+      }
+      want.push_back(heap.Sorted());
+    }
+    ASSERT_LT(static_cast<Index>(want[1].size()), kItems);
+
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      for (const Index block :
+           {Index{1}, Index{13}, Index{512}, Index{8192}, kItems + 5}) {
+        ServingEngineOptions options;
+        options.item_block = block;
+        options.pool = &pool;
+        options.precision = precision;
+        const ServingEngine engine(&model, dataset, options);
+        const std::vector<RecResponse> got =
+            engine.RecommendBatchDirect(requests);
+        for (size_t r = 0; r < requests.size(); ++r) {
+          ASSERT_EQ(got[r].items.size(), want[r].size())
+              << "request=" << r << " threads=" << threads
+              << " block=" << block
+              << " precision=" << ScoringPrecisionName(precision);
+          for (size_t j = 0; j < want[r].size(); ++j) {
+            ASSERT_EQ(got[r].items[j].item, want[r][j].item)
+                << "request=" << r << " rank=" << j << " threads=" << threads
+                << " block=" << block;
+            ASSERT_EQ(got[r].items[j].score, want[r][j].score)
+                << "request=" << r << " rank=" << j << " threads=" << threads
+                << " block=" << block;
+          }
+        }
       }
     }
   }

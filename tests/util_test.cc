@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "src/util/env.h"
 #include "src/util/rng.h"
@@ -142,6 +144,40 @@ TEST(ThreadPoolTest, InlineWhenPoolNull) {
     count += static_cast<int>(end - begin);
   });
   EXPECT_EQ(count, 50);
+}
+
+// A shard that throws on a pool worker must not terminate the process:
+// the caller's catch sees the exception after every other shard has
+// finished, and the same pool serves the next call. (The calling thread
+// runs the first shard; the last one runs on a worker.)
+TEST(ThreadPoolTest, ParallelForRethrowsWorkerExceptionOnCaller) {
+  ThreadPool pool(4);
+  std::atomic<bool> threw_on_worker{false};
+  std::vector<std::atomic<int>> hits(400);
+  bool caught = false;
+  try {
+    ParallelFor(&pool, 400, [&](Index begin, Index end) {
+      for (Index i = begin; i < end; ++i) {
+        hits[static_cast<size_t>(i)].fetch_add(1);
+      }
+      if (end == 400) {
+        threw_on_worker = ThreadPool::InWorker();
+        throw std::runtime_error("shard failed");
+      }
+    }, /*min_shard_size=*/100);
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "shard failed");
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_TRUE(threw_on_worker.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  std::atomic<int> covered{0};
+  ParallelFor(&pool, 400, [&](Index begin, Index end) {
+    covered.fetch_add(static_cast<int>(end - begin));
+  }, /*min_shard_size=*/100);
+  EXPECT_EQ(covered.load(), 400);
 }
 
 TEST(ThreadPoolTest, SubmitAndWait) {

@@ -9,7 +9,7 @@
 //       warm-start metrics, optionally serialize the final embeddings.
 //
 //   firzen_cli serve-shard --embeddings model.fzem --shard-range A:B
-//              [--listen 127.0.0.1:0] [--item-block 8192]
+//              [--listen 127.0.0.1:0] [--item-block 512]
 //              [--precision fp32|int8]
 //       Serve one contiguous item-id shard of a serialized model over the
 //       distributed wire protocol (src/serve/wire.h) until SIGINT/SIGTERM.

@@ -1,7 +1,7 @@
 // Standalone shard server for distributed serving deployments:
 //
 //   firzen_shard_server --embeddings model.fzem --shard-range A:B
-//                       [--listen 127.0.0.1:0] [--item-block 8192]
+//                       [--listen 127.0.0.1:0] [--item-block 512]
 //
 // Loads a serialized model, serves the contiguous global item range
 // [A, B) over the distributed wire protocol (src/serve/wire.h), and runs
@@ -82,8 +82,9 @@ int main(int argc, char** argv) {
   ShardServerOptions options;
   options.listen_address = FlagOr(flags, "listen", "127.0.0.1:0");
   try {
-    options.item_block =
-        static_cast<Index>(std::stoll(FlagOr(flags, "item-block", "8192")));
+    const std::string block =
+        FlagOr(flags, "item-block", std::to_string(options.item_block));
+    options.item_block = static_cast<Index>(std::stoll(block));
   } catch (const std::exception&) {
     std::fprintf(stderr, "--item-block expects an integer\n");
     return 2;

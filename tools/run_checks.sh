@@ -19,9 +19,10 @@
 #      distributed_serving_test (the socket fan-out coordinator, shard
 #      servers, kill/stall/reconnect matrix — its server accept/handler
 #      threads and per-shard exchange threads are the race canary for the
-#      distributed tier), and scorer_parity_test. distributed_e2e_test
-#      (real child processes, fork/exec) runs in the default pass only:
-#      sanitizer runtimes and fork don't mix;
+#      distributed tier), scorer_parity_test, kernel_parity_test and
+#      util_test (ParallelFor's worker-to-caller exception hand-off).
+#      distributed_e2e_test (real child processes, fork/exec) runs in the
+#      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
 #      admission suites under UBSan — the overload-protection paths
 #      (deadline arithmetic on steady_clock time points, hysteresis
@@ -113,9 +114,12 @@ if [[ "${FAST}" == "0" ]]; then
   echo "== pass 3: ThreadSanitizer build + serving suites =="
   # Full-suite TSan is prohibitively slow (model training is single-origin
   # anyway); the serving + scorer-parity binaries are where threads share
-  # one engine/scorer, so they carry the race coverage.
+  # one engine/scorer, so they carry the race coverage. kernel_parity and
+  # util add the pooled kernels and ParallelFor's exception hand-off from
+  # a throwing worker shard to the caller.
   TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
-    run_pass build-tsan -DFIRZEN_SANITIZE=thread -- -R "serving|scorer"
+    run_pass build-tsan -DFIRZEN_SANITIZE=thread -- \
+    -R "serving|scorer|kernel_parity|util"
 
   echo "== pass 4: UndefinedBehaviorSanitizer build + serving suites =="
   # TSan's filter plus the quant suites: the serving/admission binaries
