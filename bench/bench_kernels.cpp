@@ -251,7 +251,7 @@ BENCHMARK(BM_GemmScoreBT)->Arg(256)->Arg(512);
 // pre-built int8 catalog, on whatever SIMD tier dispatch picked (recorded
 // in the JSON context as firzen_simd_tier). The footprint_reduction_x
 // counter is the resident fp32/Real item table size over the quantized
-// table size (codes + scales + row sums) — the ~4x memory claim.
+// table size (codes + scales + row sums) — the 7.1x memory claim at d = 64.
 void BM_GemmBTQuant(benchmark::State& state) {
   const Index n = state.range(0);
   const Index k = 64;

@@ -138,6 +138,16 @@ void CheckParity(const ServingWorld& world, const ServingEngine& engine,
   }
 }
 
+// Label suffix for rows that ask for more catalog shards or request
+// threads than the host has hardware threads: such a row measures the
+// overhead of the extra shards or threads (merge, per-shard arenas,
+// contention), not scaling.
+std::string OverheadLabel(Index parallelism) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  if (hw == 0 || parallelism <= static_cast<Index>(hw)) return "";
+  return " overhead_row(hw_threads=" + std::to_string(hw) + ")";
+}
+
 std::string FootprintLabel(Index batch, Index block, Index num_items) {
   const double panel_mb =
       static_cast<double>(batch) * block * sizeof(Real) / (1 << 20);
@@ -204,7 +214,8 @@ BENCHMARK(BM_ServingMaterializeSeedRef)
 // threads (the thread-safe shared-scorer contract): every benchmark thread
 // drives the same ServingEngine with its own request batch. Parity with
 // the single-threaded reference is asserted once at setup. 1/2/4 request
-// threads chart the scaling curve in BENCH_kernels.json.
+// threads chart the scaling curve in BENCH_kernels.json; rows with more
+// threads than the host has hardware threads are labelled overhead_row.
 void BM_ServingConcurrent(benchmark::State& state) {
   const Index num_items = state.range(0);
   const Index batch = state.range(1);
@@ -243,7 +254,8 @@ void BM_ServingConcurrent(benchmark::State& state) {
   if (state.thread_index() == 0) {
     state.SetLabel(FootprintLabel(batch, ServingEngineOptions{}.item_block,
                                   num_items) +
-                   " req_threads=" + std::to_string(state.threads()));
+                   " req_threads=" + std::to_string(state.threads()) +
+                   OverheadLabel(state.threads()));
   }
 }
 BENCHMARK(BM_ServingConcurrent)
@@ -254,12 +266,14 @@ BENCHMARK(BM_ServingConcurrent)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Sharded-catalog serving: the item table partitioned across 1/2/4 sibling
-// shard views of ONE base scorer, per-shard top-K merged bit-exactly
-// (asserted against the single-engine answer at setup), crossed with 1/4
-// concurrent request threads sharing the one sharded engine. Charts what
-// horizontal catalog partitioning costs (merge + per-shard arenas) and
-// buys (parallel shard ranking) in BENCH_kernels.json.
+// Sharded-catalog serving: one ServingEngine whose item table is
+// partitioned into 1/2/4 shards (views of ONE base scorer, per-shard top-K
+// merged bit-exactly, asserted against the unsharded answer at setup),
+// crossed with 1/4 concurrent request threads sharing the engine. Charts
+// what horizontal catalog partitioning costs (merge + per-shard arenas)
+// and buys (parallel shard ranking) in BENCH_kernels.json. Rows with more
+// shards or threads than the host has hardware threads are labelled
+// overhead_row: there they measure overhead, not scaling.
 void BM_ServingSharded(benchmark::State& state) {
   const Index num_items = state.range(0);
   const Index batch = state.range(1);
@@ -267,7 +281,7 @@ void BM_ServingSharded(benchmark::State& state) {
   constexpr Index kTop = 20;
   static std::mutex setup_mu;
   static ServingWorld* world = nullptr;
-  static ShardedServingEngine* engine = nullptr;
+  static ServingEngine* engine = nullptr;
   static Index world_items = -1;
   static Index world_batch = -1;
   static Index world_shards = -1;
@@ -279,10 +293,9 @@ void BM_ServingSharded(benchmark::State& state) {
       delete engine;
       delete world;
       world = MakeWorld(4096, num_items, 64, batch);
-      ShardedServingOptions options;
+      ServingEngineOptions options;
       options.num_shards = shards;
-      engine = new ShardedServingEngine(&world->model, world->dataset,
-                                        options);
+      engine = new ServingEngine(&world->model, world->dataset, options);
       // Parity gate: the sharded merge must reproduce the single-engine
       // (== seed materialize-then-rank) answer bit-for-bit before timing.
       const ServingEngine reference(&world->model, world->dataset);
@@ -320,10 +333,11 @@ void BM_ServingSharded(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * num_items);
   if (state.thread_index() == 0) {
-    state.SetLabel(FootprintLabel(batch, ShardedServingOptions{}.item_block,
+    state.SetLabel(FootprintLabel(batch, ServingEngineOptions{}.item_block,
                                   num_items) +
                    " shards=" + std::to_string(shards) +
-                   " req_threads=" + std::to_string(state.threads()));
+                   " req_threads=" + std::to_string(state.threads()) +
+                   OverheadLabel(std::max<Index>(shards, state.threads())));
   }
 }
 BENCHMARK(BM_ServingSharded)
@@ -339,7 +353,7 @@ BENCHMARK(BM_ServingSharded)
 // by 1/2/4 in-process ShardServers (each behind its own TCP connection),
 // fanned out to by ONE DistributedServingEngine. The parity gate at setup
 // asserts the distributed answer is bit-identical to the in-process
-// ShardedServingEngine over the same layout — the contract that makes
+// ServingEngine over the same layout — the contract that makes
 // moving a shard behind a socket observably free — and after timing the
 // run aborts if ANY rpc failed or degraded (a degraded pass would time
 // the timeout path, not serving). Charts the wire + fan-out overhead on
@@ -381,10 +395,10 @@ void BM_ServingDistributed(benchmark::State& state) {
     }
     engine = std::move(connected.value());
     // Parity gate: the socket hop must be invisible in the answer.
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = shards;
-    const ShardedServingEngine reference(&world->model, world->dataset,
-                                         sharded_options);
+    const ServingEngine reference(&world->model, world->dataset,
+                                  sharded_options);
     const auto requests = MakeRequests(world->users, kTop);
     const auto want = reference.RecommendBatch(requests);
     const auto got = engine->RecommendBatch(requests);
@@ -445,13 +459,14 @@ BENCHMARK(BM_ServingDistributed)
 // Admission batching under concurrent single-request traffic: 8 request
 // threads each fire one-user queries at ONE shared engine. admission=0 is
 // the unbatched shared-engine baseline (every request pays its own full
-// catalog stream); admission=1 attaches an AdmissionController, so
-// concurrent requests coalesce into fused user batches — one catalog
-// stream, one batched Gemm per panel, per batch. The parity gate at setup
-// asserts fused responses are bit-identical to serving each request alone
-// (the coalescing contract; scores are batch-size-invariant). Besides
-// throughput, the run reports p50/p95/p99 per-request latency and — for
-// admission=1 — the realized requests-per-fused-batch factor.
+// catalog stream); admission=1 sends them to an AdmissionController in
+// front of the engine, so concurrent requests coalesce into fused user
+// batches — one catalog stream, one batched Gemm per panel, per batch. The
+// parity gate at setup asserts fused responses are bit-identical to
+// serving each request alone (the coalescing contract; scores are
+// batch-size-invariant). Besides throughput, the run reports p50/p95/p99
+// per-request latency and — for admission=1 — the realized
+// requests-per-fused-batch factor.
 void BM_ServingAdmission(benchmark::State& state) {
   const Index num_items = state.range(0);
   const bool admission = state.range(1) != 0;
@@ -465,11 +480,10 @@ void BM_ServingAdmission(benchmark::State& state) {
     world = MakeWorld(4096, num_items, 64, /*batch=*/64);
     world_items = num_items;
   }
-  ServingEngine engine(&world->model, world->dataset);
+  const ServingEngine engine(&world->model, world->dataset);
   AdmissionOptions admission_options;  // max_batch 64, max_wait_us 200
   const AdmissionController controller(&engine, admission_options);
   if (admission) {
-    engine.AttachAdmission(&controller);
     // Parity gate: a fused batch must reproduce each request's stand-alone
     // answer bit-for-bit, or the "speedup" would be meaningless.
     std::vector<RecRequest> probe;
@@ -481,7 +495,7 @@ void BM_ServingAdmission(benchmark::State& state) {
     }
     const auto fused = controller.RecommendBatch(probe);
     for (size_t i = 0; i < probe.size(); ++i) {
-      const RecResponse alone = engine.RecommendBatchDirect({probe[i]})[0];
+      const RecResponse alone = engine.RecommendBatch({probe[i]})[0];
       if (fused[i].items.size() != alone.items.size()) std::abort();
       for (size_t j = 0; j < alone.items.size(); ++j) {
         if (fused[i].items[j].item != alone.items[j].item ||
@@ -512,7 +526,9 @@ void BM_ServingAdmission(benchmark::State& state) {
                          static_cast<Index>(world->dataset.num_users);
           request.k = kTop;
           const auto t0 = std::chrono::steady_clock::now();
-          const RecResponse response = engine.Recommend(request);
+          const RecResponse response = admission
+                                           ? controller.Recommend(request)
+                                           : engine.Recommend(request);
           const auto t1 = std::chrono::steady_clock::now();
           benchmark::DoNotOptimize(response.items.data());
           local.push_back(
@@ -584,11 +600,11 @@ void BM_ServingQuantized(benchmark::State& state) {
   ServingEngine engine(&world->model, world->dataset, options);
   const auto requests = MakeRequests(world->users, kTop);
   if (int8) {
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = 3;
     sharded_options.precision = ScoringPrecision::kInt8;
-    const ShardedServingEngine sharded(&world->model, world->dataset,
-                                       sharded_options);
+    const ServingEngine sharded(&world->model, world->dataset,
+                                sharded_options);
     const auto want = engine.RecommendBatch(requests);
     const auto got = sharded.RecommendBatch(requests);
     if (got.size() != want.size()) std::abort();
@@ -648,9 +664,8 @@ void BM_ServingSaturation(benchmark::State& state) {
     world = MakeWorld(4096, kItems, 64, /*batch=*/64);
     // Closed-loop capacity probe: 8 threads hammer the coalesced engine
     // back-to-back; the sustained rate anchors the offered-rate sweep.
-    ServingEngine engine(&world->model, world->dataset);
+    const ServingEngine engine(&world->model, world->dataset);
     const AdmissionController controller(&engine);
-    engine.AttachAdmission(&controller);
     constexpr int kProbeThreads = 8;
     constexpr int kProbeReqs = 40;
     const auto t0 = std::chrono::steady_clock::now();
@@ -663,7 +678,7 @@ void BM_ServingSaturation(benchmark::State& state) {
           request.user = static_cast<Index>((t * kProbeReqs + r) %
                                             world->dataset.num_users);
           request.k = kTop;
-          const RecResponse response = engine.Recommend(request);
+          const RecResponse response = controller.Recommend(request);
           benchmark::DoNotOptimize(response.items.data());
         }
       });
@@ -675,7 +690,7 @@ void BM_ServingSaturation(benchmark::State& state) {
     capacity_rps = kProbeThreads * kProbeReqs / probe_s;
   }
 
-  ServingEngine engine(&world->model, world->dataset);
+  const ServingEngine engine(&world->model, world->dataset);
   AdmissionOptions admission_options;
   admission_options.max_batch = 64;
   admission_options.max_wait_us = 200;
@@ -686,7 +701,6 @@ void BM_ServingSaturation(benchmark::State& state) {
   admission_options.max_queue_depth = 8;
   admission_options.resume_queue_depth = 4;
   const AdmissionController controller(&engine, admission_options);
-  engine.AttachAdmission(&controller);
 
   const double offered_rps =
       capacity_rps * static_cast<double>(offered_pct) / 100.0;
@@ -727,7 +741,7 @@ void BM_ServingSaturation(benchmark::State& state) {
           request.user =
               static_cast<Index>((i * 31) % world->dataset.num_users);
           request.k = kTop;
-          const RecResponse response = engine.Recommend(request);
+          const RecResponse response = controller.Recommend(request);
           const auto end = std::chrono::steady_clock::now();
           if (response.status == RecStatus::kOk) {
             local_served.fetch_add(1, std::memory_order_relaxed);

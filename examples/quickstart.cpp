@@ -68,7 +68,7 @@ int main() {
   //    The engine is thread-safe — ONE shared instance answers concurrent
   //    request threads (per-thread scoring scratch lives in pooled arenas),
   //    which is the production pattern: never mint one engine per thread.
-  ServingEngine engine(&model, dataset);
+  const ServingEngine engine(&model, dataset);
   RecRequest request;
   request.user = 0;
   request.k = 5;
@@ -79,27 +79,25 @@ int main() {
   }
   std::printf("\n");
 
-  // Concurrent request threads against the same engine, coalesced by an
-  // admission controller: concurrent singles fuse into one batched
-  // scoring pass (one catalog stream instead of one per request). The
-  // answers are bit-identical to serial, un-fused calls no matter how the
-  // threads interleave or which requests share a fused batch — scores are
-  // batch-size-invariant. Drop the AttachAdmission line to serve the same
+  // Concurrent request threads sent to an admission controller in front of
+  // the same engine: concurrent singles fuse into one batched scoring pass
+  // (one catalog stream instead of one per request). The answers are
+  // bit-identical to serial, un-fused calls no matter how the threads
+  // interleave or which requests share a fused batch — scores are
+  // batch-size-invariant. Call engine.Recommend instead to serve the same
   // traffic unbatched.
   const AdmissionController admission(&engine);
-  engine.AttachAdmission(&admission);
   std::vector<RecResponse> concurrent(4);
   std::vector<std::thread> servers;
   for (Index u = 0; u < 4; ++u) {
-    servers.emplace_back([&engine, &concurrent, u] {
+    servers.emplace_back([&admission, &concurrent, u] {
       RecRequest r;
       r.user = u;
       r.k = 3;
-      concurrent[static_cast<size_t>(u)] = engine.Recommend(r);
+      concurrent[static_cast<size_t>(u)] = admission.Recommend(r);
     });
   }
   for (std::thread& t : servers) t.join();
-  engine.AttachAdmission(nullptr);
   for (const RecResponse& res : concurrent) {
     std::printf("user %lld top-3 (served concurrently): ",
                 static_cast<long long>(res.user));

@@ -5,13 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#include "src/eval/sharded_serving.h"
 #include "src/util/check.h"
-
-// The DistributedServingEngine constructor overload lives in
-// src/serve/distributed_serving.cc: eval/ must not include serve/ (layering
-// — see tools/firzen_lint.py), and a member function of AdmissionController
-// is free to be defined in the TU that owns the full engine type.
 
 namespace firzen {
 
@@ -28,32 +22,6 @@ void AdmissionController::Validate() const {
   if (options_.max_queue_depth > 0) {
     FIRZEN_CHECK_LT(options_.resume_queue_depth, options_.max_queue_depth);
   }
-}
-
-AdmissionController::AdmissionController(const ServingEngine* engine,
-                                         AdmissionOptions options)
-    : options_(std::move(options)) {
-  FIRZEN_CHECK(engine != nullptr);
-  if (options_.resume_queue_depth < 0) {
-    options_.resume_queue_depth = options_.max_queue_depth / 2;
-  }
-  Validate();
-  backend_ = [engine](const std::vector<RecRequest>& requests) {
-    return engine->RecommendBatchDirect(requests);
-  };
-}
-
-AdmissionController::AdmissionController(const ShardedServingEngine* engine,
-                                         AdmissionOptions options)
-    : options_(std::move(options)) {
-  FIRZEN_CHECK(engine != nullptr);
-  if (options_.resume_queue_depth < 0) {
-    options_.resume_queue_depth = options_.max_queue_depth / 2;
-  }
-  Validate();
-  backend_ = [engine](const std::vector<RecRequest>& requests) {
-    return engine->RecommendBatchDirect(requests);
-  };
 }
 
 AdmissionController::AdmissionController(Backend backend,

@@ -1,21 +1,22 @@
 // Admission-batching front end: coalesces concurrent Recommend calls into
-// fused user batches before they reach a serving engine. N in-flight
-// single-user requests normally pay N full streaming passes over the item
-// catalog; admitted through this controller they ride ONE fused
-// score-and-rank pass (one catalog stream, one batched Gemm per panel), the
-// classic cross-request micro-batching win for read-path inference over
-// frozen state.
+// fused user batches before they reach a serving backend. Callers send
+// their requests to the controller; the engine behind it knows nothing
+// about admission. N in-flight single-user requests normally pay N full
+// streaming passes over the item catalog; admitted through this controller
+// they ride ONE fused score-and-rank pass (one catalog stream, one batched
+// Gemm per panel), the classic cross-request micro-batching win for
+// read-path inference over frozen state.
 //
 // Protocol (leader-follower, no dedicated dispatcher thread): a caller
 // enqueues its requests as tickets and blocks. The first caller with queued
 // work becomes the dispatcher ("leader"): it waits until the queue holds
 // max_batch users or the oldest ticket has waited max_wait_us (capped by
 // the nearest queued deadline), drains up to max_batch tickets under the
-// configured DrainPolicy, runs ONE fused pass through the engine's direct
-// path (serving_internal::RankRequestsInRange under the hood), writes each
-// response back through its ticket, and wakes the owners. Arrivals during
-// an execution accumulate into the next batch, so admission pipelines:
-// one batch scores while the next one fills.
+// configured DrainPolicy, runs ONE fused pass through the backend (an
+// engine's RecommendBatch), writes each response back through its ticket,
+// and wakes the owners. Arrivals during an execution accumulate into the
+// next batch, so admission pipelines: one batch scores while the next one
+// fills.
 //
 // Overload protection (all optional, all off by default):
 //  * Load shedding — with max_queue_depth > 0 the ticket queue is bounded:
@@ -46,10 +47,9 @@
 // BM_ServingAdmission parity gate re-asserts it at benchmark startup.
 //
 // Thread safety: Recommend/RecommendBatch are const and safe from any
-// number of threads — that is the point. Attach/detach and destruction are
-// setup/teardown operations: they must not race with in-flight requests
-// (quiesce callers first), and a controller must be destroyed before the
-// engine it fronts.
+// number of threads — that is the point. Destruction is a teardown
+// operation: it must not race with in-flight requests (quiesce callers
+// first), and a controller must be destroyed before the engine it fronts.
 #ifndef FIRZEN_EVAL_ADMISSION_H_
 #define FIRZEN_EVAL_ADMISSION_H_
 
@@ -57,15 +57,14 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/eval/serving.h"
+#include "src/util/check.h"
 #include "src/util/thread_annotations.h"
 
 namespace firzen {
-
-class ShardedServingEngine;
-class DistributedServingEngine;
 
 /// How the dispatcher picks which queued tickets ride the next fused pass.
 /// Every policy preserves the coalescing contract — drain order changes
@@ -119,33 +118,34 @@ struct AdmissionOptions {
   std::vector<Index> tenant_weights;
 };
 
-/// Coalescing front end over a ServingEngine or ShardedServingEngine (or
-/// any batch-serving backend). Construct it over the engine, then attach it
-/// with engine.AttachAdmission(&controller) so the engine's own
-/// Recommend/RecommendBatch route through it — or call the controller
-/// directly. The engine-pointer constructors do NOT attach; attachment is
-/// explicit so sibling engines can share one controller.
+/// Coalescing front end over any batch-serving backend: a ServingEngine,
+/// a DistributedServingEngine (admitted batches become the RPC unit fanned
+/// out to the shard servers; kDegraded responses pass through untouched),
+/// or an arbitrary Backend function. Callers send requests to the
+/// controller, not to the engine.
 class AdmissionController {
  public:
   /// Executes one fused request batch; must be safe to call concurrently
-  /// (both engines' direct paths are). May throw: a throwing pass fails
+  /// (every engine's RecommendBatch is). May throw: a throwing pass fails
   /// every ticket it carried with RecStatus::kBackendError.
   using Backend =
       std::function<std::vector<RecResponse>(const std::vector<RecRequest>&)>;
 
-  /// Fronts `engine` through its admission-bypassing direct path. The
-  /// engine must outlive the controller.
-  explicit AdmissionController(const ServingEngine* engine,
-                               AdmissionOptions options = {});
-  explicit AdmissionController(const ShardedServingEngine* engine,
-                               AdmissionOptions options = {});
-  /// Fronts a distributed coordinator: admitted batches become the RPC
-  /// unit fanned out to the shard servers. Degraded responses (kDegraded,
-  /// with items) pass through tickets untouched.
-  explicit AdmissionController(const DistributedServingEngine* engine,
-                               AdmissionOptions options = {});
-  /// Fronts an arbitrary backend (tests, RPC fan-out, ...).
+  /// Fronts an arbitrary backend (an engine, tests, RPC fan-out, ...).
   explicit AdmissionController(Backend backend, AdmissionOptions options = {});
+
+  /// Fronts `engine->RecommendBatch`. The engine must outlive the
+  /// controller.
+  template <typename Engine>
+  explicit AdmissionController(const Engine* engine,
+                               AdmissionOptions options = {})
+      : AdmissionController(
+            [engine](const std::vector<RecRequest>& requests) {
+              return engine->RecommendBatch(requests);
+            },
+            std::move(options)) {
+    FIRZEN_CHECK(engine != nullptr);
+  }
 
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
@@ -157,7 +157,7 @@ class AdmissionController {
   /// — or returns immediately with a non-kOk status when overload
   /// protection rejects it (kShed, kDeadlineExceeded) or its fused pass
   /// fails (kBackendError). A served (kOk) response is bit-identical to
-  /// the engine serving the request alone.
+  /// the backend serving the request alone.
   RecResponse Recommend(const RecRequest& request) const;
 
   /// Enqueues every request (they may be split across fused batches and

@@ -58,8 +58,8 @@ EvalResult EvaluateRanking(const Dataset& dataset,
   Mutex total_mu;
 
   // Catalog shards: the offline protocol ranks through the same
-  // shard-partition + per-shard-view + merge machinery the online
-  // ShardedServingEngine uses, so sharded serving and sharded evaluation
+  // shard-partition + per-shard-view + merge machinery a sharded online
+  // ServingEngine uses, so sharded serving and sharded evaluation
   // exercise one code path. num_shards == 1 is the degenerate single-range
   // layout; results are bit-identical for any shard count (per-item scores
   // are partition-invariant and the merge order RanksBefore is total).
@@ -148,7 +148,7 @@ EvalResult EvaluateRanking(const Dataset& dataset,
             if (num_relevant == 0) continue;
 
             // Merge this user's per-shard top-k lists — the same reduction
-            // ShardedServingEngine applies to responses. One shard (the
+            // a sharded ServingEngine applies to responses. One shard (the
             // default) is already the merged answer: skip the copy + sort.
             std::vector<ScoredItem> merged;
             if (shard_heaps.size() > 1) {

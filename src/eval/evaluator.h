@@ -33,7 +33,7 @@ struct EvalOptions {
   /// Partition the catalog into this many contiguous shards and rank each
   /// through a per-shard scorer view, merging per-user per-shard top-k
   /// lists under the serving total order (src/eval/sharded_serving.h) —
-  /// the same shard/merge machinery ShardedServingEngine uses online, so
+  /// the same shard/merge machinery a sharded ServingEngine uses online, so
   /// offline metrics exercise the sharded code path. Results are
   /// bit-identical for any value (clamped to [1, num_items]).
   Index num_shards = 1;

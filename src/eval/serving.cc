@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/eval/admission.h"
 #include "src/eval/serving_internal.h"
+#include "src/eval/sharded_serving.h"
 #include "src/eval/topk.h"
 #include "src/util/check.h"
 #include "src/util/thread_pool.h"
@@ -35,12 +35,6 @@ bool ChunkReachesFloor(const Real* scores, Real floor) {
 }  // namespace
 
 namespace serving_internal {
-
-std::unique_ptr<Scorer> MintScorer(const Recommender* model,
-                                   ScoringPrecision precision) {
-  FIRZEN_CHECK(model != nullptr);
-  return model->MakeScorer(precision);
-}
 
 std::vector<PreparedRequest> PrepareRequests(
     const std::vector<RecRequest>& requests, const ServingSharedState& state,
@@ -364,34 +358,40 @@ std::shared_ptr<const ServingSharedState> ServingSharedState::FromDataset(
 
 ServingEngine::ServingEngine(const Recommender* model, const Dataset& dataset,
                              ServingEngineOptions options)
-    : ServingEngine(serving_internal::MintScorer(model, options.precision),
-                    dataset, options) {}
+    : ServingEngine(
+          model != nullptr ? model->MakeScorer(options.precision) : nullptr,
+          dataset, options) {}
 
 ServingEngine::ServingEngine(std::unique_ptr<Scorer> scorer,
                              const Dataset& dataset,
                              ServingEngineOptions options)
-    : scorer_(std::move(scorer)),
-      num_items_(dataset.num_items),
-      options_(options) {
+    : scorer_(std::move(scorer)), options_(std::move(options)) {
   FIRZEN_CHECK(scorer_ != nullptr);
-  FIRZEN_CHECK_GT(options_.item_block, 0);
-  if (num_items_ == 0) num_items_ = scorer_->num_items();
-  FIRZEN_CHECK_EQ(scorer_->num_items(), num_items_);
+  num_items_ = scorer_->num_items();
+  if (dataset.num_items != 0) FIRZEN_CHECK_EQ(dataset.num_items, num_items_);
   state_ = ServingSharedState::FromDataset(dataset, num_items_);
-  FIRZEN_CHECK_EQ(static_cast<Index>(state_->is_cold.size()), num_items_);
-  if (options_.pool == nullptr) options_.pool = ThreadPool::Global();
+  Init();
 }
 
 ServingEngine::ServingEngine(std::unique_ptr<Scorer> scorer,
                              std::shared_ptr<const ServingSharedState> state,
                              ServingEngineOptions options)
-    : scorer_(std::move(scorer)), state_(std::move(state)), options_(options) {
+    : scorer_(std::move(scorer)),
+      state_(std::move(state)),
+      options_(std::move(options)) {
   FIRZEN_CHECK(scorer_ != nullptr);
   FIRZEN_CHECK(state_ != nullptr);
-  FIRZEN_CHECK_GT(options_.item_block, 0);
   num_items_ = scorer_->num_items();
+  Init();
+}
+
+void ServingEngine::Init() {
   FIRZEN_CHECK_EQ(static_cast<Index>(state_->is_cold.size()), num_items_);
+  FIRZEN_CHECK_GT(options_.item_block, 0);
   if (options_.pool == nullptr) options_.pool = ThreadPool::Global();
+  ranges_ = options_.boundaries.empty()
+                ? MakeShardRanges(num_items_, options_.num_shards)
+                : RangesFromBoundaries(num_items_, options_.boundaries);
 }
 
 RecResponse ServingEngine::Recommend(const RecRequest& request) const {
@@ -400,12 +400,6 @@ RecResponse ServingEngine::Recommend(const RecRequest& request) const {
 
 std::vector<RecResponse> ServingEngine::RecommendBatch(
     const std::vector<RecRequest>& requests) const {
-  if (admission_ != nullptr) return admission_->RecommendBatch(requests);
-  return RecommendBatchDirect(requests);
-}
-
-std::vector<RecResponse> ServingEngine::RecommendBatchDirect(
-    const std::vector<RecRequest>& requests) const {
   std::vector<RecResponse> responses(requests.size());
   if (requests.empty()) return responses;
 
@@ -413,25 +407,82 @@ std::vector<RecResponse> ServingEngine::RecommendBatchDirect(
   // heaps, score panels, and the scoring arenas. Concurrent RecommendBatch
   // calls on this const engine therefore never share scratch; they
   // interleave freely on the thread pool (per-call completion groups).
+  //
+  // Exclusions, candidate pools, and the explicit-pool batching plan are
+  // resolved ONCE, in global item ids: every shard executes the same plan,
+  // so the per-shard streams cannot disagree about eligibility or
+  // user-batch composition, and the prep cost is paid once for any shard
+  // count.
   const serving_internal::PreparedBatch batch =
       serving_internal::PrepareBatch(requests, *state_, num_items_);
-  std::vector<TopKHeap> heaps;
-  heaps.reserve(requests.size());
-  for (const RecRequest& request : requests) heaps.emplace_back(request.k);
-
-  // The whole catalog as one range: the single-engine path is exactly the
-  // one-shard case of the shared ranking core.
-  serving_internal::RankRequestsInRange(
-      *scorer_, {0, num_items_}, requests, batch, *state_,
-      options_.item_block, options_.pool, &arenas_, &heaps);
-
-  for (size_t i = 0; i < requests.size(); ++i) {
+  const auto make_heaps = [&requests] {
+    std::vector<TopKHeap> heaps;
+    heaps.reserve(requests.size());
+    for (const RecRequest& request : requests) heaps.emplace_back(request.k);
+    return heaps;
+  };
+  const auto respond = [&](size_t i, const std::vector<ScoredItem>& top) {
     responses[i].user = requests[i].user;
-    const auto& top = heaps[i].Sorted();
     responses[i].items.reserve(top.size());
     for (const ScoredItem& e : top) {
       responses[i].items.push_back({e.item, e.score});
     }
+  };
+
+  const Index num_shards = static_cast<Index>(ranges_.size());
+  if (num_shards == 1) {
+    // Unsharded: the base scorer ranks the whole catalog as one range
+    // straight into the response heaps — no view, no merge.
+    std::vector<TopKHeap> heaps = make_heaps();
+    serving_internal::RankRequestsInRange(
+        *scorer_, {0, num_items_}, requests, batch, *state_,
+        options_.item_block, options_.pool, &arenas_, &heaps);
+    for (size_t i = 0; i < requests.size(); ++i) respond(i, heaps[i].Sorted());
+    return responses;
+  }
+
+  // Per-(shard, request) bounded heaps: shards share the base scorer and
+  // the prepared plan but no mutable scratch, so they can rank their
+  // disjoint item slices in parallel.
+  std::vector<std::vector<TopKHeap>> shard_heaps(
+      static_cast<size_t>(num_shards));
+  for (std::vector<TopKHeap>& heaps : shard_heaps) heaps = make_heaps();
+
+  // Where the parallelism goes is a throughput choice only — per-shard
+  // heaps are disjoint and per-cell scores partition-invariant, so both
+  // placements below produce bit-identical responses. With at least one
+  // shard per worker, an outer shard-parallel loop is the parallelism and
+  // each shard's fused pass runs inline on its worker; with fewer shards
+  // than workers, shards run one after another and each fused pass shards
+  // its item tiles across the pool. Either way every worker leases its own
+  // arena from arenas_.
+  const auto rank_shard = [&](Index s) {
+    const ItemBlock range = ranges_[static_cast<size_t>(s)];
+    const ItemRangeScorer view(scorer_.get(), range.begin, range.end);
+    serving_internal::RankRequestsInRange(
+        view, range, requests, batch, *state_, options_.item_block,
+        options_.pool, &arenas_, &shard_heaps[static_cast<size_t>(s)]);
+  };
+  if (num_shards >= static_cast<Index>(options_.pool->num_threads())) {
+    ParallelFor(
+        options_.pool, num_shards,
+        [&](Index begin, Index end) {
+          for (Index s = begin; s < end; ++s) rank_shard(s);
+        },
+        /*min_shard_size=*/1);
+  } else {
+    for (Index s = 0; s < num_shards; ++s) rank_shard(s);
+  }
+
+  // Merge: per request, sort the concatenated per-shard top-k lists under
+  // RanksBefore and keep the first k — the unique global top-k.
+  for (size_t i = 0; i < requests.size(); ++i) {
+    std::vector<ScoredItem> entries;
+    for (std::vector<TopKHeap>& heaps : shard_heaps) {
+      const std::vector<ScoredItem>& top = heaps[i].Sorted();
+      entries.insert(entries.end(), top.begin(), top.end());
+    }
+    respond(i, MergeTopK(std::move(entries), requests[i].k));
   }
   return responses;
 }

@@ -5,6 +5,14 @@
 // O(workers * batch_users * item_block) memory for any catalog size; the
 // full users x items score matrix never materializes.
 //
+// Sharding is an option (ServingEngineOptions::num_shards / boundaries):
+// the item id space splits into contiguous ranges, each range ranks through
+// a zero-copy ItemRangeScorer view of the one minted scorer into its own
+// heaps, and the per-range top-K lists merge under RanksBefore
+// (MergeTopK, src/eval/sharded_serving.h). Responses are bit-identical for
+// any shard layout; one range runs the unsharded path with no view and no
+// merge. The ranking core itself lives in src/eval/serving_internal.h.
+//
 // Thread safety: one ServingEngine safely serves any number of concurrent
 // request threads. The scorer is shared (it is logically const; per-call
 // scratch lives in ScoringArenas recycled through an internal mutex-guarded
@@ -13,16 +21,13 @@
 // calls interleave. Do NOT mint one engine per thread — that only
 // duplicates gather caches and mint-time projections.
 //
-// For catalogs whose item table outgrows one engine's working set, see
-// ShardedServingEngine (src/eval/sharded_serving.h): the same
-// request/response contract over a partitioned catalog, with responses
-// bit-identical to this engine for any shard count. Both front ends drive
-// the shared core in src/eval/serving_internal.h. Under heavy concurrent
-// single-request traffic, front either engine with an AdmissionController
-// (src/eval/admission.h): attached, it coalesces concurrent Recommend
-// calls into fused user batches — one catalog stream per batch instead of
-// one per request — with responses bit-identical to serving each request
-// alone (scores are batch-size-invariant; see src/tensor/matrix.h).
+// Under heavy concurrent single-request traffic, put an AdmissionController
+// (src/eval/admission.h) in front of the engine and send requests to the
+// controller: it coalesces concurrent callers into fused user batches —
+// one catalog stream per batch instead of one per request — with responses
+// bit-identical to serving each request alone (scores are
+// batch-size-invariant; see src/tensor/matrix.h). The engine itself knows
+// nothing about admission.
 #ifndef FIRZEN_EVAL_SERVING_H_
 #define FIRZEN_EVAL_SERVING_H_
 
@@ -34,17 +39,15 @@
 
 namespace firzen {
 
-class AdmissionController;
-
 /// One recommendation with its model score.
 struct Recommendation {
   Index item;
   Real score;
 };
 
-/// Outcome of one RecRequest. The engines' direct paths always serve
-/// (kOk); the non-kOk codes are produced by the overload-protection
-/// policies of an attached AdmissionController (src/eval/admission.h), by
+/// Outcome of one RecRequest. The engines always serve (kOk); the non-kOk
+/// codes are produced by the overload-protection policies of an
+/// AdmissionController in front of an engine (src/eval/admission.h), by
 /// backend failures during a fused pass, and by shard failures under the
 /// DistributedServingEngine (src/serve/distributed_serving.h). A response
 /// with a non-kOk status carries no items — EXCEPT kDegraded, which
@@ -98,13 +101,13 @@ struct RecRequest {
   /// enqueue. Negative = no deadline. Only an AdmissionController enforces
   /// it: a ticket whose budget expires before its fused pass starts is
   /// rejected with RecStatus::kDeadlineExceeded instead of scored late
-  /// (0 = already expired at enqueue, rejected immediately). The engines'
-  /// direct paths ignore it.
+  /// (0 = already expired at enqueue, rejected immediately). The in-process
+  /// engine ignores it.
   int64_t deadline_us = -1;
   /// Fair-share tenant id (>= 0) under DrainPolicy::kFairShare: the
   /// admission drain interleaves per-tenant queues by weight so one hot
   /// tenant cannot starve the rest. Ignored by other policies and by the
-  /// direct paths.
+  /// engines.
   Index tenant = 0;
 };
 
@@ -143,16 +146,26 @@ struct ServingEngineOptions {
   /// Numeric tier for the minted scorer (model-based constructor only; an
   /// explicitly passed scorer keeps its own). kInt8 scores through the
   /// quantized catalog (docs/quantization.md); models without a factorized
-  /// path silently keep fp32. For a fixed precision + SIMD tier + catalog,
-  /// responses stay bit-identical across shard layouts, batch sizes, and
-  /// thread counts — the quant suites pin this.
+  /// path silently keep fp32. Every shard scores through views of the one
+  /// scorer, so for a fixed precision + SIMD tier + catalog, responses stay
+  /// bit-identical across shard layouts, batch sizes, and thread counts —
+  /// the quant suites pin this.
   ScoringPrecision precision = ScoringPrecision::kFp32;
+  /// Number of contiguous equal-size catalog shards (see MakeShardRanges).
+  /// 1 = no sharding. Ignored when `boundaries` is non-empty.
+  Index num_shards = 1;
+  /// Optional explicit shard layout: interior cut points as accepted by
+  /// RangesFromBoundaries. Empty = balanced num_shards layout.
+  std::vector<Index> boundaries;
 };
+
+// Kept only because perfbench/ calls it.
+using ShardedServingOptions = ServingEngineOptions;
 
 /// Immutable per-catalog serving state: sorted train items per user (the
 /// kTrainSeen exclusion lists) and the strict-cold-item bitmap. Engines hold
-/// it by shared_ptr, so engines over the same dataset — per-shard engines of
-/// a partitioned catalog, or an engine re-minted after
+/// it by shared_ptr, so engines over the same dataset — shard servers of a
+/// partitioned catalog, or an engine re-minted after
 /// Prepare*ColdInference — share one copy instead of deep-copying it each.
 /// The state must never be mutated once an engine holds it.
 struct ServingSharedState {
@@ -164,9 +177,8 @@ struct ServingSharedState {
       const Dataset& dataset);
 
   /// As above, but for datasets whose cold bitmap may be absent:
-  /// `num_items` sizes the all-warm fallback (the serving engines pass the
-  /// scorer's catalog size). The one construction path shared by
-  /// ServingEngine and ShardedServingEngine.
+  /// `num_items` sizes the all-warm fallback (the engine passes the
+  /// scorer's catalog size).
   static std::shared_ptr<const ServingSharedState> FromDataset(
       const Dataset& dataset, Index num_items);
 };
@@ -188,44 +200,37 @@ class ServingEngine {
                 ServingEngineOptions options = {});
 
   /// Engine sharing a pre-built state (see ServingSharedState): sibling
-  /// engines — e.g. one per catalog shard — hold the same exclusion lists
-  /// and cold bitmap instead of one deep copy each. `state` must be non-null
-  /// and its is_cold size must match the scorer's catalog.
+  /// engines over the same catalog hold the same exclusion lists and cold
+  /// bitmap instead of one deep copy each. `state` must be non-null and its
+  /// is_cold size must match the scorer's catalog.
   ServingEngine(std::unique_ptr<Scorer> scorer,
                 std::shared_ptr<const ServingSharedState> state,
                 ServingEngineOptions options = {});
 
-  /// Routed through the attached AdmissionController when one is attached
-  /// (coalescing this call with concurrent callers'), else served directly.
-  /// Responses are identical either way.
   RecResponse Recommend(const RecRequest& request) const;
 
-  /// Answers every request, preserving order. Requests over the full
-  /// catalog share one fused score-and-rank stream; requests with explicit
-  /// (possibly unequal) candidate pools are batched by streaming the sorted
-  /// union of their pools in bounded chunks — one batched scoring call per
-  /// chunk instead of one per request. Routed through the attached
-  /// AdmissionController when one is attached.
+  /// Answers every request, preserving order, on the calling thread (and
+  /// the pool). Requests over the full catalog share one fused
+  /// score-and-rank stream; requests with explicit (possibly unequal)
+  /// candidate pools are batched by streaming the sorted union of their
+  /// pools in bounded chunks — one batched scoring call per chunk instead
+  /// of one per request. With several shards, every shard ranks its slice
+  /// into its own heaps and the per-shard lists merge under RanksBefore.
   std::vector<RecResponse> RecommendBatch(
       const std::vector<RecRequest>& requests) const;
 
-  /// The execution path itself: serves the batch on the calling thread,
-  /// bypassing any attached admission controller. This is what the
-  /// controller's dispatcher invokes (routing it back through admission
-  /// would deadlock); also useful as an A/B baseline. Thread-safe.
+  // Kept only because perfbench/ calls it.
   std::vector<RecResponse> RecommendBatchDirect(
-      const std::vector<RecRequest>& requests) const;
-
-  /// Routes subsequent Recommend/RecommendBatch calls through `controller`
-  /// (nullptr to detach). The controller must front THIS engine (or a
-  /// bit-identical sibling) and must outlive the attachment. Setup-time
-  /// operation: must not race with in-flight requests.
-  void AttachAdmission(const AdmissionController* controller) {
-    admission_ = controller;
+      const std::vector<RecRequest>& requests) const {
+    return RecommendBatch(requests);
   }
-  const AdmissionController* admission() const { return admission_; }
 
   Index num_items() const { return num_items_; }
+  Index num_shards() const { return static_cast<Index>(ranges_.size()); }
+  /// Global item range [begin, end) of one shard.
+  ItemBlock shard_range(Index shard) const {
+    return ranges_[static_cast<size_t>(shard)];
+  }
 
   /// The engine's shared exclusion/cold state, for constructing sibling
   /// engines over the same catalog.
@@ -234,16 +239,22 @@ class ServingEngine {
   }
 
  private:
-  std::unique_ptr<const Scorer> scorer_;
-  Index num_items_;
+  /// Shared tail of the scorer constructors: validates the state and
+  /// options, defaults the pool, and lays out the shards.
+  void Init();
+
+  std::unique_ptr<const Scorer> scorer_;  // shard views borrow it per call
+  Index num_items_ = 0;
   std::shared_ptr<const ServingSharedState> state_;
   ServingEngineOptions options_;
+  std::vector<ItemBlock> ranges_;  // the shard layout; one range = unsharded
   // Recycles per-call scoring scratch across requests; mutex-guarded, so
   // concurrent calls on this const engine each lease a private arena.
   mutable ArenaPool arenas_;
-  // Optional admission-batching front end; see AttachAdmission.
-  const AdmissionController* admission_ = nullptr;
 };
+
+// Kept only because perfbench/ calls it.
+using ShardedServingEngine = ServingEngine;
 
 }  // namespace firzen
 

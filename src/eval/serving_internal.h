@@ -1,18 +1,18 @@
 // Shared request-resolution and fused score-and-rank machinery behind
-// ServingEngine and ShardedServingEngine. Both front ends resolve requests
-// once (exclusion lists, deduplicated candidate pools — all in GLOBAL item
-// ids), then drive RankRequestsInRange over one or many item ranges: the
-// single engine passes its base scorer over the whole catalog, the sharded
-// engine passes one ItemRangeScorer view per shard. One implementation,
-// exercised by every serving path, is what keeps the shard-invariance
-// contract ("bit-identical responses for any shard count") enforceable —
-// the two engines cannot drift apart in exclusion, dedup, cold-shelf, or
+// ServingEngine and the shard server. Requests are resolved once
+// (exclusion lists, deduplicated candidate pools — all in GLOBAL item ids),
+// then RankRequestsInRange runs over one or many item ranges: an unsharded
+// engine passes its base scorer over the whole catalog, a sharded engine
+// passes one ItemRangeScorer view per shard. One implementation, exercised
+// by every serving path, is what keeps the shard-invariance contract
+// ("bit-identical responses for any shard count") enforceable — shard
+// layouts cannot drift apart in exclusion, dedup, cold-shelf, or
 // candidate-pool semantics because they share this code.
 //
 // The distributed shard server (src/serve/shard_server.cc) drives the same
 // core over a socket: it runs PrepareBatch + RankRequestsInRange for its
 // range and ships the heaps' sorted contents as wire frames, which is what
-// makes a distributed response byte-identical to the in-process engines.
+// makes a distributed response byte-identical to the in-process engine.
 //
 // Internal header: not part of the public serving API; include only from
 // src/eval/*.cc, src/serve/*.cc, and tests that need the raw machinery.
@@ -28,12 +28,6 @@
 
 namespace firzen {
 namespace serving_internal {
-
-/// Null-checked Recommender::MakeScorer(precision), shared by both engines'
-/// model constructors. kFp32 preserves the historical mint exactly.
-std::unique_ptr<Scorer> MintScorer(
-    const Recommender* model,
-    ScoringPrecision precision = ScoringPrecision::kFp32);
 
 /// Shard-independent resolved state for one RecRequest: the exclusion list
 /// to binary-search (sorted, global ids) and, for explicit pools, the

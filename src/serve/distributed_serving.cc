@@ -4,27 +4,10 @@
 #include <thread>
 #include <utility>
 
-#include "src/eval/admission.h"
 #include "src/eval/sharded_serving.h"
 #include "src/util/check.h"
 
 namespace firzen {
-
-// Defined here rather than in src/eval/admission.cc so the eval layer never
-// includes serve/ (include layering; see tools/firzen_lint.py). Mirrors the
-// ServingEngine / ShardedServingEngine overloads verbatim.
-AdmissionController::AdmissionController(const DistributedServingEngine* engine,
-                                         AdmissionOptions options)
-    : options_(std::move(options)) {
-  FIRZEN_CHECK(engine != nullptr);
-  if (options_.resume_queue_depth < 0) {
-    options_.resume_queue_depth = options_.max_queue_depth / 2;
-  }
-  Validate();
-  backend_ = [engine](const std::vector<RecRequest>& requests) {
-    return engine->RecommendBatchDirect(requests);
-  };
-}
 
 namespace {
 
@@ -152,12 +135,6 @@ RecResponse DistributedServingEngine::Recommend(
   return RecommendBatch({request})[0];
 }
 
-std::vector<RecResponse> DistributedServingEngine::RecommendBatch(
-    const std::vector<RecRequest>& requests) const {
-  if (admission_ != nullptr) return admission_->RecommendBatch(requests);
-  return RecommendBatchDirect(requests);
-}
-
 ItemBlock DistributedServingEngine::shard_range(Index shard) const {
   const Conn& conn = *conns_[static_cast<size_t>(shard)];
   return {conn.info.shard_begin, conn.info.shard_end};
@@ -223,7 +200,7 @@ Status DistributedServingEngine::ExchangeOnShard(
   return Status::OK();
 }
 
-std::vector<RecResponse> DistributedServingEngine::RecommendBatchDirect(
+std::vector<RecResponse> DistributedServingEngine::RecommendBatch(
     const std::vector<RecRequest>& requests) const {
   std::vector<RecResponse> responses(requests.size());
   if (requests.empty()) return responses;
@@ -288,7 +265,7 @@ std::vector<RecResponse> DistributedServingEngine::RecommendBatchDirect(
     degraded_responses_.fetch_add(requests.size(), std::memory_order_relaxed);
   }
 
-  // ShardedServingEngine's merge half, verbatim: concatenate the surviving
+  // The sharded ServingEngine's merge half: concatenate the surviving
   // shards' RanksBefore-sorted lists, MergeTopK to each request's k.
   for (size_t i = 0; i < requests.size(); ++i) {
     std::vector<ScoredItem> entries;

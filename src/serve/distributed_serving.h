@@ -1,13 +1,13 @@
 // Distributed serving coordinator: the same RecommendBatch surface as
-// ServingEngine / ShardedServingEngine, executed by fanning each batch out
-// to N shard-server connections (src/serve/shard_server.h) over the wire
-// protocol (src/serve/wire.h) and merging the per-shard top-K replies with
-// the existing MergeTopK — ShardedServingEngine's merge half, with sockets
+// ServingEngine, executed by fanning each batch out to N shard-server
+// connections (src/serve/shard_server.h) over the wire protocol
+// (src/serve/wire.h) and merging the per-shard top-K replies with the
+// existing MergeTopK — a sharded ServingEngine's merge half, with sockets
 // where the in-process ParallelFor used to be.
 //
 // Determinism contract (the headline): on the healthy path a distributed
-// response is BYTE-IDENTICAL to ShardedServingEngine over the same catalog
-// and shared state, for any shard layout. Shard servers run the identical
+// response is BYTE-IDENTICAL to ServingEngine over the same catalog and
+// shared state, for any shard layout. Shard servers run the identical
 // shared core (PrepareBatch + RankRequestsInRange) over ItemRangeScorer
 // views, scores cross the wire as raw IEEE-754 bits, per-shard lists
 // arrive in RanksBefore order, and the merge is the same MergeTopK — so
@@ -29,13 +29,14 @@
 // collect-wait cap (src/eval/admission.h), so a slow shard can never make
 // a deadline-carrying request complete late; it becomes kDegraded within
 // budget instead. A deadline of 0 fails every shard immediately (the
-// direct-path analogue of "already expired at enqueue").
+// coordinator analogue of "already expired at enqueue").
 //
-// Composes with AdmissionController unchanged: attach one and admitted
-// batches become the RPC unit; admission statuses (kShed,
-// kDeadlineExceeded, kBackendError) and kDegraded pass through untouched.
+// Composes with AdmissionController unchanged: put one in front of the
+// coordinator and admitted batches become the RPC unit; admission statuses
+// (kShed, kDeadlineExceeded, kBackendError) and kDegraded pass through
+// untouched.
 //
-// Thread safety: same contract as the sibling engines — share ONE
+// Thread safety: same contract as ServingEngine — share ONE
 // coordinator across any number of request threads. Each connection is
 // mutex-guarded (a batch's fan-out thread holds exactly one shard's lock
 // for its exchange), so concurrent batches serialize per shard but
@@ -57,8 +58,6 @@
 #include "src/util/thread_annotations.h"
 
 namespace firzen {
-
-class AdmissionController;
 
 struct DistributedServingOptions {
   /// One shard server address per shard ("host:port" or "unix:/path").
@@ -90,25 +89,20 @@ class DistributedServingEngine {
   DistributedServingEngine(const DistributedServingEngine&) = delete;
   DistributedServingEngine& operator=(const DistributedServingEngine&) = delete;
 
-  /// Routed through the attached AdmissionController when one is attached,
-  /// else served directly. Check RecResponse::status: kDegraded responses
-  /// carry best-effort items (see the file comment).
+  /// Check RecResponse::status: kDegraded responses carry best-effort
+  /// items (see the file comment).
   RecResponse Recommend(const RecRequest& request) const;
+
+  /// One wire round-trip per shard, concurrent across shards, merged under
+  /// RanksBefore. Thread-safe.
   std::vector<RecResponse> RecommendBatch(
       const std::vector<RecRequest>& requests) const;
 
-  /// The execution path itself: one wire round-trip per shard, concurrent
-  /// across shards, merged under RanksBefore. Thread-safe; bypasses any
-  /// attached admission controller (it is what the controller dispatches).
+  // Kept only because perfbench/ calls it.
   std::vector<RecResponse> RecommendBatchDirect(
-      const std::vector<RecRequest>& requests) const;
-
-  /// Routes subsequent Recommend/RecommendBatch calls through `controller`
-  /// (nullptr to detach). Setup-time operation, as on the sibling engines.
-  void AttachAdmission(const AdmissionController* controller) {
-    admission_ = controller;
+      const std::vector<RecRequest>& requests) const {
+    return RecommendBatch(requests);
   }
-  const AdmissionController* admission() const { return admission_; }
 
   Index num_items() const { return num_items_; }
   Index num_shards() const { return static_cast<Index>(conns_.size()); }
@@ -118,7 +112,7 @@ class DistributedServingEngine {
   const std::string& shard_address(Index shard) const;
 
   // Monotonic counters (tests, benches, ops).
-  /// Shard round-trips attempted (one per shard per direct batch).
+  /// Shard round-trips attempted (one per shard per batch).
   uint64_t shard_rpcs() const {
     return shard_rpcs_.load(std::memory_order_relaxed);
   }
@@ -176,7 +170,6 @@ class DistributedServingEngine {
   std::vector<std::unique_ptr<Conn>> conns_;
   Index num_items_ = 0;
   DistributedServingOptions options_;
-  const AdmissionController* admission_ = nullptr;
 
   mutable std::atomic<uint64_t> shard_rpcs_{0};
   mutable std::atomic<uint64_t> failed_rpcs_{0};

@@ -1,7 +1,7 @@
 // One catalog shard behind a socket: ShardServer owns a contiguous global
 // item range of a base scorer and answers wire::kRecRequestBatch frames
-// with that shard's per-request top-K lists — exactly the lists an
-// in-process ShardedServingEngine computes for the same range, because
+// with that shard's per-request top-K lists — exactly the lists a sharded
+// in-process ServingEngine computes for the same range, because
 // both run the identical shared core: serving_internal::PrepareBatch over
 // the FULL request batch in global ids, then RankRequestsInRange over an
 // ItemRangeScorer view. The coordinator (DistributedServingEngine) merges

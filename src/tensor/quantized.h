@@ -5,8 +5,10 @@
 // 127) plus one fp32 scale (max|row| / 127), so dequantized scores are
 // Real(acc) * a_scale * b_scale with acc an int32 dot product. The catalog
 // never changes at serving time, so the scales are computed once at build
-// and the resident table shrinks ~4x (int8 payload + one float + one int32
-// per row versus 8-byte Reals).
+// and the resident table shrinks 7.1x against the 8-byte Real table at
+// d = 64: a row holds 64 int8 codes + one float scale + one int32 row sum =
+// 72 bytes versus 64 * 8 = 512 bytes. (Rows pad to a 64-code stride, so
+// narrower tables shrink less: 3.6x at d = 32.)
 //
 // GemmBTQuant is the quantized twin of GemmBT: out(i, j) = dot of int8 row i
 // of A with int8 row j of B, dequantized through the shared epilogue. The

@@ -189,15 +189,28 @@ TEST(DistributedE2ETest, CliDistributedMatchesLocalAndDegradesOnKill) {
   EXPECT_FALSE(distributed.out.empty());
 
   // Local sharded serving of the same model: stdout must match BYTE FOR
-  // BYTE — and for any local shard count, by the shard-invariance
-  // contract.
-  const std::vector<std::string> shard_counts = {"1", "2", "3"};
-  for (const std::string& shards : shard_counts) {
-    const CommandResult local = RunCommand(
-        {FIRZEN_CLI_BINARY, "recommend", "--embeddings", model_path,
-         "--shards", shards, "--users", users, "--k", "8"});
-    ASSERT_EQ(local.exit_code, 0) << local.err;
-    EXPECT_EQ(distributed.out, local.out) << "--shards " << shards;
+  // BYTE — for any local shard count, by the shard-invariance contract,
+  // and with admission plus concurrent request threads in front of either
+  // the local engine or the coordinator.
+  const std::vector<std::vector<std::string>> backend_args = {
+      {"--shards", "1"},
+      {"--shards", "2"},
+      {"--shards", "3"},
+      {"--shards", "2", "--admission-batch", "4", "--serve-threads", "3"},
+      {"--shard-servers", shard0.address() + "," + shard1.address(),
+       "--admission-batch", "4", "--serve-threads", "3"},
+  };
+  for (const std::vector<std::string>& args : backend_args) {
+    std::vector<std::string> cmd = {FIRZEN_CLI_BINARY, "recommend",
+                                    "--embeddings",    model_path,
+                                    "--users",         users,
+                                    "--k",             "8"};
+    cmd.insert(cmd.end(), args.begin(), args.end());
+    const CommandResult local = RunCommand(cmd);
+    std::string label;
+    for (const std::string& arg : args) label += " " + arg;
+    ASSERT_EQ(local.exit_code, 0) << label << ": " << local.err;
+    EXPECT_EQ(distributed.out, local.out) << label;
   }
 
   // With a shard DEAD at startup, the coordinator cannot learn its range,

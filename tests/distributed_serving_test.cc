@@ -1,7 +1,7 @@
 // Distributed-serving suite: a DistributedServingEngine fanning out over
 // real localhost sockets must answer every healthy-path request
 // bit-identically (same items, same scores, same order) to the in-process
-// ShardedServingEngine / ServingEngine oracle for any shard layout — the
+// ServingEngine oracle (sharded or not) for any shard layout — the
 // contract that makes moving a shard behind a socket observably free. And
 // when shards die or stall, batches must complete from the survivors as
 // RecStatus::kDegraded within the deadline budget: never a hang, never an
@@ -227,9 +227,9 @@ TEST(DistributedServingTest, ResponsesInvariantAcrossShardCounts) {
     ExpectAllOk(got, label);
     ExpectBitIdentical(got, want, label + " batch");
     // And the in-process sharded engine agrees too (same oracle chain).
-    ShardedServingOptions sharded_options;
+    ServingEngineOptions sharded_options;
     sharded_options.num_shards = shards;
-    const ShardedServingEngine in_process(&model, dataset, sharded_options);
+    const ServingEngine in_process(&model, dataset, sharded_options);
     ExpectBitIdentical(got, in_process.RecommendBatch(requests),
                        label + " vs in-process");
     // Single-request path merges identically.
@@ -419,7 +419,7 @@ TEST(DistributedServingTest, KilledShardDegradesToSurvivorsThenRejoins) {
   const std::string shard1_address = servers[1]->bound_address();
   servers[1]->Stop();
   const std::vector<RecResponse> degraded =
-      engine->RecommendBatchDirect(requests);
+      engine->RecommendBatch(requests);
   ExpectAllDegraded(degraded, {1}, "killed shard");
   ExpectBitIdentical(degraded,
                      DegradedOracle(dataset, 1, 2, {ranges[1]}, requests),
@@ -456,7 +456,7 @@ TEST(DistributedServingTest, AllShardsDownYieldsDegradedEmptyNotAHang) {
 
   for (auto& server : servers) server->Stop();
   const std::vector<RecRequest> requests = ShardRequests();
-  const std::vector<RecResponse> got = engine->RecommendBatchDirect(requests);
+  const std::vector<RecResponse> got = engine->RecommendBatch(requests);
   ExpectAllDegraded(got, {0, 1}, "all down");
   for (const RecResponse& response : got) {
     EXPECT_TRUE(response.items.empty());
@@ -488,7 +488,7 @@ TEST(DistributedServingTest, StalledShardDegradesWithinDeadlineBudget) {
   for (RecRequest& request : requests) request.deadline_us = kDeadlineUs;
 
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<RecResponse> got = engine->RecommendBatchDirect(requests);
+  const std::vector<RecResponse> got = engine->RecommendBatch(requests);
   const int64_t elapsed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
@@ -506,7 +506,7 @@ TEST(DistributedServingTest, StalledShardDegradesWithinDeadlineBudget) {
   ASSERT_TRUE(capped.ok()) << capped.status().ToString();
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<RecResponse> timed =
-      capped.value()->RecommendBatchDirect(ShardRequests());
+      capped.value()->RecommendBatch(ShardRequests());
   const int64_t timed_ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -542,14 +542,14 @@ TEST(DistributedServingTest, ExpiredDeadlineFailsFastWithoutDroppingConns) {
 
   requests[3].deadline_us = 0;  // one expired request expires the batch
   const std::vector<RecResponse> expired =
-      engine->RecommendBatchDirect(requests);
+      engine->RecommendBatch(requests);
   ExpectAllDegraded(expired, {0, 1}, "expired");
   for (const RecResponse& response : expired) {
     EXPECT_TRUE(response.items.empty());
   }
 
   requests[3].deadline_us = -1;
-  ExpectAllOk(engine->RecommendBatchDirect(requests), "after expired");
+  ExpectAllOk(engine->RecommendBatch(requests), "after expired");
   EXPECT_EQ(engine->reconnects(), 0u) << "expired batch dropped connections";
 }
 
@@ -568,7 +568,6 @@ TEST(DistributedServingTest, AdmissionFrontEndPassesThroughUnchanged) {
   const auto& engine = connected.value();
 
   const AdmissionController admission(engine.get());
-  engine->AttachAdmission(&admission);
 
   // Concurrent singles coalesce into fused distributed batches; every
   // served response is bit-identical to the reference serving it alone.
@@ -581,7 +580,7 @@ TEST(DistributedServingTest, AdmissionFrontEndPassesThroughUnchanged) {
     threads.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < requests.size();
            i += kThreads) {
-        const RecResponse got = engine->Recommend(requests[i]);
+        const RecResponse got = admission.Recommend(requests[i]);
         if (got.status != RecStatus::kOk ||
             got.items.size() != want[i].items.size()) {
           ++failures[static_cast<size_t>(t)];
@@ -604,14 +603,12 @@ TEST(DistributedServingTest, AdmissionFrontEndPassesThroughUnchanged) {
 
   // kDegraded passes through admission untouched, items included.
   servers[2]->Stop();
-  const RecResponse degraded = engine->Recommend(requests[0]);
+  const RecResponse degraded = admission.Recommend(requests[0]);
   EXPECT_EQ(degraded.status, RecStatus::kDegraded);
   EXPECT_EQ(degraded.failed_shards, std::vector<Index>{2});
   const std::vector<RecResponse> oracle =
       DegradedOracle(dataset, 1, 2, {ranges[2]}, {requests[0]});
   ExpectBitIdentical({degraded}, oracle, "degraded through admission");
-
-  engine->AttachAdmission(nullptr);
 }
 
 // ---- Startup validation and server-side input hardening ----

@@ -18,6 +18,7 @@ EXPECTED = sorted([
     ("src/core/bad_banned_rng.cc", "banned-rng"),
     ("src/data/bad_raw_sort.cc", "raw-sort"),
     ("src/eval/bad_unordered_iteration.cc", "unordered-iteration"),
+    ("src/eval/bad_upward_forward_decl.h", "upward-forward-decl"),
     ("src/graph/bad_include_layering.cc", "include-layering"),
     ("src/models/bad_stray_cpuid.cc", "stray-cpuid"),
     ("src/models/bad_stray_cpuid.cc", "stray-cpuid"),

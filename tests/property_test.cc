@@ -308,7 +308,8 @@ TEST_P(ShardedTopKPropertyTest, MergedTopKEqualsBruteForceFullRowSort) {
 
     // Random shard layout: 0-6 interior cuts, unsorted draws sorted here,
     // duplicates kept (empty shards are legal).
-    ShardedServingOptions options;
+    ServingEngineOptions options;
+    options.num_shards = 2;  // the layout when no cut is drawn
     const Index num_cuts = rng.UniformInt(7);
     for (Index c = 0; c < num_cuts; ++c) {
       options.boundaries.push_back(rng.UniformInt(num_items + 1));
@@ -327,7 +328,7 @@ TEST_P(ShardedTopKPropertyTest, MergedTopKEqualsBruteForceFullRowSort) {
           }
         },
         num_items);
-    const ShardedServingEngine engine(std::move(scorer), dataset, options);
+    const ServingEngine engine(std::move(scorer), dataset, options);
 
     // One random request per user: random k, exclusion, pool, cold flag.
     std::vector<RecRequest> requests;

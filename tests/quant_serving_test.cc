@@ -124,11 +124,11 @@ TEST(QuantServingTest, Int8IsBitIdenticalAcrossShardCountsAndPools) {
   for (const Index shards : {Index{1}, Index{2}, Index{3}, Index{7}}) {
     for (const int pool_threads : {1, 4}) {
       ThreadPool pool(pool_threads);
-      ShardedServingOptions options;
+      ServingEngineOptions options;
       options.num_shards = shards;
       options.pool = &pool;
       options.precision = ScoringPrecision::kInt8;
-      const ShardedServingEngine engine(&QuantModel(), dataset, options);
+      const ServingEngine engine(&QuantModel(), dataset, options);
       const std::vector<RecResponse> got = engine.RecommendBatch(requests);
       ExpectBitIdentical(got, want,
                          "shards=" + std::to_string(shards) +
@@ -174,11 +174,11 @@ TEST(QuantServingTest, Int8IsBitIdenticalAcrossUserBatchSizes) {
   // And the same batches through a sharded engine: batch size and shard
   // layout compose without breaking a bit.
   ThreadPool pool(4);
-  ShardedServingOptions sharded_options;
+  ServingEngineOptions sharded_options;
   sharded_options.num_shards = 3;
   sharded_options.pool = &pool;
   sharded_options.precision = ScoringPrecision::kInt8;
-  const ShardedServingEngine sharded(&QuantModel(), dataset, sharded_options);
+  const ServingEngine sharded(&QuantModel(), dataset, sharded_options);
   for (const size_t batch : {size_t{33}, size_t{256}}) {
     for (size_t begin = 0; begin < all_requests.size(); begin += batch) {
       const size_t end = std::min(begin + batch, all_requests.size());

@@ -3,9 +3,9 @@
 // response bit-identical to the engine serving that request alone — because
 // scores are batch-size-invariant (src/tensor/matrix.h) and requests ride
 // private heaps. Also pins the dispatcher mechanics (size bound, wait
-// bound, leader hand-off, stats), the engine AttachAdmission routing, and
-// the overload-protection policies: deadline-aware drains (EDF order,
-// expired tickets rejected with kDeadlineExceeded instead of scored late),
+// bound, leader hand-off, stats) and the overload-protection policies:
+// deadline-aware drains (EDF order, expired tickets rejected with
+// kDeadlineExceeded instead of scored late),
 // bounded-queue load shedding with hysteresis (kShed, distinct start/stop
 // watermarks), per-tenant weighted fair share, and structured failure
 // fan-out (a throwing fused pass rejects every coalesced ticket with
@@ -187,7 +187,7 @@ TEST_F(AdmissionFixture, FusedBatchesMatchServingAloneBitExact) {
   const auto fused = admission.RecommendBatch(requests);
   ASSERT_EQ(fused.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    const RecResponse alone = engine.RecommendBatchDirect({requests[i]})[0];
+    const RecResponse alone = engine.RecommendBatch({requests[i]})[0];
     ExpectSameResponse(fused[i], alone, i);
   }
   EXPECT_EQ(admission.admitted_requests(), requests.size());
@@ -198,9 +198,9 @@ TEST_F(AdmissionFixture, FusedBatchesMatchServingAloneBitExact) {
 // served, never what its served response holds.
 TEST_F(AdmissionFixture, AllPoliciesPreserveCoalescingOnBothEngines) {
   const ServingEngine plain(model_.get(), dataset_);
-  ShardedServingOptions sharded_options;
+  ServingEngineOptions sharded_options;
   sharded_options.num_shards = 3;
-  const ShardedServingEngine sharded(model_.get(), dataset_, sharded_options);
+  const ServingEngine sharded(model_.get(), dataset_, sharded_options);
 
   // Mixed traffic with the new ticket metadata on top: generous deadlines
   // (far too long to expire) and a tenant spread, so the deadline and
@@ -215,7 +215,7 @@ TEST_F(AdmissionFixture, AllPoliciesPreserveCoalescingOnBothEngines) {
 
   std::vector<RecResponse> want_plain;
   for (const RecRequest& request : requests) {
-    want_plain.push_back(plain.RecommendBatchDirect({request})[0]);
+    want_plain.push_back(plain.RecommendBatch({request})[0]);
   }
 
   for (const DrainPolicy policy :
@@ -312,53 +312,27 @@ TEST_F(AdmissionFixture, WaitBoundReleasesLoneRequest) {
   request.user = 1;
   request.k = 9;
   const RecResponse got = admission.Recommend(request);
-  const RecResponse want = engine.RecommendBatchDirect({request})[0];
+  const RecResponse want = engine.RecommendBatch({request})[0];
   ExpectSameResponse(got, want, 0);
   EXPECT_EQ(admission.fused_batches(), 1u);
 }
 
-// Engine routing: once attached, the engine's own entry points go through
-// the controller; detaching restores the direct path.
-TEST_F(AdmissionFixture, EngineRoutesThroughAttachedController) {
-  ServingEngine engine(model_.get(), dataset_);
-  AdmissionOptions options;
-  options.max_wait_us = 0;
-  const AdmissionController admission(&engine, options);
-  EXPECT_EQ(engine.admission(), nullptr);
-  engine.AttachAdmission(&admission);
-  EXPECT_EQ(engine.admission(), &admission);
-
-  RecRequest request;
-  request.user = 2;
-  request.k = 4;
-  const RecResponse via_engine = engine.Recommend(request);
-  EXPECT_EQ(admission.admitted_requests(), 1u);
-  const auto batch = engine.RecommendBatch({request, request});
-  EXPECT_EQ(admission.admitted_requests(), 3u);
-  ExpectSameResponse(batch[0], via_engine, 0);
-
-  engine.AttachAdmission(nullptr);
-  engine.Recommend(request);
-  EXPECT_EQ(admission.admitted_requests(), 3u);  // direct path again
-}
-
-// The sharded front end admits identically: fused responses match the
-// sharded engine's own direct answers (which in turn match the single
-// engine by the shard-invariance contract).
+// A sharded engine admits identically: fused responses match the sharded
+// engine's own answers (which in turn match the unsharded engine by the
+// shard-invariance contract).
 TEST_F(AdmissionFixture, ShardedEngineAdmissionParity) {
-  ShardedServingOptions sharded_options;
+  ServingEngineOptions sharded_options;
   sharded_options.num_shards = 3;
-  ShardedServingEngine engine(model_.get(), dataset_, sharded_options);
+  const ServingEngine engine(model_.get(), dataset_, sharded_options);
   AdmissionOptions options;
   options.max_batch = 6;
   options.max_wait_us = 0;
   const AdmissionController admission(&engine, options);
-  engine.AttachAdmission(&admission);
 
   const std::vector<RecRequest> requests = MixedRequests();
-  const auto fused = engine.RecommendBatch(requests);
+  const auto fused = admission.RecommendBatch(requests);
   for (size_t i = 0; i < requests.size(); ++i) {
-    const RecResponse alone = engine.RecommendBatchDirect({requests[i]})[0];
+    const RecResponse alone = engine.RecommendBatch({requests[i]})[0];
     ExpectSameResponse(fused[i], alone, i);
   }
 }
@@ -411,7 +385,7 @@ TEST_F(AdmissionFixture, ExpiredWhileQueuedIsRejectedNotScoredLate) {
 
   EXPECT_EQ(responses[0].status, RecStatus::kDeadlineExceeded);
   EXPECT_TRUE(responses[0].items.empty());
-  const RecResponse want = engine.RecommendBatchDirect({requests[1]})[0];
+  const RecResponse want = engine.RecommendBatch({requests[1]})[0];
   ExpectSameResponse(responses[1], want, 1);
   EXPECT_EQ(admission.deadline_rejections(), 1u);
   // The deadline capped the hold: we did NOT sit out the full 500ms wait
@@ -436,7 +410,7 @@ TEST_F(AdmissionFixture, DeadlinePolicyDrainsEarliestDeadlineFirst) {
         std::vector<Index> users;
         for (const RecRequest& r : requests) users.push_back(r.user);
         drained.push_back(std::move(users));
-        return engine.RecommendBatchDirect(requests);
+        return engine.RecommendBatch(requests);
       },
       options);
 
@@ -483,7 +457,7 @@ TEST_F(AdmissionFixture, ShedHysteresisCrossesBothWatermarks) {
   }
   const auto responses = admission.RecommendBatch(requests);
   for (size_t i = 0; i < 4; ++i) {
-    const RecResponse alone = engine.RecommendBatchDirect({requests[i]})[0];
+    const RecResponse alone = engine.RecommendBatch({requests[i]})[0];
     ExpectSameResponse(responses[i], alone, i);
   }
   for (size_t i = 4; i < 10; ++i) {
@@ -553,7 +527,7 @@ TEST_F(AdmissionFixture, FairSharePolicyInterleavesTenantsByWeight) {
         std::vector<Index> users;
         for (const RecRequest& r : requests) users.push_back(r.user);
         drained.push_back(std::move(users));
-        return engine.RecommendBatchDirect(requests);
+        return engine.RecommendBatch(requests);
       },
       options);
 
@@ -600,7 +574,7 @@ TEST_F(AdmissionFixture, FairShareDefaultsUnknownTenantsToWeightOne) {
   }
   const auto responses = admission.RecommendBatch(requests);
   for (size_t i = 0; i < responses.size(); ++i) {
-    const RecResponse alone = engine.RecommendBatchDirect({requests[i]})[0];
+    const RecResponse alone = engine.RecommendBatch({requests[i]})[0];
     ExpectSameResponse(responses[i], alone, i);
   }
 }
@@ -620,7 +594,7 @@ TEST_F(AdmissionFixture, ThrowingBackendFailsTicketsWithStatusAndRecovers) {
   const AdmissionController admission(
       [&](const std::vector<RecRequest>& requests) {
         if (calls++ == 0) throw std::runtime_error("backend down");
-        return engine.RecommendBatchDirect(requests);
+        return engine.RecommendBatch(requests);
       },
       options);
   RecRequest request;
@@ -633,7 +607,7 @@ TEST_F(AdmissionFixture, ThrowingBackendFailsTicketsWithStatusAndRecovers) {
   EXPECT_EQ(admission.backend_failures(), 1u);
   // The queue is consistent after the failure: the next request serves.
   const RecResponse got = admission.Recommend(request);
-  const RecResponse want = engine.RecommendBatchDirect({request})[0];
+  const RecResponse want = engine.RecommendBatch({request})[0];
   ExpectSameResponse(got, want, 0);
   EXPECT_EQ(admission.fused_batches(), 2u);
 }
@@ -688,7 +662,7 @@ TEST_F(AdmissionFixture, FaultInjectionScorerFailsWholeFusedPass) {
   const ServingEngine reference_engine(&reference, dataset_);
   const RecResponse again = admission.Recommend(requests[0]);
   const RecResponse want =
-      reference_engine.RecommendBatchDirect({requests[0]})[0];
+      reference_engine.RecommendBatch({requests[0]})[0];
   ExpectSameResponse(again, want, 0);
 }
 
@@ -741,7 +715,7 @@ TEST_F(AdmissionFixture, FaultOnPoolWorkerTileFailsWholeFusedPass) {
   const ServingEngine reference_engine(&reference, dataset_);
   const RecResponse again = admission.Recommend(requests[0]);
   const RecResponse want =
-      reference_engine.RecommendBatchDirect({requests[0]})[0];
+      reference_engine.RecommendBatch({requests[0]})[0];
   ExpectSameResponse(again, want, 0);
 }
 
@@ -759,7 +733,7 @@ TEST_F(AdmissionFixture, ConcurrentFollowersResolveOnBackendFailure) {
         if (calls.fetch_add(1) % 3 == 1) {  // fail every third pass
           throw std::runtime_error("flaky backend");
         }
-        return engine.RecommendBatchDirect(requests);
+        return engine.RecommendBatch(requests);
       },
       options);
 
@@ -780,7 +754,7 @@ TEST_F(AdmissionFixture, ConcurrentFollowersResolveOnBackendFailure) {
         if (got.status == RecStatus::kOk) {
           ++served;
           const RecResponse want =
-              engine.RecommendBatchDirect({request})[0];
+              engine.RecommendBatch({request})[0];
           if (got.items.size() != want.items.size()) {
             ++bad;
             continue;
@@ -816,9 +790,9 @@ TEST_F(AdmissionFixture, EmptyBatchIsANoOp) {
   EXPECT_EQ(admission.fused_batches(), 0u);
 }
 
-// The concurrency stress (TSan canary): many threads hammer one attached
-// engine with single requests and small batches; every answer must match
-// the direct single-request reference bit-exactly, no matter how tickets
+// The concurrency stress (TSan canary): many threads hammer one controller
+// with single requests and small batches; every answer must match the
+// engine's single-request reference bit-exactly, no matter how tickets
 // interleaved into fused batches, and the controller must actually have
 // coalesced or split work (dispatch bookkeeping stays consistent).
 TEST_F(AdmissionFixture, ConcurrentCallersGetBitExactAnswers) {
@@ -827,13 +801,12 @@ TEST_F(AdmissionFixture, ConcurrentCallersGetBitExactAnswers) {
   options.max_batch = 16;
   options.max_wait_us = 300;
   const AdmissionController admission(&engine, options);
-  engine.AttachAdmission(&admission);
 
   const std::vector<RecRequest> requests = MixedRequests();
   std::vector<RecResponse> reference;
   reference.reserve(requests.size());
   for (const RecRequest& request : requests) {
-    reference.push_back(engine.RecommendBatchDirect({request})[0]);
+    reference.push_back(engine.RecommendBatch({request})[0]);
   }
 
   constexpr int kThreads = 6;
@@ -847,7 +820,7 @@ TEST_F(AdmissionFixture, ConcurrentCallersGetBitExactAnswers) {
         // Walk the request list from a thread-specific offset: singles...
         for (size_t s = 0; s < requests.size(); ++s) {
           const size_t i = (s + static_cast<size_t>(t) * 3) % requests.size();
-          const RecResponse got = engine.Recommend(requests[i]);
+          const RecResponse got = admission.Recommend(requests[i]);
           const RecResponse& want = reference[i];
           if (got.user != want.user || got.items.size() != want.items.size()) {
             ++mismatches;
@@ -862,7 +835,7 @@ TEST_F(AdmissionFixture, ConcurrentCallersGetBitExactAnswers) {
           }
         }
         // ... then a whole batch through the same admission queue.
-        const auto batch = engine.RecommendBatch(requests);
+        const auto batch = admission.RecommendBatch(requests);
         for (size_t i = 0; i < requests.size(); ++i) {
           if (batch[i].items.size() != reference[i].items.size()) {
             ++mismatches;
@@ -905,13 +878,12 @@ TEST_F(AdmissionFixture, ConcurrentMultiTenantOverloadStress) {
   options.max_queue_depth = 6;  // small: force real shedding under load
   options.resume_queue_depth = 2;
   const AdmissionController admission(&engine, options);
-  engine.AttachAdmission(&admission);
 
   const std::vector<RecRequest> base = MixedRequests();
   std::vector<RecResponse> reference;
   reference.reserve(base.size());
   for (const RecRequest& request : base) {
-    reference.push_back(engine.RecommendBatchDirect({request})[0]);
+    reference.push_back(engine.RecommendBatch({request})[0]);
   }
 
   constexpr int kThreads = 6;
@@ -931,7 +903,7 @@ TEST_F(AdmissionFixture, ConcurrentMultiTenantOverloadStress) {
           // A third of the traffic carries a real (but generous) budget;
           // under contention some of it will expire in the queue.
           if (i % 3 == 0) request.deadline_us = 50000;
-          const RecResponse got = engine.Recommend(request);
+          const RecResponse got = admission.Recommend(request);
           switch (got.status) {
             case RecStatus::kOk: {
               ++ok;

@@ -1,5 +1,5 @@
-// Concurrent-serving stress suite: one shared ServingEngine (or
-// ShardedServingEngine — same contract) hammered by N request threads with
+// Concurrent-serving stress suite: one shared ServingEngine (unsharded or
+// sharded — same contract) hammered by N request threads with
 // mixed full-catalog / candidate-pool / cold-only / custom-exclusion
 // traffic must answer every request bit-identically to a single-threaded
 // run — the contract that makes shared-scorer serving (and the TSan pass
@@ -212,7 +212,7 @@ TEST(ServingConcurrencyTest, SharedEngineFullScoreAdapterBitExact) {
 }
 
 // Sharded engine under concurrent traffic: N request threads hammer ONE
-// shared ShardedServingEngine; every answer must be bit-identical to the
+// shared ServingEngine; every answer must be bit-identical to the
 // single-thread single-shard reference. The sharded engine leases one
 // arena per shard per call and ranks shards in parallel on the global
 // pool, so this is the data-race canary for the per-shard-view /
@@ -223,9 +223,9 @@ TEST(ServingConcurrencyTest, SharedShardedEngineBitExactVsSingleShardRef) {
                           RandomEmb(kItems, kDim, 22));
   // Single-shard single-thread reference: the plain engine.
   const ServingEngine reference(&model, dataset);
-  ShardedServingOptions options;
+  ServingEngineOptions options;
   options.num_shards = 3;
-  const ShardedServingEngine engine(&model, dataset, options);
+  const ServingEngine engine(&model, dataset, options);
 
   // Shard invariance first (single thread): sharded == single-shard.
   const std::vector<RecRequest> requests = MixedRequests();
@@ -262,10 +262,10 @@ TEST(ServingConcurrencyTest, ShardedEngineBothParallelismPlacementsBitExact) {
   ThreadPool wide_pool(8);   // 3 shards < 8 workers -> sequential placement
   ThreadPool narrow_pool(1);  // 3 shards >= 1 worker -> parallel placement
   for (ThreadPool* pool : {&wide_pool, &narrow_pool}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = 3;
     options.pool = pool;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     const auto got = engine.RecommendBatch(requests);
     for (size_t i = 0; i < requests.size(); ++i) {
       ExpectSameResponse(got[i], want[i], i);

@@ -575,7 +575,7 @@ TEST(ServingEngineParityTest, FusedPassMatchesMaterializeThenRank) {
         options.precision = precision;
         const ServingEngine engine(&model, dataset, options);
         const std::vector<RecResponse> got =
-            engine.RecommendBatchDirect(requests);
+            engine.RecommendBatch(requests);
         for (size_t r = 0; r < requests.size(); ++r) {
           ASSERT_EQ(got[r].items.size(), want[r].size())
               << "request=" << r << " threads=" << threads

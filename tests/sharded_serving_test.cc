@@ -1,6 +1,6 @@
-// Shard-invariance suite: a ShardedServingEngine must answer every request
-// bit-identically (same items, same scores, same order) to the
-// single-engine ServingEngine reference for ANY shard count — the contract
+// Shard-invariance suite: a sharded ServingEngine must answer every request
+// bit-identically (same items, same scores, same order) to the unsharded
+// ServingEngine reference for ANY shard count — the contract
 // that makes horizontal catalog partitioning observably free. Covers the
 // shard-layout helpers, the RanksBefore/MergeTopK total order (including
 // all-ties blocks, where a nondeterministic tie-break would differ across
@@ -266,7 +266,7 @@ std::vector<Index> ShardCounts() {
   return {1, 2, 3, 7, kItems, kItems + 12};  // over-asking clamps
 }
 
-TEST(ShardedServingTest, DotProductResponsesInvariantAcrossShardCounts) {
+TEST(ShardedEngineTest, DotProductResponsesInvariantAcrossShardCounts) {
   const Dataset dataset = ShardDataset();
   StaticRecommender model("sharded", RandomEmb(kUsers, kDim, 1),
                           RandomEmb(kItems, kDim, 2));
@@ -275,9 +275,9 @@ TEST(ShardedServingTest, DotProductResponsesInvariantAcrossShardCounts) {
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
 
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     EXPECT_EQ(engine.num_shards(), std::min<Index>(shards, kItems));
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "shards=" + std::to_string(shards) + " batch");
@@ -295,7 +295,7 @@ TEST(ShardedServingTest, DotProductResponsesInvariantAcrossShardCounts) {
   }
 }
 
-TEST(ShardedServingTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
+TEST(ShardedEngineTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
   const Dataset dataset = ShardDataset();
   StaticRecommender model("sharded", RandomEmb(kUsers, kDim, 3),
                           RandomEmb(kItems, kDim, 4));
@@ -306,16 +306,16 @@ TEST(ShardedServingTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
   // Panels narrower than shards and shards narrower than panels both hold;
   // so do degenerate explicit layouts with empty shards.
   for (Index item_block : {Index{5}, Index{16}, Index{4096}}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = 3;
     options.item_block = item_block;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "item_block=" + std::to_string(item_block));
   }
-  ShardedServingOptions uneven;
+  ServingEngineOptions uneven;
   uneven.boundaries = {0, 1, 1, 50, 96};  // empty shards + singleton shards
-  const ShardedServingEngine engine(&model, dataset, uneven);
+  const ServingEngine engine(&model, dataset, uneven);
   EXPECT_EQ(engine.num_shards(), 6);
   ExpectBitIdentical(engine.RecommendBatch(requests), want, "boundaries");
 }
@@ -323,7 +323,7 @@ TEST(ShardedServingTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
 // An all-ties catalog is the adversarial case for shard invariance: every
 // ranking decision is a tie-break, so any heap-order or merge-order leak
 // produces a different permutation per shard layout.
-TEST(ShardedServingTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
+TEST(ShardedEngineTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
   Dataset dataset = ShardDataset();
   auto make_scorer = [] {
     return std::make_unique<FullScoreAdapter>(
@@ -343,16 +343,16 @@ TEST(ShardedServingTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
   EXPECT_LT(want[0].items[0].item, want[0].items[1].item);
 
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(make_scorer(), dataset, options);
+    const ServingEngine engine(make_scorer(), dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "all-ties shards=" + std::to_string(shards));
   }
 }
 
 // NaN scores are dropped deterministically on every shard, never merged.
-TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
+TEST(ShardedEngineTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
   Dataset dataset = ShardDataset();
   dataset.train.clear();  // keep all items eligible
   auto make_scorer = [] {
@@ -388,9 +388,9 @@ TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
     }
   }
   for (Index shards : ShardCounts()) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(make_scorer(), dataset, options);
+    const ServingEngine engine(make_scorer(), dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "nan shards=" + std::to_string(shards));
   }
@@ -404,7 +404,7 @@ TEST(ShardedServingTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
 // half with 4 users (m <= 32). The batch-size-invariant kernel means that
 // can no longer bend a bit, but the planned user batch is still the
 // contract RankRequestsInRange documents — keep it pinned.
-TEST(ShardedServingTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
+TEST(ShardedEngineTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
   const Dataset dataset = ShardDataset();
   // Wide embeddings: long dot products are where the Gemm paths' rounding
   // can actually diverge.
@@ -428,9 +428,9 @@ TEST(ShardedServingTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
   }
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
   for (Index shards : {Index{2}, Index{3}, Index{7}}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(&model, dataset, options);
+    const ServingEngine engine(&model, dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "batch-pinning shards=" + std::to_string(shards));
   }
@@ -438,19 +438,19 @@ TEST(ShardedServingTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
 
 // Sibling sharded engines share one ServingSharedState instead of
 // deep-copying exclusion lists per shard or per engine.
-TEST(ShardedServingTest, SiblingEnginesShareOneState) {
+TEST(ShardedEngineTest, SiblingEnginesShareOneState) {
   const Dataset dataset = ShardDataset();
   StaticRecommender model("sharded", RandomEmb(kUsers, kDim, 5),
                           RandomEmb(kItems, kDim, 6));
-  ShardedServingOptions options;
+  ServingEngineOptions options;
   options.num_shards = 3;
-  const ShardedServingEngine engine(&model, dataset, options);
+  const ServingEngine engine(&model, dataset, options);
   ASSERT_NE(engine.shared_state(), nullptr);
 
-  ShardedServingOptions sibling_options;
+  ServingEngineOptions sibling_options;
   sibling_options.num_shards = 5;
-  const ShardedServingEngine sibling(model.MakeScorer(), engine.shared_state(),
-                                     sibling_options);
+  const ServingEngine sibling(model.MakeScorer(), engine.shared_state(),
+                              sibling_options);
   EXPECT_EQ(sibling.shared_state().get(), engine.shared_state().get());
   // And a single-engine sibling over the very same state.
   const ServingEngine flat(model.MakeScorer(), engine.shared_state());
@@ -530,9 +530,9 @@ TEST_P(ShardedModelInvarianceTest, ResponsesMatchSingleEngineBitExact) {
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
   for (Index shards :
        {Index{1}, Index{2}, Index{3}, Index{7}, dataset.num_items}) {
-    ShardedServingOptions options;
+    ServingEngineOptions options;
     options.num_shards = shards;
-    const ShardedServingEngine engine(model.get(), dataset, options);
+    const ServingEngine engine(model.get(), dataset, options);
     ExpectBitIdentical(
         engine.RecommendBatch(requests), want,
         GetParam().name + " shards=" + std::to_string(shards));

@@ -28,20 +28,20 @@
 //       block-streaming ServingEngine. --users serves several users over
 //       ONE shared engine; --serve-threads answers them from concurrent
 //       request threads (the engine is thread-safe — responses are
-//       identical for any thread count). --shards N partitions the item
-//       catalog across N sibling shard views (ShardedServingEngine) with a
-//       bit-exact top-K merge — responses are identical for any shard
-//       count. --shard-servers fans requests out to running serve-shard
-//       processes instead (DistributedServingEngine); on the healthy path
-//       the output is byte-identical to the local engines, and when a
-//       shard server is down the surviving shards still answer, reported
-//       as DEGRADED on stderr (exit stays 0 — degraded is served).
-//       --admission-batch N (with N > 1) attaches an
-//       AdmissionController: concurrent requests coalesce into fused user
-//       batches of up to N, each request waiting at most
+//       identical for any thread count). --shards N partitions the
+//       engine's item catalog into N shards with a bit-exact top-K merge —
+//       responses are identical for any shard count. --shard-servers fans
+//       requests out to running serve-shard processes instead
+//       (DistributedServingEngine); on the healthy path the output is
+//       byte-identical to the local engine, and when a shard server is
+//       down the surviving shards still answer, reported as DEGRADED on
+//       stderr (exit stays 0 — degraded is served).
+//       --admission-batch N (with N > 1) puts an AdmissionController in
+//       front of the engine or coordinator: concurrent requests coalesce
+//       into fused user batches of up to N, each request waiting at most
 //       --admission-wait-us microseconds for co-riders — responses are
 //       bit-identical with admission on or off, for any batch/wait bound.
-//       Overload protection (attaches admission implicitly when needed):
+//       Overload protection (adds admission implicitly when needed):
 //       --deadline-us B gives every request a latency budget of B
 //       microseconds from enqueue (expired requests are rejected with
 //       DEADLINE_EXCEEDED, never scored late), --max-queue-depth D bounds
@@ -50,10 +50,11 @@
 //       fair-share tenant id. Non-OK requests are reported on stderr and
 //       the exit status is nonzero when any request was not served.
 //       --precision int8 serves through the quantized catalog
-//       (docs/quantization.md): ~4x smaller resident item table, SIMD
-//       integer scoring, rankings gated by the Recall@K quality ctest. With
-//       --shard-servers the flag is ignored here — each serve-shard process
-//       picks its own (start them all with the same value).
+//       (docs/quantization.md): an item table 7.1x smaller than the
+//       8-byte Real one at d = 64, SIMD integer scoring, rankings gated by
+//       the Recall@K quality ctest. With --shard-servers the flag is
+//       ignored here — each serve-shard process picks its own (start them
+//       all with the same value).
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -70,7 +71,6 @@
 #include "src/data/synthetic.h"
 #include "src/eval/admission.h"
 #include "src/eval/serving.h"
-#include "src/eval/sharded_serving.h"
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/serve/distributed_serving.h"
@@ -338,54 +338,32 @@ bool ParseIdList(const std::string& flag_name, const std::string& value,
   return true;
 }
 
-// Serves `requests` on `engine` — optional admission front end, optional
-// --serve-threads fan-out — and reports every response: items to stdout,
-// non-OK statuses to stderr. Works for any engine with the common serving
-// surface (ShardedServingEngine, DistributedServingEngine). DEGRADED
-// responses were served (from the surviving shards), so they print their
-// items and keep the exit code 0; every other non-OK status fails the
-// invocation.
-template <typename Engine>
-int ServeRequests(Engine& engine, const std::map<std::string, std::string>& flags,
+// Serves `requests` through `backend` — from the calling thread, or with
+// serve_threads > 1 from that many concurrent request threads (every
+// backend is thread-safe, so responses are identical for any thread count;
+// behind admission the concurrent singles coalesce into fused batches,
+// still bit-identically) — and reports every response: items to stdout,
+// non-OK statuses to stderr. DEGRADED responses were served (from the
+// surviving shards), so they print their items and keep the exit code 0;
+// every other non-OK status fails the invocation.
+int ServeRequests(const AdmissionController::Backend& backend,
                   const std::vector<RecRequest>& requests,
-                  long long admission_batch, long long admission_wait_us,
-                  long long max_queue_depth) {
-  std::unique_ptr<AdmissionController> admission;  // detached after serving
-  if (admission_batch > 1) {
-    AdmissionOptions admission_options;
-    admission_options.max_batch = static_cast<Index>(admission_batch);
-    admission_options.max_wait_us = admission_wait_us;
-    admission_options.max_queue_depth = static_cast<Index>(max_queue_depth);
-    admission =
-        std::make_unique<AdmissionController>(&engine, admission_options);
-    engine.AttachAdmission(admission.get());
-  }
-
-  // One shared engine answers every request. With --serve-threads N the
-  // requests fan out over N concurrent threads — the engine's thread-safety
-  // contract guarantees responses identical to the serial path (and with
-  // admission attached, the concurrent singles coalesce into fused
-  // batches, still bit-identically).
+                  long long serve_threads) {
   std::vector<RecResponse> responses(requests.size());
-  long long serve_threads = 1;
-  if (!ParseIntFlag(flags, "serve-threads", 1, &serve_threads)) return 2;
   if (serve_threads > 1 && requests.size() > 1) {
     std::vector<std::thread> threads;
     const size_t n = static_cast<size_t>(serve_threads);
     for (size_t t = 0; t < n; ++t) {
       threads.emplace_back([&, t] {
         for (size_t i = t; i < requests.size(); i += n) {
-          responses[i] = engine.Recommend(requests[i]);
+          responses[i] = backend({requests[i]})[0];
         }
       });
     }
     for (std::thread& thread : threads) thread.join();
   } else {
-    responses = engine.RecommendBatch(requests);
+    responses = backend(requests);
   }
-  // All requests answered: detach before the controller (destroyed first,
-  // being declared later) leaves the engine with a dangling pointer.
-  if (admission != nullptr) engine.AttachAdmission(nullptr);
 
   const bool tag_user = requests.size() > 1;
   int not_served = 0;
@@ -440,24 +418,29 @@ int RunRecommend(const std::map<std::string, std::string>& flags) {
   empty.num_items = loaded.value()->ItemEmbeddings().rows();
   empty.is_cold_item.assign(static_cast<size_t>(empty.num_items), false);
 
-  // --admission-batch N > 1 fronts the engine with an AdmissionController:
-  // concurrent requests coalesce into fused user batches (one catalog
-  // stream per batch). Bit-identical output with admission on or off, for
-  // any batch size or wait bound — the flags are pure perf knobs.
+  // --admission-batch N > 1 fronts the backend with an
+  // AdmissionController: concurrent requests coalesce into fused user
+  // batches (one catalog stream per batch). Bit-identical output with
+  // admission on or off, for any batch size or wait bound — the flags are
+  // pure perf knobs, as are --serve-threads and --shards.
   long long admission_batch = 0;
   long long admission_wait_us = 200;
   long long max_queue_depth = 0;
   long long deadline_us = -1;
   long long tenant = 0;
+  long long serve_threads = 1;
+  long long shards = 1;
   if (!ParseIntFlag(flags, "admission-batch", 0, &admission_batch) ||
       !ParseIntFlag(flags, "admission-wait-us", 0, &admission_wait_us) ||
       !ParseIntFlag(flags, "max-queue-depth", 0, &max_queue_depth) ||
       !ParseIntFlag(flags, "deadline-us", 0, &deadline_us) ||
-      !ParseIntFlag(flags, "tenant", 0, &tenant)) {
+      !ParseIntFlag(flags, "tenant", 0, &tenant) ||
+      !ParseIntFlag(flags, "serve-threads", 1, &serve_threads) ||
+      !ParseIntFlag(flags, "shards", 1, &shards)) {
     return 2;
   }
   // Deadlines and queue bounds are enforced by the admission layer, so
-  // asking for either implicitly attaches a default-sized controller.
+  // asking for either implicitly adds a default-sized controller.
   if ((max_queue_depth > 0 || deadline_us >= 0) && admission_batch <= 1) {
     admission_batch = AdmissionOptions{}.max_batch;
   }
@@ -493,16 +476,21 @@ int RunRecommend(const std::map<std::string, std::string>& flags) {
   }
 
   // Parsed up front so an invalid value errors on every path; the local
-  // engines honor it below, while with --shard-servers the precision is
+  // engine honors it below, while with --shard-servers the precision is
   // whatever each serve-shard process was started with (the coordinator
   // merge is precision-agnostic).
   ScoringPrecision precision = ScoringPrecision::kFp32;
   if (!ParsePrecisionFlag(flags, &precision)) return 2;
 
-  // --shard-servers fans requests out to running serve-shard processes:
-  // same request/response contract, byte-identical output on the healthy
-  // path (the distributed determinism contract), DEGRADED-but-served when
-  // a shard is down.
+  // The serving stack, chosen in this one place: a coordinator over running
+  // serve-shard processes (--shard-servers) or the in-process engine over
+  // --shards catalog shards, optionally behind an AdmissionController.
+  // Every choice serves byte-identical output on the healthy path; with a
+  // shard server down the coordinator still answers from the survivors
+  // (DEGRADED). Members are destroyed front end first.
+  std::unique_ptr<DistributedServingEngine> coordinator;
+  std::unique_ptr<ServingEngine> engine;
+  AdmissionController::Backend backend;
   const std::string shard_servers = FlagOr(flags, "shard-servers", "");
   if (!shard_servers.empty()) {
     if (flags.count("precision") != 0) {
@@ -524,35 +512,46 @@ int RunRecommend(const std::map<std::string, std::string>& flags) {
     long long rpc_timeout_ms = dist_options.rpc_timeout_ms;
     if (!ParseIntFlag(flags, "rpc-timeout-ms", 1, &rpc_timeout_ms)) return 2;
     dist_options.rpc_timeout_ms = rpc_timeout_ms;
-    auto engine = DistributedServingEngine::Connect(std::move(dist_options));
-    if (!engine.ok()) {
-      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
+    auto connected =
+        DistributedServingEngine::Connect(std::move(dist_options));
+    if (!connected.ok()) {
+      std::fprintf(stderr, "%s\n", connected.status().ToString().c_str());
       return 1;
     }
-    if (engine.value()->num_items() != empty.num_items) {
+    coordinator = std::move(connected.value());
+    if (coordinator->num_items() != empty.num_items) {
       std::fprintf(stderr,
                    "shard servers cover %lld items but the model has %lld\n",
-                   static_cast<long long>(engine.value()->num_items()),
+                   static_cast<long long>(coordinator->num_items()),
                    static_cast<long long>(empty.num_items));
       return 1;
     }
-    return ServeRequests(*engine.value(), flags, requests, admission_batch,
-                         admission_wait_us, max_queue_depth);
+    backend = [c = coordinator.get()](const std::vector<RecRequest>& batch) {
+      return c->RecommendBatch(batch);
+    };
+  } else {
+    ServingEngineOptions engine_options;
+    engine_options.num_shards = static_cast<Index>(shards);
+    engine_options.precision = precision;
+    engine = std::make_unique<ServingEngine>(loaded.value().get(), empty,
+                                             engine_options);
+    backend = [e = engine.get()](const std::vector<RecRequest>& batch) {
+      return e->RecommendBatch(batch);
+    };
   }
-
-  // --shards N partitions the catalog across N sibling shard views; the
-  // merged responses are bit-identical to the single-engine path, so the
-  // flag only changes how the work is laid out, never what is served.
-  long long shards = 1;
-  if (!ParseIntFlag(flags, "shards", 1, &shards)) return 2;
-  // One shard IS the single-engine path (bit-identical by the shard
-  // invariance contract), so one engine type serves every --shards value.
-  ShardedServingOptions engine_options;
-  engine_options.num_shards = static_cast<Index>(shards);
-  engine_options.precision = precision;
-  ShardedServingEngine engine(loaded.value().get(), empty, engine_options);
-  return ServeRequests(engine, flags, requests, admission_batch,
-                       admission_wait_us, max_queue_depth);
+  std::unique_ptr<AdmissionController> admission;
+  if (admission_batch > 1) {
+    AdmissionOptions admission_options;
+    admission_options.max_batch = static_cast<Index>(admission_batch);
+    admission_options.max_wait_us = admission_wait_us;
+    admission_options.max_queue_depth = static_cast<Index>(max_queue_depth);
+    admission =
+        std::make_unique<AdmissionController>(backend, admission_options);
+    backend = [a = admission.get()](const std::vector<RecRequest>& batch) {
+      return a->RecommendBatch(batch);
+    };
+  }
+  return ServeRequests(backend, requests, serve_threads);
 }
 
 volatile std::sig_atomic_t g_shutdown = 0;

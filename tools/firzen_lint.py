@@ -25,7 +25,9 @@ to tests that all run on one platform with one standard library:
   * #include edges that run up the layer stack (util < tensor < data <
     graph < {core, models} < eval < serve), which is how "the eval layer
     depends on the wire protocol" happens one convenience include at a
-    time.
+    time — and `class X;` / `struct X;` forward declarations of a type
+    defined in a higher layer, the same dependency with the include
+    left out.
 
 This linter turns each of those into a build failure. It is stdlib-only,
 regex-based (heuristic by design: it must never need a compiler), strips
@@ -91,6 +93,9 @@ RULES = {
     "include-layering":
         "#include from a higher layer (util < tensor < data < graph < "
         "{core, models} < eval < serve)",
+    "upward-forward-decl":
+        "forward declaration of a class defined in a higher layer; the "
+        "lower layer must not know the type",
 }
 
 UNORDERED_DECL_RE = re.compile(
@@ -130,6 +135,17 @@ STRAY_CPUID_RE = re.compile(
 DISPATCH_TU = "src/tensor/quantized.cc"
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"src/([a-z_]+)/')
+
+# Matched on comment- and string-stripped code. A definition may carry one
+# attribute macro (`class FIRZEN_CAPABILITY("mutex") Mutex {`); `enum
+# class` is not a class, and `friend class X;` is not a declaration of
+# this file's dependencies (the forward-declaration pattern is anchored at
+# the line start).
+CLASS_DEF_RE = re.compile(
+    r"(?<!enum )\b(?:class|struct)\s+(?:[A-Z_][A-Z0-9_]*\s*\([^)]*\)\s*)?"
+    r"(\w+)\s*(?:final\s*)?(?:\{|:(?!:))")
+FORWARD_DECL_RE = re.compile(
+    r"^\s*(?:template\s*<[^;{}]*>\s*)?(?:class|struct)\s+(\w+)\s*;")
 
 
 def strip_comments_and_strings(text):
@@ -221,7 +237,29 @@ def allowed(raw_lines, line_idx, rule):
     return False
 
 
-def lint_file(path, rel, raw_text):
+def layer_of(rel):
+    """Layer rank of a path under src/, or None outside the layer stack."""
+    parts = rel.replace("\\", "/").split("/")
+    if len(parts) >= 2 and parts[0] == "src":
+        return LAYERS.get(parts[1])
+    return None
+
+
+def class_layers(files):
+    """Maps each class/struct name defined under src/ to the lowest layer
+    defining it. `files` is a list of (rel, stripped_code) pairs."""
+    layers = {}
+    for rel, code in files:
+        layer = layer_of(rel)
+        if layer is None:
+            continue
+        for name in CLASS_DEF_RE.findall(code):
+            layers[name] = min(layer, layers.get(name, layer))
+    return layers
+
+
+def lint_file(path, rel, raw_text, defined_in):
+    """Lints one file; `defined_in` is class_layers over the whole tree."""
     raw_lines = raw_text.splitlines()
     code = strip_comments_and_strings(raw_text)
     code_lines = code.splitlines()
@@ -289,8 +327,7 @@ def lint_file(path, rel, raw_text):
     # Include paths are string literals and get blanked by the stripper, so
     # this rule matches the RAW line — gated on the stripped line still
     # being a preprocessor line (a commented-out include strips to blank).
-    my_layer = LAYERS.get(parts[1]) if len(parts) >= 2 and parts[0] == "src" \
-        else None
+    my_layer = layer_of(rel)
     if my_layer is not None:
         for i, line in enumerate(raw_lines):
             if i >= len(code_lines) or not code_lines[i].lstrip().startswith(
@@ -302,6 +339,13 @@ def lint_file(path, rel, raw_text):
             target = LAYERS.get(m.group(1))
             if target is not None and target > my_layer:
                 emit(i, "include-layering")
+
+    # --- upward-forward-decl ---
+    if my_layer is not None:
+        for i, line in enumerate(code_lines):
+            m = FORWARD_DECL_RE.match(line)
+            if m and defined_in.get(m.group(1), my_layer) > my_layer:
+                emit(i, "upward-forward-decl")
 
     return findings
 
@@ -365,12 +409,17 @@ def main(argv):
         if os.path.isfile(default):
             compile_commands = default
 
-    findings = []
+    sources = []
     for path in enumerate_files(args.src_root, compile_commands):
         rel = os.path.relpath(path, args.src_root)
         with open(path, encoding="utf-8", errors="replace") as f:
-            raw = f.read()
-        findings.extend(lint_file(path, rel, raw))
+            sources.append((path, rel, f.read()))
+    defined_in = class_layers(
+        [(rel, strip_comments_and_strings(raw)) for _, rel, raw in sources])
+
+    findings = []
+    for path, rel, raw in sources:
+        findings.extend(lint_file(path, rel, raw, defined_in))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in findings:

@@ -5,8 +5,9 @@
 # fused ScoreBlock+TopK vs. materialize-then-rank, BM_ServingConcurrent
 # (1/2/4 request threads against ONE shared ServingEngine) charting the
 # shared-engine throughput scaling, BM_ServingSharded (1/2/4 catalog
-# shards x 1/4 request threads against ONE shared ShardedServingEngine,
-# parity-checked against the single engine at startup) charting what the
+# shards x 1/4 request threads against ONE shared sharded ServingEngine,
+# parity-checked against the unsharded engine at startup; rows with more
+# shards or threads than hardware threads are labelled overhead_row) charting what the
 # sharded merge costs and parallel shard ranking buys,
 # BM_ServingDistributed (1/2/4 in-process shard servers behind real
 # loopback sockets under ONE coordinator, parity-checked against the

@@ -9,8 +9,8 @@
 #   2. rebuild with -DFIRZEN_SANITIZE=address and re-run ctest under ASan;
 #   3. rebuild with -DFIRZEN_SANITIZE=thread and run the serving suites
 #      under TSan — the concurrent-serving stress tests hammering one shared
-#      ServingEngine (and one shared ShardedServingEngine, whose shards rank
-#      in parallel per call) from many threads are the data-race canary for
+#      ServingEngine (unsharded, and sharded with its shards ranking in
+#      parallel per call) from many threads are the data-race canary for
 #      the shared-scorer / per-thread-arena / per-shard-view contract, and
 #      the admission stress exercises the AdmissionController ticket queue
 #      and leader-follower dispatcher hand-off under contention. The
