@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/eval/topk.h"
@@ -210,22 +211,44 @@ TEST(KernelParityTest, GemmBTBlockSlicesMatchFullTransB) {
 }
 
 #ifdef FIRZEN_HAS_HW_FMA
-// A fixed oracle for the A * B^T kernels. On FMA hardware every cell of
-// Gemm(trans_b) and GemmBT is defined as: a p-ordered chain of
-// exactly-rounded multiply-adds from +0.0, times alpha, then (beta != 0)
-// one more fma(beta, c, .). A scalar std::fma loop computes exactly that,
-// so the kernels must match it bit for bit — an independent reference,
-// where the tests above mostly compare the kernels with each other.
+// A fixed oracle for the Gemm kernels. On FMA hardware every cell of Gemm,
+// in every layout, and of GemmBT is a p-ordered chain of exactly-rounded
+// multiply-adds from +0.0, times alpha. A scalar std::fma loop computes
+// exactly that, so the kernels must match it bit for bit — an independent
+// reference, where the tests above mostly compare the kernels with each
+// other.
 Real FmaChain(const Real* a, const Real* b, Index k) {
   Real acc = 0.0;
   for (Index p = 0; p < k; ++p) acc = std::fma(a[p], b[p], acc);
   return acc;
 }
 
+// Gemm's four layouts over one product: A (m x k) times the transpose of b
+// (n x k), with each operand passed as stored or transposed. Every layout
+// must then produce the same cells as the scalar FmaChain over a.row(i) and
+// b.row(j), whatever path the kernel takes to read them.
+struct GemmLayout {
+  bool trans_a, trans_b;
+};
+const GemmLayout kGemmLayouts[] = {
+    {false, false}, {true, false}, {false, true}, {true, true}};
+
+void LayoutGemm(const GemmLayout& layout, Real alpha, const Matrix& a,
+                const Matrix& at, const Matrix& b, const Matrix& bt,
+                Real beta, Matrix* c, ThreadPool* pool) {
+  Gemm(layout.trans_a, layout.trans_b, alpha, layout.trans_a ? at : a,
+       layout.trans_b ? b : bt, beta, c, pool);
+}
+
+std::string LayoutName(const GemmLayout& layout) {
+  return std::string("Gemm(") + (layout.trans_a ? "true" : "false") + ", " +
+         (layout.trans_b ? "true" : "false") + ")";
+}
+
 // Shapes straddle the 4 x 32 register tile and the 512-column panel: n
 // below, at and past one sliver and one panel; m across the small-batch
 // dot path, the column-sharded and the row-sharded modes.
-TEST(KernelParityTest, GemmTransBMatchesScalarFmaOracleExactly) {
+TEST(KernelParityTest, GemmMatchesScalarFmaOracleExactly) {
   ThreadPool pool1(1);
   ThreadPool pool4(4);
   uint64_t seed = 500;
@@ -235,21 +258,67 @@ TEST(KernelParityTest, GemmTransBMatchesScalarFmaOracleExactly) {
         const Matrix a = RandomMatrix(m, k, ++seed);
         const Matrix b = RandomMatrix(n, k, ++seed);
         const Matrix at = a.Transposed();
+        const Matrix bt = b.Transposed();
         for (ThreadPool* pool : {&pool1, &pool4}) {
-          Matrix got;
-          Gemm(false, true, 1.0, a, b, 0.0, &got, pool);
-          Matrix got_ta;
-          Gemm(true, true, 1.0, at, b, 0.0, &got_ta, pool);
           Matrix got_bt(m, n);
           GemmBT(a, b.row(0), n, MatrixView(&got_bt), pool);
-          for (Index i = 0; i < m; ++i) {
-            for (Index j = 0; j < n; ++j) {
-              const Real want = FmaChain(a.row(i), b.row(j), k);
+          for (const GemmLayout& layout : kGemmLayouts) {
+            Matrix got;
+            LayoutGemm(layout, 1.0, a, at, b, bt, 0.0, &got, pool);
+            for (Index i = 0; i < m; ++i) {
+              for (Index j = 0; j < n; ++j) {
+                const Real want = FmaChain(a.row(i), b.row(j), k);
+                ASSERT_EQ(got(i, j), want)
+                    << LayoutName(layout) << " m=" << m << " k=" << k
+                    << " n=" << n << " i=" << i << " j=" << j
+                    << " pool=" << pool->num_threads();
+                ASSERT_EQ(got_bt(i, j), want) << "GemmBT m=" << m;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The (m, k, n) products training runs through Gemm, in every layout: the
+// Eq. 29 B x B logit product and its gradients at B = 512, d = 32, a long
+// inner dimension, and a one-column output. Each with beta = 0 and with
+// MatMul's backward accumulate (alpha = beta = 1), where every cell is
+// c0 + chain rounded once.
+TEST(KernelParityTest, GemmTrainingShapesMatchScalarFmaOracle) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  const GemmShape kTrainingShapes[] = {{512, 512, 32}, {32, 1392, 32},
+                                       {128, 32, 1}};
+  uint64_t seed = 900;
+  for (const GemmShape& shape : kTrainingShapes) {
+    const Matrix a = RandomMatrix(shape.m, shape.k, ++seed);
+    const Matrix b = RandomMatrix(shape.n, shape.k, ++seed);
+    const Matrix at = a.Transposed();
+    const Matrix bt = b.Transposed();
+    const Matrix c0 = RandomMatrix(shape.m, shape.n, ++seed);
+    Matrix chain(shape.m, shape.n);
+    for (Index i = 0; i < shape.m; ++i) {
+      for (Index j = 0; j < shape.n; ++j) {
+        chain(i, j) = FmaChain(a.row(i), b.row(j), shape.k);
+      }
+    }
+    for (ThreadPool* pool : {&pool1, &pool4}) {
+      for (const GemmLayout& layout : kGemmLayouts) {
+        for (const Real beta : {0.0, 1.0}) {
+          Matrix got = c0;
+          LayoutGemm(layout, 1.0, a, at, b, bt, beta, &got, pool);
+          for (Index i = 0; i < shape.m; ++i) {
+            for (Index j = 0; j < shape.n; ++j) {
+              const Real want =
+                  beta == 0.0 ? chain(i, j) : c0(i, j) + chain(i, j);
               ASSERT_EQ(got(i, j), want)
-                  << "m=" << m << " k=" << k << " n=" << n << " i=" << i
-                  << " j=" << j << " pool=" << pool->num_threads();
-              ASSERT_EQ(got_ta(i, j), want) << "trans_a m=" << m;
-              ASSERT_EQ(got_bt(i, j), want) << "GemmBT m=" << m;
+                  << LayoutName(layout) << " (m, k, n)=(" << shape.m << ", "
+                  << shape.k << ", " << shape.n << ") beta=" << beta
+                  << " i=" << i << " j=" << j
+                  << " pool=" << pool->num_threads();
             }
           }
         }
