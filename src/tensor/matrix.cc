@@ -98,17 +98,8 @@ Matrix Matrix::Transposed() const {
 
 namespace {
 
-// Cache blocking for the A * B path (GemmRowShard): kMr rows of A are
-// processed together so every streamed row of B is reused kMr times,
-// accumulating into a kMr x kNc scratch panel (4 * 512 * 8B = 16KB, L1).
-// The inner j-loop is long, branch-free and unit-stride — the shape
-// compilers autovectorize best. The A * B^T path packs B^T in kNc-column
-// panels too, but computes from registers (see RegisterTile below).
-constexpr Index kMr = 4;
-constexpr Index kNc = 512;
-
-// Exactly-rounded multiply-add, the one accumulation primitive every
-// A * B^T kernel builds its per-element p-chain from. On hardware with a
+// Exactly-rounded multiply-add, the one accumulation primitive every Gemm
+// kernel builds its per-element p-chain from. On hardware with a
 // fused-multiply-add unit std::fma is a single instruction AND a single
 // IEEE rounding, so two differently-compiled loops (the small-batch dot
 // path's p-reduction vs the register tile's vector lanes) are guaranteed
@@ -124,90 +115,19 @@ inline Real MulAdd(Real a, Real b, Real acc) { return std::fma(a, b, acc); }
 inline Real MulAdd(Real a, Real b, Real acc) { return acc + a * b; }
 #endif
 
-// scratch[r][0:jw] += A[i+r, p] * B[p, jb:jb+jw] for r < kMr, streaming p.
-// Accumulation per output element is a p-ordered MulAdd chain, which keeps
-// results bit-identical for any row sharding.
-inline void MicroKernel4(Index k, Index jw, const Real* a, Index lda,
-                         const Real* b, Index ldb, Real* scratch) {
-  Real* s0 = scratch;
-  Real* s1 = scratch + kNc;
-  Real* s2 = scratch + 2 * kNc;
-  Real* s3 = scratch + 3 * kNc;
-  for (Index p = 0; p < k; ++p) {
-    const Real* brow = b + p * ldb;
-    const Real a0 = a[p];
-    const Real a1 = a[lda + p];
-    const Real a2 = a[2 * lda + p];
-    const Real a3 = a[3 * lda + p];
-    for (Index j = 0; j < jw; ++j) {
-      const Real bv = brow[j];
-      s0[j] = MulAdd(a0, bv, s0[j]);
-      s1[j] = MulAdd(a1, bv, s1[j]);
-      s2[j] = MulAdd(a2, bv, s2[j]);
-      s3[j] = MulAdd(a3, bv, s3[j]);
-    }
-  }
-}
-
-// Edge tile with fewer than kMr rows. Same p-ordered MulAdd chain per
-// element as the full tile, so edge rows match bit-for-bit.
-inline void MicroKernelEdge(Index mr, Index k, Index jw, const Real* a,
-                            Index lda, const Real* b, Index ldb,
-                            Real* scratch) {
-  for (Index p = 0; p < k; ++p) {
-    const Real* brow = b + p * ldb;
-    for (Index r = 0; r < mr; ++r) {
-      const Real av = a[r * lda + p];
-      Real* srow = scratch + r * kNc;
-      for (Index j = 0; j < jw; ++j) srow[j] = MulAdd(av, brow[j], srow[j]);
-    }
-  }
-}
-
-// One shard of rows [row_begin, row_end) of C = alpha * A * B + beta * C,
-// with A (lda = k) and B (ldb = n) row-major and non-transposed.
-void GemmRowShard(Index row_begin, Index row_end, Index k, Index n,
-                  Real alpha, const Real* a, const Real* b, Real beta,
-                  Real* c) {
-  Real scratch[kMr * kNc];
-  for (Index jb = 0; jb < n; jb += kNc) {
-    const Index jw = std::min<Index>(kNc, n - jb);
-    for (Index i = row_begin; i < row_end; i += kMr) {
-      const Index mr = std::min<Index>(kMr, row_end - i);
-      for (Index r = 0; r < mr; ++r) {
-        Real* srow = scratch + r * kNc;
-        for (Index j = 0; j < jw; ++j) srow[j] = 0.0;
-      }
-      if (mr == kMr) {
-        MicroKernel4(k, jw, a + i * k, k, b + jb, n, scratch);
-      } else {
-        MicroKernelEdge(mr, k, jw, a + i * k, k, b + jb, n, scratch);
-      }
-      for (Index r = 0; r < mr; ++r) {
-        const Real* srow = scratch + r * kNc;
-        Real* crow = c + (i + r) * n + jb;
-        if (beta == 0.0) {
-          for (Index j = 0; j < jw; ++j) crow[j] = alpha * srow[j];
-        } else {
-          for (Index j = 0; j < jw; ++j) {
-            crow[j] = beta * crow[j] + alpha * srow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
-// Register blocking for the A * B^T path: a kMr x kNr tile of C lives in
-// vector registers for the whole p loop (16 zmm accumulators on AVX-512),
-// so the loop body is loads of one packed B^T row and a broadcast per A
-// row feeding 16 independent FMAs — no accumulator traffic through memory.
-// B^T is packed in kNr-column slivers laid out [p][kNr]; a sliver
-// (k * kNr * 8B = 16KB at k = 64) stays in L1 while a block of kMc A rows
-// streams past it, and a kNc-column panel of slivers (256KB at k = 64)
-// stays in L2 across row blocks.
+// Register blocking, the one kernel shape of every Gemm layout: a kMr x kNr
+// tile of C lives in vector registers for the whole p loop (16 zmm
+// accumulators on AVX-512), so the loop body is loads of one B sliver row
+// and a broadcast per A row feeding 16 independent FMAs — no accumulator
+// traffic through memory. A sliver is kNr columns of B laid out [p][j]:
+// packed with row stride kNr for A * B^T, read in place with row stride n
+// for A * B. A sliver (k * kNr * 8B = 16KB at k = 64) stays in L1 while a
+// block of kMc A rows streams past it; for A * B^T a kNc-column panel of
+// packed slivers (256KB at k = 64) stays in L2 across row blocks.
+constexpr Index kMr = 4;
 constexpr Index kNr = 32;
 constexpr Index kMc = 64;
+constexpr Index kNc = 512;
 static_assert(kNc % kNr == 0, "panels hold whole slivers");
 static_assert(kMc % kMr == 0, "row blocks hold whole tiles");
 
@@ -247,18 +167,34 @@ inline Lanes MulAddLanes(Lanes a, Lanes b, Lanes acc) {
 }
 #endif
 
-// out[r * ldo + j] = alpha * (sum over p of a[r * lda + p] *
-// sliver[p * kNr + j]) for r < kMr, j < kNr: each sum one p-ordered MulAdd
-// chain starting from +0.0, then one rounded multiply by alpha — the same
-// operations, in the same order, as a scalar loop. Columns go in groups of
-// four lane vectors per row (all of kNr at once on AVX-512), which keeps
-// the kMr x 4 accumulators in registers on every tier.
-inline void RegisterTile(Index k, const Real* a, Index lda,
-                         const Real* sliver, Real alpha, Real* out,
-                         Index ldo) {
+// Element (r, p) of op(A) at `a`: row-major A holds it at a[r * lda + p];
+// a trans_a operand is stored k x m, so it sits at a[p * lda + r] and the
+// kMr rows of a tile at one p are contiguous. Neither layout is packed.
+template <bool kTransA>
+inline Real ElemA(const Real* a, Index lda, Index r, Index p) {
+  return kTransA ? a[p * lda + r] : a[r * lda + p];
+}
+
+// Where row i of op(A) starts, in ElemA's addressing.
+template <bool kTransA>
+inline const Real* RowsFrom(const Real* a, Index lda, Index i) {
+  return kTransA ? a + i : a + i * lda;
+}
+
+// out[r * ldo + j] = alpha * (sum over p of op(A)(r, p) * sliver(p, j)) for
+// r < kMr, j < kNr, where sliver(p, j) is at b[p * ldb + j] (ldb == kNr for
+// a packed sliver): each sum one p-ordered MulAdd chain starting from +0.0,
+// then one rounded multiply by alpha — the same operations, in the same
+// order, as a scalar loop. Columns go in groups of four lane vectors per
+// row (all of kNr at once on AVX-512), which keeps the kMr x 4
+// accumulators in registers on every tier.
+template <bool kTransA, bool kPackedB>
+inline void RegisterTile(Index k, const Real* a, Index lda, const Real* b,
+                         Index ldb, Real alpha, Real* out, Index ldo) {
   constexpr Index kVecs = 4;
   constexpr Index kGroup = kVecs * kLanes;
   static_assert(kNr % kGroup == 0, "column groups tile the sliver");
+  const Index b_stride = kPackedB ? kNr : ldb;
   for (Index g = 0; g < kNr; g += kGroup) {
     Lanes acc[kMr][kVecs];
 #pragma GCC unroll 4
@@ -267,13 +203,13 @@ inline void RegisterTile(Index k, const Real* a, Index lda,
       for (Index v = 0; v < kVecs; ++v) acc[r][v] = Broadcast(0.0);
     }
     for (Index p = 0; p < k; ++p) {
-      const Real* bp = sliver + p * kNr + g;
+      const Real* bp = b + p * b_stride + g;
       Lanes bv[kVecs];
 #pragma GCC unroll 4
       for (Index v = 0; v < kVecs; ++v) bv[v] = LoadLanes(bp + v * kLanes);
 #pragma GCC unroll 4
       for (Index r = 0; r < kMr; ++r) {
-        const Lanes av = Broadcast(a[r * lda + p]);
+        const Lanes av = Broadcast(ElemA<kTransA>(a, lda, r, p));
 #pragma GCC unroll 4
         for (Index v = 0; v < kVecs; ++v) {
           acc[r][v] = MulAddLanes(av, bv[v], acc[r][v]);
@@ -291,13 +227,97 @@ inline void RegisterTile(Index k, const Real* a, Index lda,
   }
 }
 
-// One shard of C = alpha * A * B^T + beta * C covering rows
-// [row_begin, row_end) and columns [col_begin, col_end), with A row-major
-// (lda elements per row) and B given untransposed as row-major rows of
-// width k. Instead of materializing all of B^T — an O(k * n) transient
-// that rivals the compute at catalog scale — each kNc-column panel of B^T
-// is packed into shard-local slivers (at most k * kNc elements, the ragged
-// last sliver zero-padded) and consumed by RegisterTile.
+// Copies the last `ragged` (< kMr) rows of op(A) in [.., row_end) into
+// `edge`, zero-padded to a kMr-row tile in A's own layout, and returns the
+// tile's lda; RegisterTile then reads it like any other tile. The padding
+// rows compute chains that are never stored.
+template <bool kTransA>
+Index PadRaggedRows(const Real* a, Index lda, Index row_end, Index ragged,
+                    Index k, std::vector<Real>* edge) {
+  const Index edge_lda = kTransA ? kMr : k;
+  edge->assign(static_cast<size_t>(kMr) * k, 0.0);
+  const Real* rows = RowsFrom<kTransA>(a, lda, row_end - ragged);
+  for (Index r = 0; r < ragged; ++r) {
+    for (Index p = 0; p < k; ++p) {
+      (*edge)[static_cast<size_t>(kTransA ? p * kMr + r : r * k + p)] =
+          ElemA<kTransA>(rows, lda, r, p);
+    }
+  }
+  return edge_lda;
+}
+
+// Writes the mr x sw corner of a kNr-wide `tile` to C: a copy when
+// beta == 0, else MulAdd(beta, c, tile) per cell.
+inline void StoreTile(const Real* tile, Index mr, Index sw, Real beta,
+                      Real* c, Index ldc) {
+  for (Index r = 0; r < mr; ++r) {
+    const Real* trow = tile + r * kNr;
+    Real* crow = c + r * ldc;
+    if (beta == 0.0) {
+      for (Index j = 0; j < sw; ++j) crow[j] = trow[j];
+    } else {
+      for (Index j = 0; j < sw; ++j) crow[j] = MulAdd(beta, crow[j], trow[j]);
+    }
+  }
+}
+
+// One shard of C = alpha * op(A) * B + beta * C covering rows
+// [row_begin, row_end), with B row-major k x n and C n elements per row.
+// Full kNr-column slivers of B are already laid out [p][j], so RegisterTile
+// reads them in place with row stride n; only a ragged last sliver is
+// copied, zero-padded, into a k x kNr buffer once per shard. Each block of
+// kMc rows of A stays in cache while every sliver streams past it.
+template <bool kTransA>
+__attribute__((noinline)) void GemmPanelShardNN(
+    Index row_begin, Index row_end, Index k, Index n, Real alpha,
+    const Real* a, Index lda, const Real* b, Real beta, Real* c) {
+  alignas(64) Real tile[kMr * kNr];
+  const Index full_cols = n / kNr * kNr;
+  std::vector<Real> ragged_sliver;
+  if (full_cols < n) {
+    ragged_sliver.assign(static_cast<size_t>(k * kNr), 0.0);
+    for (Index p = 0; p < k; ++p) {
+      std::copy(b + p * n + full_cols, b + (p + 1) * n,
+                ragged_sliver.begin() + p * kNr);
+    }
+  }
+  const Index ragged = (row_end - row_begin) % kMr;
+  std::vector<Real> edge;
+  const Index edge_lda =
+      ragged == 0 ? 0 : PadRaggedRows<kTransA>(a, lda, row_end, ragged, k,
+                                               &edge);
+  for (Index ib = row_begin; ib < row_end; ib += kMc) {
+    const Index ie = std::min<Index>(ib + kMc, row_end);
+    for (Index j0 = 0; j0 < n; j0 += kNr) {
+      const Index sw = std::min<Index>(kNr, n - j0);
+      const Real* sliver = sw == kNr ? b + j0 : ragged_sliver.data();
+      const Index ldb = sw == kNr ? n : kNr;
+      for (Index i = ib; i < ie; i += kMr) {
+        const Index mr = std::min<Index>(kMr, ie - i);
+        const bool direct = mr == kMr && sw == kNr && beta == 0.0;
+        Real* out = direct ? c + i * n + j0 : tile;
+        const Index ldo = direct ? n : kNr;
+        if (mr == kMr) {
+          RegisterTile<kTransA, false>(k, RowsFrom<kTransA>(a, lda, i), lda,
+                                       sliver, ldb, alpha, out, ldo);
+        } else {
+          RegisterTile<kTransA, false>(k, edge.data(), edge_lda, sliver, ldb,
+                                       alpha, out, ldo);
+        }
+        if (!direct) StoreTile(tile, mr, sw, beta, c + i * n + j0, n);
+      }
+    }
+  }
+}
+
+// One shard of C = alpha * op(A) * B^T + beta * C covering rows
+// [row_begin, row_end) and columns [col_begin, col_end), with A read
+// through ElemA (lda elements per stored row) and B given untransposed as
+// row-major rows of width k. Instead of materializing all of B^T — an
+// O(k * n) transient that rivals the compute at catalog scale — each
+// kNc-column panel of B^T is packed into shard-local slivers (at most
+// k * kNc elements, the ragged last sliver zero-padded) and consumed by
+// RegisterTile.
 //
 // THE batch-size-invariance kernel: every row tile — including the ragged
 // tail, padded below with zero rows — and every sliver — including the
@@ -306,6 +326,7 @@ inline void RegisterTile(Index k, const Real* a, Index lda,
 // tile position, panel offset or shard layout. Padding rows and columns
 // compute chains that are never stored. noinline keeps one machine-code
 // copy of the kernel for both dispatch modes below.
+template <bool kTransA>
 __attribute__((noinline)) void GemmPanelShardBT(
     Index row_begin, Index row_end, Index col_begin, Index col_end, Index k,
     Real alpha, const Real* a, Index lda, const Real* b, Real beta, Real* c,
@@ -321,15 +342,10 @@ __attribute__((noinline)) void GemmPanelShardBT(
       new Real[static_cast<size_t>(k * panel_cols)]);
   // Pad the ragged row tile (if any) to kMr rows once per shard.
   const Index ragged = (row_end - row_begin) % kMr;
-  const Index ragged_begin = row_end - ragged;
   std::vector<Real> edge;
-  if (ragged != 0) {
-    edge.assign(static_cast<size_t>(kMr) * k, 0.0);
-    for (Index r = 0; r < ragged; ++r) {
-      const Real* src = a + (ragged_begin + r) * lda;
-      std::copy(src, src + k, edge.begin() + static_cast<size_t>(r) * k);
-    }
-  }
+  const Index edge_lda =
+      ragged == 0 ? 0 : PadRaggedRows<kTransA>(a, lda, row_end, ragged, k,
+                                               &edge);
   for (Index jb = col_begin; jb < col_end; jb += kNc) {
     const Index jw = std::min<Index>(kNc, col_end - jb);
     const Index num_slivers = (jw + kNr - 1) / kNr;
@@ -356,22 +372,13 @@ __attribute__((noinline)) void GemmPanelShardBT(
           Real* out = direct ? c + i * ldc + j0 : tile;
           const Index ldo = direct ? ldc : kNr;
           if (mr == kMr) {
-            RegisterTile(k, a + i * lda, lda, sliver, alpha, out, ldo);
+            RegisterTile<kTransA, true>(k, RowsFrom<kTransA>(a, lda, i), lda,
+                                        sliver, kNr, alpha, out, ldo);
           } else {
-            RegisterTile(k, edge.data(), k, sliver, alpha, out, ldo);
+            RegisterTile<kTransA, true>(k, edge.data(), edge_lda, sliver,
+                                        kNr, alpha, out, ldo);
           }
-          if (direct) continue;
-          for (Index r = 0; r < mr; ++r) {
-            const Real* trow = tile + r * kNr;
-            Real* crow = c + (i + r) * ldc + j0;
-            if (beta == 0.0) {
-              for (Index j = 0; j < sw; ++j) crow[j] = trow[j];
-            } else {
-              for (Index j = 0; j < sw; ++j) {
-                crow[j] = MulAdd(beta, crow[j], trow[j]);
-              }
-            }
-          }
+          if (!direct) StoreTile(tile, mr, sw, beta, c + i * ldc + j0, ldc);
         }
       }
     }
@@ -451,9 +458,10 @@ void GemmDotTileShardBT(Index m, Index k, Index col_begin, Index col_end,
 }
 #endif
 
-// A (m x k, lda elements per row) times the transpose of n row-major rows of
-// width k at `b`, written through (ldc-strided) C. Shared by Gemm's trans_b
-// path (full matrices) and GemmBT (views over row slices).
+// op(A) (m x k, read through ElemA with lda elements per stored row) times
+// the transpose of n row-major rows of width k at `b`, written through
+// (ldc-strided) C. Shared by Gemm's trans_b path (full matrices) and GemmBT
+// (views over row slices).
 //
 // BATCH-SIZE INVARIANCE: c(i, j) is bit-identical for any m — a user's
 // scores do not depend on how many other users share the batch, which is
@@ -461,16 +469,18 @@ void GemmDotTileShardBT(Index m, Index k, Index col_begin, Index col_end,
 // observable effect. Above the cutoff, rows shard over the register-tile
 // kernel; at or below it, either the zero-pack dot path runs the very same
 // per-element MulAdd chain (exactly-rounded hardware FMA, so the two
-// differently-shaped loops cannot round apart), or — without hardware FMA
-// — the register-tile kernel itself runs column-sharded. Either way the cutoff
+// differently-shaped loops cannot round apart), or — without hardware FMA,
+// or for a trans_a operand, whose rows the dot path cannot stream — the
+// register-tile kernel itself runs column-sharded. Either way the cutoff
 // picks a parallelization strategy, never a numerical path.
+template <bool kTransA>
 void GemmDispatchBT(Index m, Index k, Index n, Real alpha, const Real* a,
                     Index lda, const Real* b, Real beta, Real* c, Index ldc,
                     ThreadPool* pool) {
   if (pool == nullptr) pool = ThreadPool::Global();
   if (m <= kGemmBTColumnShardMaxRows) {
 #ifdef FIRZEN_HAS_HW_FMA
-    if (m <= kDotLanesMaxRows) {
+    if (!kTransA && m <= kDotLanesMaxRows) {
       // Tiny batches (single-user requests): zero-pack dot products with j
       // outer stream B exactly once while the whole A panel stays
       // cache-resident. Columns shard across the pool; the accumulator
@@ -504,9 +514,9 @@ void GemmDispatchBT(Index m, Index k, Index n, Real alpha, const Real* a,
     ParallelFor(
         pool, num_panels,
         [&](Index panel_begin, Index panel_end) {
-          GemmPanelShardBT(0, m, panel_begin * kNc,
-                           std::min(panel_end * kNc, n), k, alpha, a, lda, b,
-                           beta, c, ldc);
+          GemmPanelShardBT<kTransA>(0, m, panel_begin * kNc,
+                                    std::min(panel_end * kNc, n), k, alpha,
+                                    a, lda, b, beta, c, ldc);
         },
         min_panels);
     return;
@@ -518,9 +528,28 @@ void GemmDispatchBT(Index m, Index k, Index n, Real alpha, const Real* a,
   ParallelFor(
       pool, m,
       [&](Index begin, Index end) {
-        GemmPanelShardBT(begin, end, 0, n, k, alpha, a, lda, b, beta, c, ldc);
+        GemmPanelShardBT<kTransA>(begin, end, 0, n, k, alpha, a, lda, b, beta,
+                                  c, ldc);
       },
       kBTMinShardRows);
+}
+
+// op(A) * B with B row-major k x n: row shards over GemmPanelShardNN, each
+// of at least ~64K multiply-adds so tiny products stay inline and large
+// ones split evenly across workers.
+template <bool kTransA>
+void GemmDispatchNN(Index m, Index k, Index n, Real alpha, const Real* a,
+                    Index lda, const Real* b, Real beta, Real* c,
+                    ThreadPool* pool) {
+  if (pool == nullptr) pool = ThreadPool::Global();
+  const Index min_rows = std::max<Index>(1, 65536 / std::max<Index>(1, k * n));
+  ParallelFor(
+      pool, m,
+      [&](Index begin, Index end) {
+        GemmPanelShardNN<kTransA>(begin, end, k, n, alpha, a, lda, b, beta,
+                                  c);
+      },
+      min_rows);
 }
 
 }  // namespace
@@ -542,47 +571,25 @@ void Gemm(bool trans_a, bool trans_b, Real alpha, const Matrix& a,
   }
   if (m == 0 || n == 0) return;
 
-  // A * B^T never materializes B^T: GemmDispatchBT packs bounded
-  // kNc-column panels of B^T slivers inside the one batch-size-invariant
-  // kernel
-  // (column-sharded at small m, row-sharded otherwise). Only A is packed
-  // when transposed (rare; turns strided loads into streaming ones at an
-  // O(m*k) cost against the kernel's O(mnk)).
+  // Every layout runs the one register tile, reading both operands where
+  // they lie: a trans_a operand through ElemA's column strides, B either
+  // as packed B^T slivers (trans_b) or in place.
+  const Index lda = a.cols();
   if (trans_b) {
-    const Matrix* ap = &a;
-    Matrix a_packed;
     if (trans_a) {
-      a_packed = a.Transposed();
-      ap = &a_packed;
+      GemmDispatchBT<true>(m, k, n, alpha, a.data(), lda, b.data(), beta,
+                           c->data(), /*ldc=*/n, pool);
+    } else {
+      GemmDispatchBT<false>(m, k, n, alpha, a.data(), lda, b.data(), beta,
+                            c->data(), /*ldc=*/n, pool);
     }
-    GemmDispatchBT(m, k, n, alpha, ap->data(), /*lda=*/k, b.data(), beta,
-                   c->data(), /*ldc=*/n, pool);
-    return;
+  } else if (trans_a) {
+    GemmDispatchNN<true>(m, k, n, alpha, a.data(), lda, b.data(), beta,
+                         c->data(), pool);
+  } else {
+    GemmDispatchNN<false>(m, k, n, alpha, a.data(), lda, b.data(), beta,
+                          c->data(), pool);
   }
-
-  // The blocked kernel wants both operands row-major and untransposed.
-  const Matrix* ap = &a;
-  const Matrix* bp = &b;
-  Matrix a_packed;
-  if (trans_a) {
-    a_packed = a.Transposed();
-    ap = &a_packed;
-  }
-
-  if (pool == nullptr) pool = ThreadPool::Global();
-  // Aim for shards of at least ~64K multiply-adds so tiny products stay
-  // inline and large ones split evenly across workers.
-  const Index flops_per_row = std::max<Index>(1, k * n);
-  const Index min_rows = std::max<Index>(1, 65536 / flops_per_row);
-  const Real* a_data = ap->data();
-  const Real* b_data = bp->data();
-  Real* c_data = c->data();
-  ParallelFor(
-      pool, m,
-      [&](Index begin, Index end) {
-        GemmRowShard(begin, end, k, n, alpha, a_data, b_data, beta, c_data);
-      },
-      min_rows);
 }
 
 void GemmBT(const Matrix& a, const Real* b_rows, Index n, MatrixView out,
@@ -591,9 +598,9 @@ void GemmBT(const Matrix& a, const Real* b_rows, Index n, MatrixView out,
   FIRZEN_CHECK_EQ(out.rows(), a.rows());
   FIRZEN_CHECK_EQ(out.cols(), n);
   if (a.rows() == 0 || n == 0) return;
-  GemmDispatchBT(a.rows(), a.cols(), n, /*alpha=*/1.0, a.data(),
-                 /*lda=*/a.cols(), b_rows, /*beta=*/0.0, out.data(),
-                 out.stride(), pool);
+  GemmDispatchBT<false>(a.rows(), a.cols(), n, /*alpha=*/1.0, a.data(),
+                        /*lda=*/a.cols(), b_rows, /*beta=*/0.0, out.data(),
+                        out.stride(), pool);
 }
 
 }  // namespace firzen

@@ -1,9 +1,11 @@
 // Dense row-major matrix with the handful of kernels the autograd engine
-// needs. No external BLAS: Gemm is cache-blocked, and its A * B^T path (the
-// scoring kernel) computes 4 x 32 output tiles from vector registers over
-// B^T packed in 32-column slivers. Work is sharded across the global thread
-// pool. Results are bit-identical for any pool size because every output
-// element is a straight k-ordered sum.
+// needs. No external BLAS: every Gemm layout runs one register-tile kernel
+// that computes 4 x 32 output tiles from vector registers, reading both
+// operands where they lie — a transposed A through its column strides, B
+// in place for A * B and as packed 32-column B^T slivers for A * B^T (the
+// scoring kernel). No operand is ever transposed into a copy. Work is
+// sharded across the global thread pool. Results are bit-identical for any
+// pool size because every output element is a straight k-ordered sum.
 #ifndef FIRZEN_TENSOR_MATRIX_H_
 #define FIRZEN_TENSOR_MATRIX_H_
 
@@ -58,11 +60,13 @@ class Matrix {
   /// Resize to (rows x cols) and zero. Existing contents are discarded.
   void Resize(Index rows, Index cols);
 
-  /// Resize to (rows x cols) without clearing existing contents. For kernels
-  /// that overwrite every element (e.g. Gemm's beta == 0 path): when the
-  /// buffer already has the right size — the steady state when an output
-  /// matrix is reused across training steps — this skips Resize()'s full
-  /// zero-fill pass. Contents are unspecified; read only after writing.
+  /// Resize to (rows x cols) without clearing the elements already held.
+  /// For kernels that overwrite every element (e.g. Gemm's beta == 0 path):
+  /// when the buffer already has the right size — the steady state when an
+  /// output matrix is reused across training steps — this skips Resize()'s
+  /// zero-fill pass. Growing still zero-fills the new elements
+  /// (std::vector::resize value-initializes them), so a fresh Matrix pays
+  /// one fill either way. Contents are unspecified; read only after writing.
   void ResizeUninitialized(Index rows, Index cols);
 
   /// Element-wise +=. Shapes must match.
@@ -158,13 +162,17 @@ inline constexpr Index kGemmBTColumnShardMaxRows = 32;
 /// Shapes are checked. C must already have the correct shape when beta != 0;
 /// otherwise it is resized (uninitialized, then fully overwritten). Rows of C
 /// are sharded across `pool` (nullptr = ThreadPool::Global()); results do not
-/// depend on the pool size. The trans_b path never materializes B^T: every
-/// row shard packs B^T one bounded 512-column panel (of 32-column slivers)
-/// at a time, so peak scratch is O(k * 512) per worker instead of
-/// O(k * n), with shard height floored so the re-pack stays amortized; at
-/// or below kGemmBTColumnShardMaxRows rows the same kernel shards column
-/// panels instead (see above), keeping results bit-identical for any batch
-/// size.
+/// depend on the pool size. All four layouts run the one 4 x 32 register
+/// tile and neither operand is transposed into a copy: a trans_a operand is
+/// read through its column strides, and B is read in place when untransposed
+/// (only a ragged last 32-column sliver is zero-padded). The trans_b path
+/// packs B^T one bounded 512-column panel (of 32-column slivers) at a time,
+/// so peak scratch is O(k * 512) per worker instead of O(k * n), with shard
+/// height floored so the re-pack stays amortized; at or below
+/// kGemmBTColumnShardMaxRows rows it shards column panels instead (see
+/// above), keeping results bit-identical for any batch size. Every cell is
+/// the p-ordered multiply-add chain from +0.0, times alpha, then (beta != 0)
+/// one fused fma(beta, c, .) on FMA hardware.
 void Gemm(bool trans_a, bool trans_b, Real alpha, const Matrix& a,
           const Matrix& b, Real beta, Matrix* c, ThreadPool* pool = nullptr);
 

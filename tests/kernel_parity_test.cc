@@ -213,10 +213,10 @@ TEST(KernelParityTest, GemmBTBlockSlicesMatchFullTransB) {
 #ifdef FIRZEN_HAS_HW_FMA
 // A fixed oracle for the Gemm kernels. On FMA hardware every cell of Gemm,
 // in every layout, and of GemmBT is a p-ordered chain of exactly-rounded
-// multiply-adds from +0.0, times alpha. A scalar std::fma loop computes
-// exactly that, so the kernels must match it bit for bit — an independent
-// reference, where the tests above mostly compare the kernels with each
-// other.
+// multiply-adds from +0.0, times alpha, then (beta != 0) one more
+// fma(beta, c, .). A scalar std::fma loop computes exactly that, so the
+// kernels must match it bit for bit — an independent reference, where the
+// tests above mostly compare the kernels with each other.
 Real FmaChain(const Real* a, const Real* b, Index k) {
   Real acc = 0.0;
   for (Index p = 0; p < k; ++p) acc = std::fma(a[p], b[p], acc);
@@ -327,9 +327,10 @@ TEST(KernelParityTest, GemmTrainingShapesMatchScalarFmaOracle) {
   }
 }
 
-// The oracle with alpha/beta scaling, and GemmBT writing a strided column
-// window of a wider matrix: cells outside the window stay untouched.
-TEST(KernelParityTest, GemmTransBBetaAndStridedOutputsMatchFmaOracle) {
+// The oracle with alpha/beta scaling in every layout — each cell is
+// fma(beta, c, alpha * chain) — and GemmBT writing a strided column window
+// of a wider matrix: cells outside the window stay untouched.
+TEST(KernelParityTest, GemmBetaAndStridedOutputsMatchFmaOracle) {
   ThreadPool pool4(4);
   const Index k = 37;
   const Index n = 513;
@@ -337,16 +338,21 @@ TEST(KernelParityTest, GemmTransBBetaAndStridedOutputsMatchFmaOracle) {
     const Matrix a = RandomMatrix(m, k, 600 + static_cast<uint64_t>(m));
     const Matrix b = RandomMatrix(n, k, 700 + static_cast<uint64_t>(m));
     const Matrix c0 = RandomMatrix(m, n, 800 + static_cast<uint64_t>(m));
-    for (const Real alpha : {1.0, -0.5, 3.0}) {
-      for (const Real beta : {1.0, 0.25}) {
-        Matrix got = c0;
-        Gemm(false, true, alpha, a, b, beta, &got, &pool4);
-        for (Index i = 0; i < m; ++i) {
-          for (Index j = 0; j < n; ++j) {
-            const Real want = std::fma(
-                beta, c0(i, j), alpha * FmaChain(a.row(i), b.row(j), k));
-            ASSERT_EQ(got(i, j), want) << "m=" << m << " alpha=" << alpha
-                                       << " beta=" << beta << " j=" << j;
+    const Matrix at = a.Transposed();
+    const Matrix bt = b.Transposed();
+    for (const GemmLayout& layout : kGemmLayouts) {
+      for (const Real alpha : {1.0, -0.5, 3.0}) {
+        for (const Real beta : {1.0, 0.25}) {
+          Matrix got = c0;
+          LayoutGemm(layout, alpha, a, at, b, bt, beta, &got, &pool4);
+          for (Index i = 0; i < m; ++i) {
+            for (Index j = 0; j < n; ++j) {
+              const Real want = std::fma(
+                  beta, c0(i, j), alpha * FmaChain(a.row(i), b.row(j), k));
+              ASSERT_EQ(got(i, j), want)
+                  << LayoutName(layout) << " m=" << m << " alpha=" << alpha
+                  << " beta=" << beta << " j=" << j;
+            }
           }
         }
       }
