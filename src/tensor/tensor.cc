@@ -6,10 +6,12 @@
 
 namespace firzen {
 
-void TensorNode::EnsureGrad() {
-  if (grad.rows() != value.rows() || grad.cols() != value.cols()) {
-    grad.Resize(value.rows(), value.cols());
+bool TensorNode::EnsureGrad() {
+  if (grad.rows() == value.rows() && grad.cols() == value.cols()) {
+    return false;
   }
+  grad.Resize(value.rows(), value.cols());
+  return true;
 }
 
 Tensor Tensor::Constant(Matrix value) {
@@ -75,15 +77,12 @@ void Backward(const Tensor& loss) {
   std::vector<TensorNode*> order;
   TopoSort(root, &order);
 
-  // Seed gradients. EnsureGrad zeroes only when shape changes, so re-zero
-  // interior nodes explicitly (parameters keep accumulating by design).
+  // Seed gradients. EnsureGrad zeroes only when it allocates, so re-zero
+  // reused interior gradients explicitly (parameters keep accumulating by
+  // design).
   for (TensorNode* node : order) {
-    if (node != root && node->backward_fn) {
-      node->EnsureGrad();
-      node->grad.Zero();
-    } else {
-      node->EnsureGrad();
-    }
+    const bool fresh = node->EnsureGrad();
+    if (!fresh && node != root && node->backward_fn) node->grad.Zero();
   }
   root->grad.Fill(1.0);
 

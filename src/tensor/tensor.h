@@ -34,7 +34,8 @@ struct TensorNode {
   const char* op_name = "leaf";
 
   /// Allocates and zeroes grad if it does not match the value shape yet.
-  void EnsureGrad();
+  /// Returns true when it did, i.e. grad is freshly zeroed.
+  bool EnsureGrad();
 };
 
 /// Value-semantic handle to an autograd node.
