@@ -1,5 +1,6 @@
 // Kernel microbenchmarks (google-benchmark): the computational primitives
-// dominating training cost — SpMM over the frozen graphs, dense Gemm, the
+// dominating training cost — SpMM over the frozen graphs, dense Gemm
+// (including the backward-pass layouts of the Eq. 29 contrastive step), the
 // kNN item-item graph build, the per-epoch KG attention rebuild (DESIGN.md
 // §4 ablation candidate), lazy vs dense Adam, and top-K ranking selection.
 #include <benchmark/benchmark.h>
@@ -7,6 +8,7 @@
 #include <algorithm>
 #include <string>
 
+#include "src/core/losses.h"
 #include "src/data/synthetic.h"
 #include "src/eval/topk.h"
 #include "src/graph/collaborative_kg.h"
@@ -184,6 +186,35 @@ BENCHMARK(BM_GemmSeedRef)
     ->Args({512, 64, 512})
     ->Args({512, 128, 512})
     ->Args({512, 256, 512});
+
+// The layouts MatMul's backward accumulates into (beta = 1), at training
+// shapes: args are (trans_a, m, k, n). Gemm(true, false) is op(A) = A^T,
+// with A stored k x m. (512, 512, 32) is a gradient of Eq. 29's B x B logit
+// product at B = 512, d = 32; (32, 1392, 32) has a long inner dimension.
+void BM_GemmBackward(benchmark::State& state) {
+  const bool trans_a = state.range(0) != 0;
+  const Index m = state.range(1);
+  const Index k = state.range(2);
+  const Index n = state.range(3);
+  Rng rng(3);
+  Matrix a = trans_a ? Matrix(k, m) : Matrix(m, k);
+  a.FillNormal(&rng, 1.0);
+  Matrix b(k, n);
+  b.FillNormal(&rng, 1.0);
+  Matrix c(m, n);
+  for (auto _ : state) {
+    Gemm(trans_a, false, 1.0, a, b, 1.0, &c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+  state.SetLabel("threads=" + std::to_string(GlobalPoolThreadCount()));
+}
+BENCHMARK(BM_GemmBackward)
+    ->Args({0, 512, 512, 32})
+    ->Args({1, 512, 512, 32})
+    ->Args({0, 32, 1392, 32})
+    ->Args({1, 32, 1392, 32});
 
 // Large-batch transposed Gemm at eval/scoring shape (512-user batch against
 // a catalog slice). The kernel packs B^T in bounded kNc-column panels;
@@ -425,6 +456,24 @@ void BM_AutogradBprStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutogradBprStep)->Unit(benchmark::kMillisecond);
+
+// Firzen's modality contrastive term (Eq. 29) at B = 512, d = 32: forward
+// plus Backward. Its two B x B logit products send A * B^T forward and
+// A * B and A^T * B backward.
+void BM_ModalContrastiveStep(benchmark::State& state) {
+  const Index b = 512;
+  const Index d = 32;
+  Rng rng(10);
+  Tensor final_users = XavierVariable(b, d, &rng);
+  Tensor modal_users = XavierVariable(b, d, &rng);
+  for (auto _ : state) {
+    Tensor loss = ModalContrastiveLoss(final_users, modal_users);
+    Backward(loss);
+    benchmark::DoNotOptimize(loss.scalar());
+  }
+  state.SetLabel("threads=" + std::to_string(GlobalPoolThreadCount()));
+}
+BENCHMARK(BM_ModalContrastiveStep)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace firzen

@@ -19,12 +19,14 @@
 #      distributed_serving_test (the socket fan-out coordinator, shard
 #      servers, kill/stall/reconnect matrix — its server accept/handler
 #      threads and per-shard exchange threads are the race canary for the
-#      distributed tier), scorer_parity_test, kernel_parity_test and
-#      util_test (ParallelFor's worker-to-caller exception hand-off).
+#      distributed tier), scorer_parity_test, kernel_parity_test,
+#      util_test (ParallelFor's worker-to-caller exception hand-off), and
+#      autograd_test and optim_test (the row-sharded Gemm kernels under
+#      training's backward pass, and the optimizer).
 #      distributed_e2e_test (real child processes, fork/exec) runs in the
 #      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
-#      admission suites under UBSan — the overload-protection paths
+#      admission + autograd + optim suites under UBSan — the overload-protection paths
 #      (deadline arithmetic on steady_clock time points, hysteresis
 #      watermark comparisons, fair-share weight indexing) are where signed
 #      overflow or bad shifts would hide, and the quant suites (also in the
@@ -33,13 +35,19 @@
 #      pinning the dispatch to the scalar reference kernel — the passes
 #      above ran on the host's best tier, so together the two runs assert
 #      every tier produces the same bits (the in-test int32 reference is
-#      tier-independent).
+#      tier-independent);
+#   6. rebuild without -march=native — the SSE2 baseline, no FMA — and run
+#      the dense-kernel suites (kernel_parity, matrix, autograd,
+#      scorer_parity): the 1-lane tier of the register tile and the no-FMA
+#      MulAdd, which an AVX-512 host never compiles otherwise;
+#   7. the same suites in a -mavx2 -mfma build: the 4-lane tier.
 #
 # Usage:
-#   tools/run_checks.sh             # all six passes
+#   tools/run_checks.sh             # all eight passes
 #   tools/run_checks.sh --fast      # linter + default-build pass only
-#                                   # (skips clang-tidy, the sanitizers, and
-#                                   # the forced-scalar re-run)
+#                                   # (skips clang-tidy, the sanitizers, the
+#                                   # forced-scalar re-run, and the SSE2 and
+#                                   # AVX2 kernel builds)
 #   tools/run_checks.sh --simd TIER # export FIRZEN_SIMD=TIER for every pass
 #                                   # (scalar|avx2|avx512; caps, never
 #                                   # raises, the dispatched tier)
@@ -116,10 +124,11 @@ if [[ "${FAST}" == "0" ]]; then
   # anyway); the serving + scorer-parity binaries are where threads share
   # one engine/scorer, so they carry the race coverage. kernel_parity and
   # util add the pooled kernels and ParallelFor's exception hand-off from
-  # a throwing worker shard to the caller.
+  # a throwing worker shard to the caller; autograd and optim run the
+  # row-sharded Gemm kernels under training's backward pass.
   TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-tsan -DFIRZEN_SANITIZE=thread -- \
-    -R "serving|scorer|kernel_parity|util"
+    -R "serving|scorer|kernel_parity|util|autograd|optim"
 
   echo "== pass 4: UndefinedBehaviorSanitizer build + serving suites =="
   # TSan's filter plus the quant suites: the serving/admission binaries
@@ -128,10 +137,11 @@ if [[ "${FAST}" == "0" ]]; then
   # int8 conversion/clamp/saturation arithmetic — exactly where UB (bad
   # float-to-int casts, shifts, misaligned SIMD loads) would hide;
   # halt_on_error turns any UB report into a failing exit code (UBSan's
-  # default is report-and-continue).
+  # default is report-and-continue). autograd and optim add the training
+  # kernels' index arithmetic (strided trans_a reads, ragged tiles).
   UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-ubsan -DFIRZEN_SANITIZE=undefined -- \
-    -R "serving|scorer|quant"
+    -R "serving|scorer|quant|autograd|optim"
 
   echo "== pass 5: forced-scalar quant suites (FIRZEN_SIMD=scalar) =="
   # The quant tests compare against a tier-independent int32 reference, so
@@ -140,6 +150,23 @@ if [[ "${FAST}" == "0" ]]; then
   # scalar and vector tiers produce identical bits.
   (cd build && FIRZEN_SIMD=scalar ctest --output-on-failure -j "$(nproc)" \
     -L quant ${CTEST_ARGS[@]+"${CTEST_ARGS[@]}"})
+
+  # The register tile compiles to one Lanes tier per build: 8 lanes on an
+  # AVX-512 host, 4 with AVX2 + FMA, 1 (and a non-fused MulAdd) on the SSE2
+  # baseline. Passes 1-4 only ever build the host's tier, so these two
+  # rebuild the dense-kernel suites for the other two.
+  echo "== pass 6: SSE2 baseline build (no FMA) + kernel suites =="
+  run_pass build-sse2 -DFIRZEN_MARCH_NATIVE=OFF -- \
+    -R "kernel_parity|matrix|autograd|scorer_parity"
+
+  echo "== pass 7: AVX2 + FMA build + kernel suites =="
+  if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
+    run_pass build-avx2 -DFIRZEN_MARCH_NATIVE=OFF \
+      "-DCMAKE_CXX_FLAGS=-mavx2 -mfma" -- \
+      -R "kernel_parity|matrix|autograd|scorer_parity"
+  else
+    echo "skipped: this CPU cannot run AVX2 + FMA binaries"
+  fi
 fi
 
 echo "all checks passed"
