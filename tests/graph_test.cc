@@ -3,13 +3,21 @@
 // alignment, and the strict-cold inference mask (Eqs. 34-35).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "src/core/frozen_graphs.h"
+#include "src/data/synthetic.h"
 #include "src/graph/cold_mask.h"
 #include "src/graph/collaborative_kg.h"
 #include "src/graph/cooccurrence_graph.h"
 #include "src/graph/interaction_graph.h"
 #include "src/graph/knn_graph.h"
+#include "src/util/ranking.h"
+#include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -139,6 +147,172 @@ TEST(KnnGraphTest, NormalizedGraphHasSymmetricScaling) {
   for (Real v : g.values()) {
     EXPECT_GT(v, 0.0);
     EXPECT_LE(v, 1.0 + 1e-12);
+  }
+}
+
+// ---- kNN build: bit oracle ----
+
+// One step of a dot product's multiply-add chain: exactly-rounded fma where
+// the target has it, else a rounded product then a rounded add. This is
+// what `sim += a * b` compiles to under the build's default
+// -ffp-contract=fast, and what every GemmBT cell is.
+Real ChainStep(Real a, Real b, Real acc) {
+#ifdef FIRZEN_HAS_HW_FMA
+  return std::fma(a, b, acc);
+#else
+  return acc + a * b;
+#endif
+}
+
+// A scalar reference for BuildItemKnnAdjacency: normalize the rows, score
+// every (query, candidate) pair as one p-ordered chain from +0.0, keep a
+// full scored list per query and partial_sort it under RanksBefore.
+CsrMatrix ReferenceKnnAdjacency(const Matrix& features,
+                                const KnnGraphOptions& options) {
+  const Index n = features.rows();
+  Matrix normalized = features;
+  for (Index r = 0; r < n; ++r) {
+    const Real norm = normalized.RowNorm(r);
+    if (norm <= 1e-12) continue;
+    for (Index c = 0; c < normalized.cols(); ++c) normalized(r, c) /= norm;
+  }
+  std::vector<Index> candidates = options.candidate_items;
+  std::vector<Index> queries = options.query_items;
+  for (Index i = 0; i < n; ++i) {
+    if (options.candidate_items.empty()) candidates.push_back(i);
+    if (options.query_items.empty()) queries.push_back(i);
+  }
+  const size_t k = static_cast<size_t>(std::min<Index>(
+      options.top_k, static_cast<Index>(candidates.size()) - 1));
+  std::vector<CooEntry> entries;
+  for (Index a : queries) {
+    std::vector<ScoredItem> scored;
+    for (Index b : candidates) {
+      if (b == a) continue;
+      Real sim = 0.0;
+      for (Index c = 0; c < normalized.cols(); ++c) {
+        sim = ChainStep(normalized(a, c), normalized(b, c), sim);
+      }
+      scored.push_back({b, sim});
+    }
+    const size_t keep = std::min(k, scored.size());
+    std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                      RanksBefore);
+    for (size_t j = 0; j < keep; ++j) entries.push_back({a, scored[j].item, 1.0});
+  }
+  return CsrMatrix::FromCoo(n, n, std::move(entries));
+}
+
+void ExpectSameCsr(const CsrMatrix& want, const CsrMatrix& got,
+                   const std::string& label) {
+  EXPECT_EQ(want.rows(), got.rows()) << label;
+  EXPECT_EQ(want.cols(), got.cols()) << label;
+  EXPECT_EQ(want.row_ptr(), got.row_ptr()) << label;
+  EXPECT_EQ(want.col_idx(), got.col_idx()) << label;
+  EXPECT_EQ(want.values(), got.values()) << label;
+}
+
+// Builds with pools nullptr, 1 and 4 must all equal the reference exactly.
+void ExpectKnnMatchesReference(const Matrix& features,
+                               KnnGraphOptions options,
+                               const std::string& label) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  options.pool = nullptr;
+  const CsrMatrix want = ReferenceKnnAdjacency(features, options);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool4}) {
+    options.pool = pool;
+    ExpectSameCsr(want, BuildItemKnnAdjacency(features, options),
+                  label + " pool=" +
+                      std::to_string(pool == nullptr ? 0
+                                                     : pool->num_threads()));
+  }
+}
+
+TEST(KnnGraphTest, MatchesScalarReferenceBitForBit) {
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    SyntheticConfig config = BeautySConfig(0.4);
+    config.seed = seed;
+    const Dataset dataset = GenerateSyntheticDataset(config);
+    const std::vector<Index> warm = dataset.WarmItems();
+    for (const Modality& m : dataset.modalities) {
+      for (const bool restrict : {false, true}) {
+        KnnGraphOptions options;
+        if (restrict) {
+          options.candidate_items = warm;
+          options.query_items = warm;
+        }
+        const Index candidates =
+            restrict ? static_cast<Index>(warm.size()) : dataset.num_items;
+        for (const Index top_k :
+             {Index{1}, Index{10}, candidates - 1, candidates + 3}) {
+          options.top_k = top_k;
+          ExpectKnnMatchesReference(
+              m.features, options,
+              "seed=" + std::to_string(seed) + " " + m.name +
+                  " restrict=" + std::to_string(restrict) +
+                  " top_k=" + std::to_string(top_k));
+        }
+      }
+    }
+  }
+}
+
+TEST(KnnGraphTest, TiedAndZeroRowsMatchScalarReference) {
+  // Identical rows: every score ties, so item ids alone pick neighbours.
+  const Matrix same(30, 5, 0.25);
+  // Zero rows score exactly +0.0 against every row, tying with each other.
+  Rng rng(11);
+  Matrix mixed(40, 6);
+  mixed.FillNormal(&rng, 1.0);
+  for (Index r = 0; r < 40; r += 3) {
+    for (Index c = 0; c < 6; ++c) mixed(r, c) = 0.0;
+  }
+  for (const Index top_k : {Index{1}, Index{10}, Index{29}, Index{50}}) {
+    KnnGraphOptions options;
+    options.top_k = top_k;
+    ExpectKnnMatchesReference(same, options,
+                              "identical top_k=" + std::to_string(top_k));
+    ExpectKnnMatchesReference(mixed, options,
+                              "zero rows top_k=" + std::to_string(top_k));
+    options.candidate_items = {0, 1, 3, 6, 7, 9, 12, 20, 21, 22, 27};
+    options.query_items = {1, 2, 3, 4, 12, 13, 25, 29};
+    ExpectKnnMatchesReference(same, options,
+                              "identical restricted top_k=" +
+                                  std::to_string(top_k));
+    ExpectKnnMatchesReference(mixed, options,
+                              "zero rows restricted top_k=" +
+                                  std::to_string(top_k));
+  }
+}
+
+// Training graphs must not depend on strict-cold items in any way: random
+// cold feature rows leave every training item-item CSR bit-identical.
+TEST(KnnGraphTest, TrainGraphsIgnoreColdFeatureValues) {
+  SyntheticConfig config = BeautySConfig(0.4);
+  config.seed = 3;
+  const Dataset dataset = GenerateSyntheticDataset(config);
+  Dataset perturbed = dataset;
+  Rng rng(19);
+  for (Modality& m : perturbed.modalities) {
+    for (Index item : dataset.ColdItems()) {
+      for (Index c = 0; c < m.features.cols(); ++c) {
+        m.features(item, c) = rng.Normal() * 10.0;
+      }
+    }
+  }
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    FrozenGraphOptions options;
+    options.pool = p;
+    const FrozenGraphs want = BuildTrainGraphs(dataset, options);
+    const FrozenGraphs got = BuildTrainGraphs(perturbed, options);
+    ASSERT_EQ(want.item_item.size(), got.item_item.size());
+    for (size_t m = 0; m < want.item_item.size(); ++m) {
+      ExpectSameCsr(*want.item_item[m], *got.item_item[m],
+                    "modality " + std::to_string(m) +
+                        (p == nullptr ? " serial" : " pool=4"));
+    }
   }
 }
 
