@@ -10,15 +10,15 @@
 
 #include "src/core/losses.h"
 #include "src/data/synthetic.h"
-#include "src/eval/topk.h"
 #include "src/graph/collaborative_kg.h"
 #include "src/graph/knn_graph.h"
 #include "src/models/kg_common.h"
 #include "src/tensor/csr.h"
 #include "src/tensor/init.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/quantized.h"
 #include "src/tensor/optim.h"
+#include "src/tensor/quantized.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -312,10 +312,12 @@ void BM_GemmBTQuant(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBTQuant)->Arg(256)->Arg(512);
 
+// Args: items, feature dims. 320 x 96 is the perfbench cold-start shape
+// (Beauty-S at scale 0.4, image features).
 void BM_KnnGraphBuild(benchmark::State& state) {
   const Index items = state.range(0);
   Rng rng(4);
-  Matrix features(items, 48);
+  Matrix features(items, state.range(1));
   features.FillNormal(&rng, 1.0);
   KnnGraphOptions options;
   options.top_k = 10;
@@ -325,7 +327,11 @@ void BM_KnnGraphBuild(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * items * items);
 }
-BENCHMARK(BM_KnnGraphBuild)->Arg(400)->Arg(800)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KnnGraphBuild)
+    ->Args({400, 48})
+    ->Args({800, 48})
+    ->Args({320, 96})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KgAttentionRebuild(benchmark::State& state) {
   const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.2));

@@ -29,11 +29,11 @@
 #include "src/eval/admission.h"
 #include "src/eval/serving.h"
 #include "src/eval/sharded_serving.h"
-#include "src/eval/topk.h"
 #include "src/models/serialize.h"
 #include "src/serve/distributed_serving.h"
 #include "src/serve/shard_server.h"
 #include "src/tensor/quantized.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 

@@ -4,9 +4,10 @@
 //   * warm setting: every warm item the user has not interacted with in
 //     training;
 //   * cold setting: every strict cold item.
-// Scoring streams through the block Scorer API fused with bounded top-K
-// selection, so peak memory is O(user_batch * item_block) — the full
-// users x items score matrix never materializes.
+// Scoring streams item blocks through the block Scorer API, and each user's
+// row of scores selects its top-K through SelectTopK (src/util/ranking.h),
+// the loop every ranking path shares. Peak memory is O(512 users *
+// item_block): the full users x items score matrix never materializes.
 #ifndef FIRZEN_EVAL_EVALUATOR_H_
 #define FIRZEN_EVAL_EVALUATOR_H_
 
@@ -24,19 +25,11 @@ enum class EvalSetting { kWarm, kCold };
 
 struct EvalOptions {
   Index k = 20;
-  Index user_batch = 512;
   /// Streamed scoring panel width (items per ScoreBlock call).
   Index item_block = 8192;
   /// Pool for the fused ranking/metric loops; nullptr = serial. Scoring
   /// kernels parallelize over ThreadPool::Global() regardless.
   ThreadPool* pool = nullptr;
-  /// Partition the catalog into this many contiguous shards and rank each
-  /// through a per-shard scorer view, merging per-user per-shard top-k
-  /// lists under the serving total order (src/eval/sharded_serving.h) —
-  /// the same shard/merge machinery a sharded ServingEngine uses online, so
-  /// offline metrics exercise the sharded code path. Results are
-  /// bit-identical for any value (clamped to [1, num_items]).
-  Index num_shards = 1;
 };
 
 /// Averaged metrics plus the evaluated-user count.
@@ -46,10 +39,11 @@ struct EvalResult {
 };
 
 /// Evaluates `scorer` against `split` under the given setting. Results are
-/// bit-identical for any user_batch / item_block / pool / num_shards
-/// configuration: per-item scores are batch-size-invariant (the Gemm
-/// A * B^T contract, src/tensor/matrix.h), so even the ragged final user
-/// batch cannot shift a metric by an ulp.
+/// bit-identical for any item_block / pool configuration: per-item scores
+/// are batch-size-invariant (the Gemm A * B^T contract,
+/// src/tensor/matrix.h), the top-K under RanksBefore is unique, and the
+/// per-user metrics are summed in a fixed order (users within each batch of
+/// 512, then the batches in order) whatever the pool.
 EvalResult EvaluateRanking(const Dataset& dataset,
                            const std::vector<Interaction>& split,
                            EvalSetting setting, const Scorer& scorer,

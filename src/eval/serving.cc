@@ -5,8 +5,8 @@
 
 #include "src/eval/serving_internal.h"
 #include "src/eval/sharded_serving.h"
-#include "src/eval/topk.h"
 #include "src/util/check.h"
+#include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
 
 namespace firzen {
@@ -17,19 +17,6 @@ bool Excluded(const serving_internal::PreparedRequest& prepared, Index item) {
   return prepared.exclude != nullptr &&
          std::binary_search(prepared.exclude->begin(),
                             prepared.exclude->end(), item);
-}
-
-// Items per ScoreFloor test in the fused full-catalog pass.
-constexpr Index kFloorChunk = 16;
-
-// True when any of scores[0, kFloorChunk) is >= floor. Kept as a loop (not
-// unrolled) so the compiler emits it as vector compares and one horizontal
-// add; NaN compares false, and TopKHeap::Push drops NaN anyway.
-bool ChunkReachesFloor(const Real* scores, Real floor) {
-  Index hits = 0;
-#pragma GCC unroll 1
-  for (Index j = 0; j < kFloorChunk; ++j) hits += scores[j] >= floor;
-  return hits != 0;
 }
 
 }  // namespace
@@ -205,31 +192,18 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
               const size_t idx = batch.streamed[r];
               const RecRequest& request = requests[idx];
               const PreparedRequest& p = prepared[idx];
-              TopKHeap& heap = local[r];
-              const Real* row = panel.row(static_cast<Index>(r));
-              for (Index c0 = 0; c0 < tile.size(); c0 += kFloorChunk) {
-                const Index c1 = std::min(c0 + kFloorChunk, tile.size());
-                // Once the heap is warm almost every chunk lies wholly
-                // below its floor and costs a few vector instructions.
-                // Then the per-item threshold, before the exclusion search
-                // and cold lookup. Both are bit-neutral: a skipped item
-                // would have left the heap unchanged.
-                if (c1 - c0 == kFloorChunk &&
-                    !ChunkReachesFloor(row + c0, heap.ScoreFloor())) {
-                  continue;
-                }
-                for (Index c = c0; c < c1; ++c) {
-                  const Index item = range.begin + tile.begin + c;
-                  const Real score = row[c];
-                  if (!heap.MightAccept(item, score)) continue;
-                  if (request.cold_only &&
-                      !is_cold[static_cast<size_t>(item)]) {
-                    continue;
-                  }
-                  if (Excluded(p, item)) continue;
-                  heap.Push(item, score);
-                }
-              }
+              // Once the heap is warm almost every chunk lies wholly below
+              // its floor, and the exclusion search and cold lookup run
+              // only for items that pass the threshold (SelectTopK).
+              SelectTopK(
+                  panel.row(static_cast<Index>(r)), tile.size(),
+                  range.begin + tile.begin,
+                  [&](Index item) {
+                    return !(request.cold_only &&
+                             !is_cold[static_cast<size_t>(item)]) &&
+                           !Excluded(p, item);
+                  },
+                  &local[r]);
             }
           }
         },

@@ -22,8 +22,8 @@
 #include <vector>
 
 #include "src/eval/serving.h"
-#include "src/eval/topk.h"
 #include "src/models/scorer.h"
+#include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
 
 namespace firzen {

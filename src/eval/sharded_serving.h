@@ -1,7 +1,6 @@
 // Sharded-catalog helpers: the contiguous shard layouts and the exact
 // per-shard top-K merge shared by ServingEngine (with num_shards > 1 or
-// explicit boundaries), the sharded EvaluateRanking path, and the
-// distributed coordinator (src/serve/distributed_serving.h). Partitioning
+// explicit boundaries) and the distributed coordinator (src/serve/distributed_serving.h). Partitioning
 // the item id space this way is BIT-EXACT and ORDER-IDENTICAL to ranking
 // the catalog as one range, for any shard count.
 //
@@ -9,7 +8,7 @@
 // is partitioned (the Scorer block-invariance contract, pinned by
 // tests/scorer_parity_test.cc), and ranking uses the strict total order
 // RanksBefore (descending score, ties by ascending item id — see
-// src/eval/topk.h). Every item in the global top-k lies inside its own
+// src/util/ranking.h). Every item in the global top-k lies inside its own
 // shard's top-k (fewer than k items beat it anywhere, so fewer than k beat
 // it in its shard), hence sorting the concatenated per-shard lists and
 // truncating to k reproduces the single-range ranking element for
@@ -34,8 +33,8 @@
 
 #include <vector>
 
-#include "src/eval/topk.h"
 #include "src/models/scorer.h"
+#include "src/util/ranking.h"
 
 namespace firzen {
 

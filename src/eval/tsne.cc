@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/graph/knn_graph.h"
 #include "src/util/check.h"
-#include "src/util/ranking.h"
 
 namespace firzen {
 namespace {
@@ -148,41 +148,27 @@ MixingStats ComputeMixingStats(const Matrix& embeddings,
   FIRZEN_CHECK_GT(knn_k, 0);
   MixingStats stats;
 
-  // Cosine similarity on L2-normalized rows.
-  Matrix norm = embeddings;
-  for (Index r = 0; r < n; ++r) {
-    const Real rn = norm.RowNorm(r);
-    if (rn <= 1e-12) continue;
-    Real* row = norm.row(r);
-    for (Index c = 0; c < norm.cols(); ++c) row[c] /= rn;
-  }
-
-  Index cold_count = 0;
-  Real mix_total = 0.0;
-  std::vector<ScoredItem> scored;
+  // Each cold item's cosine kNN over all items, selected the way the
+  // frozen item-item graphs are (Eq. 2).
+  KnnGraphOptions knn;
+  knn.top_k = knn_k;
   for (Index i = 0; i < n; ++i) {
-    if (!is_cold[static_cast<size_t>(i)]) continue;
-    ++cold_count;
-    scored.clear();
-    for (Index j = 0; j < n; ++j) {
-      if (j == i) continue;
-      Real sim = 0.0;
-      for (Index c = 0; c < norm.cols(); ++c) sim += norm(i, c) * norm(j, c);
-      scored.push_back({j, sim});
-    }
-    const size_t keep =
-        std::min<size_t>(static_cast<size_t>(knn_k), scored.size());
-    // RanksBefore: similarity ties must break by item id, or the reported
-    // neighbor mix depends on the sort implementation.
-    std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                      RanksBefore);
-    Index warm_neighbors = 0;
-    for (size_t j = 0; j < keep; ++j) {
-      if (!is_cold[static_cast<size_t>(scored[j].item)]) ++warm_neighbors;
-    }
-    mix_total += static_cast<Real>(warm_neighbors) / static_cast<Real>(keep);
+    if (is_cold[static_cast<size_t>(i)]) knn.query_items.push_back(i);
   }
+  const Index cold_count = static_cast<Index>(knn.query_items.size());
   if (cold_count > 0) {
+    const CsrMatrix neighbors = BuildItemKnnAdjacency(embeddings, knn);
+    Real mix_total = 0.0;
+    for (Index i : knn.query_items) {
+      Index warm_neighbors = 0;
+      for (Index p = neighbors.row_ptr()[i]; p < neighbors.row_ptr()[i + 1];
+           ++p) {
+        const Index j = neighbors.col_idx()[static_cast<size_t>(p)];
+        if (!is_cold[static_cast<size_t>(j)]) ++warm_neighbors;
+      }
+      mix_total += static_cast<Real>(warm_neighbors) /
+                   static_cast<Real>(neighbors.RowNnz(i));
+    }
     stats.cold_warm_knn_mix = mix_total / static_cast<Real>(cold_count);
   }
 

@@ -16,13 +16,17 @@ struct KnnGraphOptions {
   /// Neighbors kept per row (paper's K, Fig. 6d sweeps {5, 10, 15, 20}).
   Index top_k = 10;
   /// When non-empty, restricts which rows may appear as *neighbors*
-  /// (columns). Training graphs pass the warm item list here so cold items
+  /// (columns); a set, so repeated ids count once. Training graphs pass the warm item list here so cold items
   /// cannot leak into training (paper §III-B.2: "In the training phase, the
   /// item-item graph is built on all warm-start items").
   std::vector<Index> candidate_items;
   /// When non-empty, only these rows get neighbor lists (others stay empty).
   std::vector<Index> query_items;
-  /// Thread pool for the O(n^2 d) similarity scan; null = single-threaded.
+  /// Pool over blocks of query rows: each block is scored against every
+  /// row with GemmBT and each query selects its neighbors through
+  /// SelectTopK. nullptr runs the blocks on the calling thread, and each
+  /// GemmBT then shards over ThreadPool::Global(), as every Gemm does. The
+  /// graph is bit-identical for any pool.
   ThreadPool* pool = nullptr;
 };
 

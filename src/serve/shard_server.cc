@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "src/eval/serving_internal.h"
-#include "src/eval/topk.h"
 #include "src/util/check.h"
+#include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
 
 namespace firzen {

@@ -17,7 +17,7 @@
 // Determinism contract: scores travel as their raw 8-byte IEEE-754
 // representation (never formatted, never rounded), item ids as 64-bit
 // GLOBAL ids, and each per-request reply list is the shard's top-K in
-// RanksBefore order (src/eval/topk.h) — exactly the per-shard lists a
+// RanksBefore order (src/util/ranking.h) — exactly the per-shard lists a
 // sharded ServingEngine merges in-process. Decoding is therefore bit-exact:
 // a request batch and its replies survive the wire unchanged, which is
 // what makes the distributed healthy path byte-identical to the
@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "src/eval/serving.h"
-#include "src/eval/topk.h"
+#include "src/util/ranking.h"
 
 namespace firzen {
 namespace wire {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/data/synthetic.h"
 #include "src/eval/evaluator.h"
@@ -126,25 +128,48 @@ TEST(EvaluatorTest, EmptySplitYieldsZeroUsers) {
   EXPECT_EQ(result.metrics.mrr, 0.0);
 }
 
+void ExpectSameMetrics(const EvalResult& want, const EvalResult& got,
+                       const std::string& label) {
+  EXPECT_EQ(want.num_users, got.num_users) << label;
+  EXPECT_EQ(want.metrics.recall, got.metrics.recall) << label;
+  EXPECT_EQ(want.metrics.mrr, got.metrics.mrr) << label;
+  EXPECT_EQ(want.metrics.ndcg, got.metrics.ndcg) << label;
+  EXPECT_EQ(want.metrics.hit, got.metrics.hit) << label;
+  EXPECT_EQ(want.metrics.precision, got.metrics.precision) << label;
+}
+
+// Per-user metrics are reduced in eval_users order, so every pool size
+// reproduces the serial bits exactly, run after run. The dataset has more
+// than 512 warm users, so the reduction spans several user batches.
 TEST(EvaluatorTest, ParallelMatchesSerial) {
-  const Dataset d = GenerateSyntheticDataset(BeautySConfig(0.15));
+  const Dataset d = GenerateSyntheticDataset(BeautySConfig(0.8));
   Rng rng(3);
   Matrix fake_user(d.num_users, 8);
   fake_user.FillNormal(&rng, 1.0);
   Matrix fake_item(d.num_items, 8);
   fake_item.FillNormal(&rng, 1.0);
   const DotProductScorer scorer(fake_user, fake_item);
-  EvalOptions serial;
-  EvalOptions parallel;
-  ThreadPool pool(4);
-  parallel.pool = &pool;
-  const EvalResult a =
-      EvaluateRanking(d, d.warm_test, EvalSetting::kWarm, scorer, serial);
-  const EvalResult b =
-      EvaluateRanking(d, d.warm_test, EvalSetting::kWarm, scorer, parallel);
-  EXPECT_EQ(a.num_users, b.num_users);
-  EXPECT_NEAR(a.metrics.mrr, b.metrics.mrr, 1e-12);
-  EXPECT_NEAR(a.metrics.ndcg, b.metrics.ndcg, 1e-12);
+  for (const EvalSetting setting : {EvalSetting::kWarm, EvalSetting::kCold}) {
+    const std::vector<Interaction>& split =
+        setting == EvalSetting::kWarm ? d.warm_test : d.cold_test;
+    const std::string name = setting == EvalSetting::kWarm ? "warm" : "cold";
+    const EvalResult serial = EvaluateRanking(d, split, setting, scorer, {});
+    if (setting == EvalSetting::kWarm) {
+      EXPECT_GT(serial.num_users, 512);
+    }
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool pool(threads);
+      EvalOptions parallel;
+      parallel.pool = &pool;
+      const int repeats = threads == 4 ? 20 : 1;
+      for (int rep = 0; rep < repeats; ++rep) {
+        ExpectSameMetrics(
+            serial, EvaluateRanking(d, split, setting, scorer, parallel),
+            name + " pool=" + std::to_string(threads) +
+                " rep=" + std::to_string(rep));
+      }
+    }
+  }
 }
 
 TEST(EvaluatorTest, ResultsIndependentOfItemBlockSize) {

@@ -198,7 +198,9 @@ CsrMatrix ReferenceKnnAdjacency(const Matrix& features,
     const size_t keep = std::min(k, scored.size());
     std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
                       RanksBefore);
-    for (size_t j = 0; j < keep; ++j) entries.push_back({a, scored[j].item, 1.0});
+    for (size_t j = 0; j < keep; ++j) {
+      entries.push_back({a, scored[j].item, 1.0});
+    }
   }
   return CsrMatrix::FromCoo(n, n, std::move(entries));
 }

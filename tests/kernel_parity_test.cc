@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "src/eval/topk.h"
 #include "src/tensor/csr.h"
 #include "src/tensor/matrix.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 

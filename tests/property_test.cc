@@ -16,13 +16,13 @@
 #include "src/eval/metrics.h"
 #include "src/eval/serving.h"
 #include "src/eval/sharded_serving.h"
-#include "src/eval/topk.h"
 #include "src/graph/knn_graph.h"
 #include "src/models/scorer.h"
 #include "src/serve/wire.h"
 #include "src/tensor/csr.h"
 #include "src/tensor/gradcheck.h"
 #include "src/tensor/ops.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 
 namespace firzen {

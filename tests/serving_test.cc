@@ -10,11 +10,11 @@
 
 #include "src/data/synthetic.h"
 #include "src/eval/serving.h"
-#include "src/eval/topk.h"
 #include "src/models/bpr_mf.h"
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/util/logging.h"
+#include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
 
 namespace firzen {

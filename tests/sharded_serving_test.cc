@@ -6,8 +6,7 @@
 // all-ties blocks, where a nondeterministic tie-break would differ across
 // shard layouts), every request shape (full catalog, candidate pools,
 // kTrainSeen/kCustom/kNone exclusion, cold-only, k > pool, duplicate
-// candidates, NaN scores), every registered model, and the sharded
-// EvaluateRanking path.
+// candidates, NaN scores) and every registered model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,13 +15,12 @@
 #include <vector>
 
 #include "src/data/synthetic.h"
-#include "src/eval/evaluator.h"
 #include "src/eval/serving.h"
 #include "src/eval/sharded_serving.h"
-#include "src/eval/topk.h"
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
 #include "src/util/logging.h"
+#include "src/util/ranking.h"
 #include "src/util/rng.h"
 
 namespace firzen {
@@ -542,48 +540,6 @@ TEST_P(ShardedModelInvarianceTest, ResponsesMatchSingleEngineBitExact) {
 INSTANTIATE_TEST_SUITE_P(AllModels, ShardedModelInvarianceTest,
                          ::testing::ValuesIn(AllModels()),
                          [](const auto& info) { return info.param.name; });
-
-// ---- Offline metrics through the sharded path ----
-
-TEST(ShardedEvalTest, EvaluateRankingInvariantAcrossShardCounts) {
-  SetLogLevel(LogLevel::kError);
-  const Dataset& dataset = TrainedDataset();
-  auto model = CreateModel("BPR");
-  ASSERT_NE(model, nullptr);
-  TrainOptions train;
-  train.embedding_dim = 8;
-  train.epochs = 2;
-  train.eval_every = 8;
-  train.seed = 321;
-  model->Fit(dataset, train);
-  model->PrepareColdInference(dataset);
-  const auto scorer = model->MakeScorer();
-
-  for (const EvalSetting setting : {EvalSetting::kWarm, EvalSetting::kCold}) {
-    const std::vector<Interaction>& split = setting == EvalSetting::kWarm
-                                                ? dataset.warm_test
-                                                : dataset.cold_test;
-    EvalOptions options;  // default pool (serial): bit-deterministic
-    const EvalResult reference =
-        EvaluateRanking(dataset, split, setting, *scorer, options);
-    for (Index shards : {Index{2}, Index{3}, Index{7}, dataset.num_items}) {
-      options.num_shards = shards;
-      const EvalResult sharded =
-          EvaluateRanking(dataset, split, setting, *scorer, options);
-      EXPECT_EQ(sharded.num_users, reference.num_users);
-      EXPECT_EQ(sharded.metrics.recall, reference.metrics.recall)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.mrr, reference.metrics.mrr)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.ndcg, reference.metrics.ndcg)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.hit, reference.metrics.hit)
-          << "shards=" << shards;
-      EXPECT_EQ(sharded.metrics.precision, reference.metrics.precision)
-          << "shards=" << shards;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace firzen

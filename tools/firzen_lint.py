@@ -283,15 +283,14 @@ def lint_file(path, rel, raw_text, defined_in):
                     break
 
     # --- raw-sort ---
-    if os.path.basename(rel) != "topk.cc":
-        for i, line in enumerate(code_lines):
-            if not SORT_CALL_RE.search(line):
-                continue
-            stmt = statement_text(code_lines, i)
-            if "RanksBefore" in stmt:
-                continue
-            if FLOATISH_RE.search(stmt):
-                emit(i, "raw-sort")
+    for i, line in enumerate(code_lines):
+        if not SORT_CALL_RE.search(line):
+            continue
+        stmt = statement_text(code_lines, i)
+        if "RanksBefore" in stmt:
+            continue
+        if FLOATISH_RE.search(stmt):
+            emit(i, "raw-sort")
 
     # --- banned-rng (util/rng.{h,cc} hosts the sanctioned generator) ---
     if not rel.replace("\\", "/").startswith("src/util/rng."):
