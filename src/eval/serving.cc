@@ -199,8 +199,8 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
                   panel.row(static_cast<Index>(r)), tile.size(),
                   range.begin + tile.begin,
                   [&](Index item) {
-                    return !(request.cold_only &&
-                             !is_cold[static_cast<size_t>(item)]) &&
+                    return (!request.cold_only ||
+                            is_cold[static_cast<size_t>(item)]) &&
                            !Excluded(p, item);
                   },
                   &local[r]);

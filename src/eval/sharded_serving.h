@@ -1,8 +1,9 @@
 // Sharded-catalog helpers: the contiguous shard layouts and the exact
 // per-shard top-K merge shared by ServingEngine (with num_shards > 1 or
-// explicit boundaries) and the distributed coordinator (src/serve/distributed_serving.h). Partitioning
-// the item id space this way is BIT-EXACT and ORDER-IDENTICAL to ranking
-// the catalog as one range, for any shard count.
+// explicit boundaries) and the distributed coordinator
+// (src/serve/distributed_serving.h). Partitioning the item id space this
+// way is BIT-EXACT and ORDER-IDENTICAL to ranking the catalog as one
+// range, for any shard count.
 //
 // Why the merge is exact: per-item scores do not depend on how the catalog
 // is partitioned (the Scorer block-invariance contract, pinned by

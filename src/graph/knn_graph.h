@@ -16,9 +16,10 @@ struct KnnGraphOptions {
   /// Neighbors kept per row (paper's K, Fig. 6d sweeps {5, 10, 15, 20}).
   Index top_k = 10;
   /// When non-empty, restricts which rows may appear as *neighbors*
-  /// (columns); a set, so repeated ids count once. Training graphs pass the warm item list here so cold items
-  /// cannot leak into training (paper §III-B.2: "In the training phase, the
-  /// item-item graph is built on all warm-start items").
+  /// (columns); a set, so repeated ids count once. Training graphs pass the
+  /// warm item list here so cold items cannot leak into training (paper
+  /// §III-B.2: "In the training phase, the item-item graph is built on all
+  /// warm-start items").
   std::vector<Index> candidate_items;
   /// When non-empty, only these rows get neighbor lists (others stay empty).
   std::vector<Index> query_items;

@@ -27,8 +27,8 @@
 #      distributed_e2e_test (real child processes, fork/exec) runs in the
 #      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
-#      admission + autograd + optim + graph + eval suites under UBSan — the overload-protection paths
-#      (deadline arithmetic on steady_clock time points, hysteresis
+#      admission + autograd + optim + graph + eval suites under UBSan —
+#      the overload-protection paths (deadline arithmetic on steady_clock time points, hysteresis
 #      watermark comparisons, fair-share weight indexing) are where signed
 #      overflow or bad shifts would hide, and the quant suites (also in the
 #      -R filter) cover the int8 kernels' conversion/clamp arithmetic;
