@@ -1,15 +1,19 @@
 // Unit tests for Firzen's internal components, below the full-model level:
 // SAHGL branch gating and cold-item zeroing, MSHGL propagation/fusion,
-// TransR optimization, and adversarial discriminator dynamics.
+// TransR optimization, the knowledge-aware attention's bits against a scalar
+// reference, and adversarial discriminator dynamics.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/core/discriminator.h"
 #include "src/core/frozen_graphs.h"
 #include "src/core/mshgl.h"
 #include "src/core/sahgl.h"
 #include "src/data/synthetic.h"
+#include "src/graph/collaborative_kg.h"
 #include "src/models/kg_common.h"
 #include "src/tensor/optim.h"
 #include "src/util/logging.h"
@@ -223,6 +227,97 @@ TEST(TransRTest, LossDecreasesUnderOptimization) {
     adam.Step({kg.entity, kg.relation, kg.rel_proj});
   }
   EXPECT_LT(last, first * 0.8);
+}
+
+// ---- Knowledge attention: bit oracle ----
+
+// A scalar reference for ComputeKgAttention (Eqs. 9-11): one tanh per edge
+// and channel, each edge's score accumulated in channel order, then the
+// same row softmax.
+CsrMatrix ReferenceKgAttention(const CollaborativeKg& ckg,
+                               const Matrix& entity, const Matrix& relation,
+                               const Matrix& rel_proj) {
+  const Index d = entity.cols();
+  std::vector<Real> values(static_cast<size_t>(ckg.topology.nnz()));
+  const auto& row_ptr = ckg.topology.row_ptr();
+  const auto& col_idx = ckg.topology.col_idx();
+  for (Index h = 0; h < ckg.num_entities; ++h) {
+    for (Index p = row_ptr[h]; p < row_ptr[h + 1]; ++p) {
+      const Index t = col_idx[static_cast<size_t>(p)];
+      const Index r = ckg.edge_relation[static_cast<size_t>(p)];
+      const Real* xh = entity.row(h);
+      const Real* xt = entity.row(t);
+      const Real* xr = relation.row(r);
+      const Real* wr = rel_proj.row(r);
+      Real score = 0.0;
+      for (Index c = 0; c < d; ++c) {
+        score += (wr[c] * xt[c]) * std::tanh(wr[c] * xh[c] + xr[c]);
+      }
+      values[static_cast<size_t>(p)] = score;
+    }
+  }
+  return ckg.topology.WithValues(std::move(values)).RowSoftmax();
+}
+
+void ExpectAttentionMatchesReference(const CollaborativeKg& ckg,
+                                     const KgEmbeddings& kg,
+                                     const std::string& label) {
+  const CsrMatrix want =
+      ReferenceKgAttention(ckg, kg.entity.value(), kg.relation.value(),
+                           kg.rel_proj.value());
+  const CsrMatrix got =
+      ComputeKgAttention(ckg, kg.entity.value(), kg.relation.value(),
+                         kg.rel_proj.value());
+  EXPECT_EQ(want.row_ptr(), got.row_ptr()) << label;
+  EXPECT_EQ(want.col_idx(), got.col_idx()) << label;
+  EXPECT_EQ(want.values(), got.values()) << label;
+}
+
+TEST(KgAttentionTest, MatchesScalarReferenceBitForBit) {
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    SyntheticConfig config = BeautySConfig(0.4);
+    config.seed = seed;
+    const Dataset dataset = GenerateSyntheticDataset(config);
+    const CollaborativeKg ckg =
+        BuildCollaborativeKg(dataset.train, dataset.num_users, dataset.kg);
+    Rng rng(seed + 100);
+    const KgEmbeddings kg =
+        MakeKgEmbeddings(ckg.num_entities, ckg.num_relations, 32, &rng);
+    ExpectAttentionMatchesReference(ckg, kg, "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(KgAttentionTest, HandBuiltTopologiesMatchScalarReference) {
+  // Head 0's relations interleave (r0, r1, r0, r1), so a (head, relation)
+  // pair recurs non-adjacently; head 1 repeats one parallel edge three
+  // times; head 2 has no edges; head 3 has one; head 4 has parallel edges
+  // under different relations.
+  CollaborativeKg ckg;
+  ckg.num_entities = 5;
+  ckg.num_relations = 3;
+  std::vector<CooEntry> entries;
+  const auto add = [&](Index head, Index tail, Index relation) {
+    entries.push_back({head, tail, 1.0});
+    ckg.edge_relation.push_back(relation);
+  };
+  add(0, 1, 0);
+  add(0, 2, 1);
+  add(0, 3, 0);
+  add(0, 4, 1);
+  add(1, 2, 2);
+  add(1, 4, 0);
+  add(1, 2, 2);
+  add(1, 2, 2);
+  add(3, 0, 1);
+  add(4, 0, 2);
+  add(4, 0, 0);
+  add(4, 1, 2);
+  ckg.topology = CsrMatrix::FromCooNoMerge(5, 5, std::move(entries));
+  for (const Index dim : {Index{1}, Index{8}, Index{33}}) {
+    Rng rng(static_cast<uint64_t>(dim));
+    const KgEmbeddings kg = MakeKgEmbeddings(5, 3, dim, &rng);
+    ExpectAttentionMatchesReference(ckg, kg, "dim=" + std::to_string(dim));
+  }
 }
 
 TEST(TransRTest, ValidTripletsScoreHigherAfterTraining) {
