@@ -5,13 +5,16 @@
 
 #include <cmath>
 #include <unordered_set>
+#include <vector>
 
 #include "src/core/discriminator.h"
 #include "src/core/firzen_model.h"
 #include "src/core/frozen_graphs.h"
 #include "src/core/losses.h"
 #include "src/data/synthetic.h"
+#include "src/graph/knn_graph.h"
 #include "src/util/logging.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -73,6 +76,38 @@ TEST(FrozenGraphsTest, InferenceGraphsApplyEq34Mask) {
     }
     // Cold items DO receive edges (that is the whole point).
     EXPECT_GT(cold_rows_with_edges, 0);
+  }
+}
+
+// The expanded item-item graphs equal the direct construction bit for bit:
+// the kNN adjacency over all items, minus every warm -> cold edge (Eq. 34),
+// then D^{-1/2} normalization (Eq. 35).
+TEST(FrozenGraphsTest, InferenceItemGraphsEqualMaskedFullRebuild) {
+  const Dataset& dataset = TinyDataset();
+  const std::vector<bool>& cold = dataset.is_cold_item;
+  ThreadPool pool(4);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    FrozenGraphOptions options;
+    options.pool = p;
+    const FrozenGraphs train = BuildTrainGraphs(dataset, options);
+    const FrozenGraphs inference =
+        BuildInferenceGraphs(dataset, options, train);
+    ASSERT_EQ(inference.item_item.size(), dataset.modalities.size());
+    for (size_t m = 0; m < dataset.modalities.size(); ++m) {
+      KnnGraphOptions knn;
+      knn.top_k = options.knn_k;
+      const CsrMatrix want =
+          BuildItemKnnAdjacency(dataset.modalities[m].features, knn)
+              .Filtered([&cold](Index row, Index col) {
+                return cold[static_cast<size_t>(row)] ||
+                       !cold[static_cast<size_t>(col)];
+              })
+              .SymNormalized();
+      const CsrMatrix& got = *inference.item_item[m];
+      EXPECT_EQ(want.row_ptr(), got.row_ptr()) << "modality " << m;
+      EXPECT_EQ(want.col_idx(), got.col_idx()) << "modality " << m;
+      EXPECT_EQ(want.values(), got.values()) << "modality " << m;
+    }
   }
 }
 

@@ -318,6 +318,100 @@ TEST(KnnGraphTest, TrainGraphsIgnoreColdFeatureValues) {
   }
 }
 
+// ---- Strict-cold inference graphs (Eqs. 34-35): bit oracle ----
+
+// The inference item-item graph built the direct way: the kNN adjacency
+// over all items, the Eq. 34 mask, then symmetric normalization.
+CsrMatrix ReferenceInferenceItemGraph(const Matrix& features,
+                                      const std::vector<bool>& is_cold_item,
+                                      Index knn_k) {
+  KnnGraphOptions options;
+  options.top_k = knn_k;
+  return ApplyColdStartMask(BuildItemKnnAdjacency(features, options),
+                            is_cold_item)
+      .SymNormalized();
+}
+
+// BuildInferenceGraphs' item-item graphs must equal the reference exactly,
+// for every modality and pools nullptr, 1 and 4.
+void ExpectInferenceGraphsMatchReference(const Dataset& dataset, Index knn_k,
+                                         const std::string& label) {
+  ThreadPool pool1(1);
+  ThreadPool pool4(4);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool1, &pool4}) {
+    FrozenGraphOptions options;
+    options.knn_k = knn_k;
+    options.pool = pool;
+    const FrozenGraphs train = BuildTrainGraphs(dataset, options);
+    const FrozenGraphs inference =
+        BuildInferenceGraphs(dataset, options, train);
+    ASSERT_EQ(inference.item_item.size(), dataset.modalities.size()) << label;
+    for (size_t m = 0; m < dataset.modalities.size(); ++m) {
+      ExpectSameCsr(
+          ReferenceInferenceItemGraph(dataset.modalities[m].features,
+                                      dataset.is_cold_item, knn_k),
+          *inference.item_item[m],
+          label + " " + dataset.modalities[m].name + " pool=" +
+              std::to_string(pool == nullptr ? 0 : pool->num_threads()));
+    }
+  }
+}
+
+Dataset BeautyS(uint64_t seed) {
+  SyntheticConfig config = BeautySConfig(0.4);
+  config.seed = seed;
+  return GenerateSyntheticDataset(config);
+}
+
+TEST(InferenceGraphTest, MatchesMaskedFullRebuildBitForBit) {
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    ExpectInferenceGraphsMatchReference(BeautyS(seed), /*knn_k=*/10,
+                                        "seed=" + std::to_string(seed));
+  }
+}
+
+TEST(InferenceGraphTest, TopKAtLeastWarmCountMatchesReference) {
+  const Dataset dataset = BeautyS(1);
+  const Index warm = static_cast<Index>(dataset.WarmItems().size());
+  for (const Index knn_k : {warm - 1, warm + 3}) {
+    ExpectInferenceGraphsMatchReference(dataset, knn_k,
+                                        "knn_k=" + std::to_string(knn_k));
+  }
+}
+
+TEST(InferenceGraphTest, NoColdItemsMatchesReference) {
+  Dataset dataset = BeautyS(2);
+  dataset.is_cold_item.assign(dataset.is_cold_item.size(), false);
+  ExpectInferenceGraphsMatchReference(dataset, 10, "no cold items");
+}
+
+TEST(InferenceGraphTest, MostItemsColdMatchesReference) {
+  Dataset dataset = BeautyS(3);
+  for (Index i = 0; i < dataset.num_items; ++i) {
+    dataset.is_cold_item[static_cast<size_t>(i)] = i % 8 != 0;
+  }
+  for (const Index knn_k : {Index{5}, Index{10}, Index{60}}) {
+    ExpectInferenceGraphsMatchReference(
+        dataset, knn_k, "most cold knn_k=" + std::to_string(knn_k));
+  }
+}
+
+TEST(InferenceGraphTest, TiedAndZeroRowsMatchReference) {
+  // Identical rows tie every score, so item ids alone pick neighbours; zero
+  // rows score exactly +0.0 against every row.
+  Dataset dataset = BeautyS(4);
+  Matrix& same = dataset.modalities[0].features;
+  same.Fill(0.25);
+  Matrix& mixed = dataset.modalities[1].features;
+  for (Index r = 0; r < mixed.rows(); r += 3) {
+    for (Index c = 0; c < mixed.cols(); ++c) mixed(r, c) = 0.0;
+  }
+  for (const Index knn_k : {Index{1}, Index{10}}) {
+    ExpectInferenceGraphsMatchReference(
+        dataset, knn_k, "ties knn_k=" + std::to_string(knn_k));
+  }
+}
+
 TEST(CooccurrenceTest, CountsCommonItems) {
   // Users 0 and 1 share items {1}; users 1 and 2 share {1}; 0 and 2 share {1}.
   const CsrMatrix g =
