@@ -1,6 +1,7 @@
 #include "src/models/kg_common.h"
 
 #include <cmath>
+#include <vector>
 
 #include "src/tensor/init.h"
 #include "src/util/check.h"
@@ -79,20 +80,37 @@ CsrMatrix ComputeKgAttention(const CollaborativeKg& ckg, const Matrix& entity,
   std::vector<Real> values(static_cast<size_t>(nnz));
   const auto& row_ptr = ckg.topology.row_ptr();
   const auto& col_idx = ckg.topology.col_idx();
+  // tanh(w_r . x_h + x_r) depends only on (head, relation): each head's
+  // edges are grouped by relation through `group` (a relation's row in
+  // `th`, or -1), which is reset after the head, and the tanh row is
+  // computed when its relation is first met.
+  std::vector<Index> group(static_cast<size_t>(ckg.num_relations), -1);
+  std::vector<Index> head_relations;  // relations met, in group order
+  std::vector<Real> th;               // groups x d
   for (Index h = 0; h < ckg.num_entities; ++h) {
+    const Real* xh = entity.row(h);
     for (Index p = row_ptr[h]; p < row_ptr[h + 1]; ++p) {
-      const Index t = col_idx[static_cast<size_t>(p)];
       const Index r = ckg.edge_relation[static_cast<size_t>(p)];
-      const Real* xh = entity.row(h);
-      const Real* xt = entity.row(t);
-      const Real* xr = relation.row(r);
       const Real* wr = rel_proj.row(r);
-      Real score = 0.0;
-      for (Index c = 0; c < d; ++c) {
-        score += (wr[c] * xt[c]) * std::tanh(wr[c] * xh[c] + xr[c]);
+      Index& g = group[static_cast<size_t>(r)];
+      if (g < 0) {
+        g = static_cast<Index>(head_relations.size());
+        head_relations.push_back(r);
+        th.resize(head_relations.size() * static_cast<size_t>(d));
+        const Real* xr = relation.row(r);
+        Real* out = th.data() + g * d;
+        for (Index c = 0; c < d; ++c) {
+          out[c] = std::tanh(wr[c] * xh[c] + xr[c]);
+        }
       }
+      const Real* xt = entity.row(col_idx[static_cast<size_t>(p)]);
+      const Real* thr = th.data() + g * d;
+      Real score = 0.0;
+      for (Index c = 0; c < d; ++c) score += (wr[c] * xt[c]) * thr[c];
       values[static_cast<size_t>(p)] = score;
     }
+    for (Index r : head_relations) group[static_cast<size_t>(r)] = -1;
+    head_relations.clear();
   }
   return ckg.topology.WithValues(std::move(values)).RowSoftmax();
 }

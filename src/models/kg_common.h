@@ -53,6 +53,10 @@ Tensor TransRLoss(const KgEmbeddings& kg, const KgBatch& batch, Real reg);
 /// Knowledge-aware attention values over the frozen CKG topology:
 /// pi(h,r,t) = (w_r . x_t)^T tanh(w_r . x_h + x_r), row-softmax over each
 /// head's ego network (Eqs. 9-11). Computed from detached current values.
+/// The tanh term depends only on (h, r), so it is computed once per
+/// distinct (head, relation) pair, not once per edge; each edge still sums
+/// its channels in order, so the values are bit-identical to a per-edge
+/// loop (core_components_test pins this).
 CsrMatrix ComputeKgAttention(const CollaborativeKg& ckg, const Matrix& entity,
                              const Matrix& relation, const Matrix& rel_proj);
 
