@@ -126,7 +126,9 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
     if (options_.dynamic_item_graphs && epoch > 0) {
       // LATTICE-style ablation: rebuild the item-item graphs from the
       // CURRENT learned modal projections (the paper's frozen design skips
-      // this entirely). Warm-only, like the frozen training graphs.
+      // this entirely). Warm-only, like the frozen training graphs. Only
+      // item_item is replaced: strict-cold inference expands
+      // warm_knn_lists, which stay the raw-feature lists.
       KnnGraphOptions knn_options;
       knn_options.top_k = options_.knn_k;
       knn_options.candidate_items = dataset.WarmItems();

@@ -1,9 +1,9 @@
 #include "src/core/frozen_graphs.h"
 
-#include "src/graph/cold_mask.h"
 #include "src/graph/cooccurrence_graph.h"
 #include "src/graph/interaction_graph.h"
 #include "src/graph/knn_graph.h"
+#include "src/util/check.h"
 
 namespace firzen {
 
@@ -27,8 +27,11 @@ FrozenGraphs BuildTrainGraphs(const Dataset& dataset,
   knn_options.query_items = knn_options.candidate_items;
   knn_options.pool = options.pool;
   for (const Modality& m : dataset.modalities) {
+    auto lists = std::make_shared<const KnnLists>(
+        BuildItemKnnLists(m.features, knn_options));
     graphs.item_item.push_back(std::make_shared<const CsrMatrix>(
-        BuildItemItemGraph(m.features, knn_options)));
+        KnnListsToAdjacency(*lists).SymNormalized()));
+    graphs.warm_knn_lists.push_back(std::move(lists));
   }
 
   graphs.user_user_softmax = std::make_shared<const CsrMatrix>(
@@ -46,16 +49,17 @@ FrozenGraphs BuildInferenceGraphs(
 
   // Expanded item-item graphs over all items, cold-masked then normalized
   // (Eqs. 34-35: G_hat = G_tilde . M before D^{-1/2} normalization).
-  KnnGraphOptions knn_options;
-  knn_options.top_k = options.knn_k;
-  knn_options.pool = options.pool;
+  FIRZEN_CHECK_EQ(train_graphs.warm_knn_lists.size(),
+                  dataset.modalities.size());
   graphs.item_item.clear();
-  for (const Modality& m : dataset.modalities) {
-    const CsrMatrix adjacency = BuildItemKnnAdjacency(m.features, knn_options);
-    const CsrMatrix masked =
-        ApplyColdStartMask(adjacency, dataset.is_cold_item);
-    graphs.item_item.push_back(
-        std::make_shared<const CsrMatrix>(masked.SymNormalized()));
+  for (size_t m = 0; m < dataset.modalities.size(); ++m) {
+    const KnnLists* warm = train_graphs.warm_knn_lists[m].get();
+    FIRZEN_CHECK(warm != nullptr);
+    FIRZEN_CHECK_EQ(warm->top_k, options.knn_k);
+    graphs.item_item.push_back(std::make_shared<const CsrMatrix>(
+        ExpandColdKnnAdjacency(dataset.modalities[m].features, *warm,
+                               dataset.is_cold_item, options.pool)
+            .SymNormalized()));
   }
 
   if (!extra_interactions.empty()) {

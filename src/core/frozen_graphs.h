@@ -1,7 +1,9 @@
 // Frozen Graph Construction (paper §III-B): builds every graph Firzen needs,
 // once, as immutable CSR matrices. Training graphs cover warm items only;
 // inference graphs are expanded over all items with the cold-isolation mask
-// (Eqs. 34-35) applied before normalization.
+// (Eqs. 34-35) applied before normalization. The expansion starts from the
+// training build's scored warm kNN lists and computes only the similarities
+// that touch a cold item.
 #ifndef FIRZEN_CORE_FROZEN_GRAPHS_H_
 #define FIRZEN_CORE_FROZEN_GRAPHS_H_
 
@@ -11,6 +13,7 @@
 
 #include "src/data/dataset.h"
 #include "src/graph/collaborative_kg.h"
+#include "src/graph/knn_graph.h"
 #include "src/tensor/csr.h"
 #include "src/util/thread_pool.h"
 
@@ -34,6 +37,11 @@ struct FrozenGraphs {
   /// Per-modality normalized item-item graphs, aligned with
   /// dataset.modalities order (Eqs. 1-3).
   std::vector<std::shared_ptr<const CsrMatrix>> item_item;
+  /// Per-modality warm-only kNN lists of the training build (raw features,
+  /// knn_k neighbors), aligned with item_item. BuildInferenceGraphs expands
+  /// them; the dynamic-graph ablation replaces item_item each epoch but
+  /// never these, since inference reads the raw features.
+  std::vector<std::shared_ptr<const KnnLists>> warm_knn_lists;
   /// User-user co-occurrence graph with raw counts (Eq. 4); Eq. 19 softmax
   /// is pre-applied in `user_user_softmax`.
   std::shared_ptr<const CsrMatrix> user_user_softmax;
@@ -44,7 +52,9 @@ FrozenGraphs BuildTrainGraphs(const Dataset& dataset,
                               const FrozenGraphOptions& options);
 
 /// Inference-time graphs: item-item kNN over all items with the Eq. 34 mask
-/// (no cold -> warm propagation), re-normalized. Other graphs are reused
+/// (no cold -> warm propagation), re-normalized, expanded from
+/// `train_graphs.warm_knn_lists` (which must have been built with
+/// options.knn_k) by ExpandColdKnnAdjacency. Other graphs are reused
 /// unchanged from the training build. `extra_interactions` supports the
 /// normal cold-start protocol (revealed links join the interaction graphs).
 FrozenGraphs BuildInferenceGraphs(

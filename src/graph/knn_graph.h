@@ -1,6 +1,9 @@
 // Modality-specific item-item relation graph (paper §III-B.2, Eqs. 1-3):
 // cosine similarity over raw modality features, kNN sparsification to an
 // unweighted graph, then symmetric degree normalization. Frozen after build.
+// The selection's scored per-item lists are kept by the training build, so
+// the strict-cold inference graph (Eqs. 34-35) computes only the
+// similarities that touch a cold item.
 #ifndef FIRZEN_GRAPH_KNN_GRAPH_H_
 #define FIRZEN_GRAPH_KNN_GRAPH_H_
 
@@ -8,6 +11,7 @@
 
 #include "src/tensor/csr.h"
 #include "src/tensor/matrix.h"
+#include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
 
 namespace firzen {
@@ -21,7 +25,8 @@ struct KnnGraphOptions {
   /// §III-B.2: "In the training phase, the item-item graph is built on all
   /// warm-start items").
   std::vector<Index> candidate_items;
-  /// When non-empty, only these rows get neighbor lists (others stay empty).
+  /// When non-empty, only these rows get neighbor lists (others stay
+  /// empty); a set, like candidate_items.
   std::vector<Index> query_items;
   /// Pool over blocks of query rows: each block is scored against every
   /// row with GemmBT and each query selects its neighbors through
@@ -31,6 +36,23 @@ struct KnnGraphOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// Scored kNN lists indexed by item id: rows[a] holds a's neighbors
+/// best-first under RanksBefore, each with its cosine similarity (one
+/// GemmBT cell). Rows that were not queried are empty.
+struct KnnLists {
+  /// KnnGraphOptions::top_k the lists were selected with.
+  Index top_k = 0;
+  std::vector<std::vector<ScoredItem>> rows;
+};
+
+/// Eq. 2's selection: each query's top-K cosine neighbors among the
+/// candidates, itself excluded.
+KnnLists BuildItemKnnLists(const Matrix& features,
+                           const KnnGraphOptions& options);
+
+/// The unweighted adjacency: entry (a, b) = 1 iff b is in rows[a].
+CsrMatrix KnnListsToAdjacency(const KnnLists& lists);
+
 /// Returns the kNN adjacency *before* normalization: entry (a, b) = 1 iff b
 /// is among a's top-K cosine neighbors (Eq. 2). Self-loops are excluded.
 CsrMatrix BuildItemKnnAdjacency(const Matrix& features,
@@ -39,6 +61,21 @@ CsrMatrix BuildItemKnnAdjacency(const Matrix& features,
 /// Eq. 3: D^{-1/2} G̃ D^{-1/2} over the unweighted kNN adjacency.
 CsrMatrix BuildItemItemGraph(const Matrix& features,
                              const KnnGraphOptions& options);
+
+/// The strict-cold inference adjacency (Eq. 34), before normalization:
+/// BuildItemKnnAdjacency over all items with top_k = warm_lists.top_k,
+/// minus every warm -> cold edge, bit for bit. `warm_lists` must be the
+/// warm-only build over the same features (candidates and queries both the
+/// warm items of `is_cold_item`). Only similarities that touch a cold item
+/// are computed: cold rows x all items, selected with "not self", and warm
+/// rows x cold items, each offered to a heap that already holds the row's
+/// warm list; only its warm survivors are kept. Under RanksBefore that is
+/// exactly the all-item top-k with the cold columns removed. Bit-identical
+/// for any pool.
+CsrMatrix ExpandColdKnnAdjacency(const Matrix& features,
+                                 const KnnLists& warm_lists,
+                                 const std::vector<bool>& is_cold_item,
+                                 ThreadPool* pool);
 
 }  // namespace firzen
 

@@ -111,6 +111,21 @@ TEST(FrozenGraphsTest, InferenceItemGraphsEqualMaskedFullRebuild) {
   }
 }
 
+// The expansion has no fallback: it needs the training build's warm lists,
+// selected with the same knn_k.
+TEST(FrozenGraphsDeathTest, InferenceRequiresMatchingWarmLists) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset& dataset = TinyDataset();
+  FrozenGraphOptions options;
+  FrozenGraphs train = BuildTrainGraphs(dataset, options);
+  FrozenGraphOptions other_k = options;
+  other_k.knn_k = options.knn_k + 1;
+  EXPECT_DEATH(BuildInferenceGraphs(dataset, other_k, train), "knn_k");
+  train.warm_knn_lists.clear();
+  EXPECT_DEATH(BuildInferenceGraphs(dataset, options, train),
+               "warm_knn_lists");
+}
+
 TEST(FrozenGraphsTest, NormalColdLinksEnterInteractionGraph) {
   Dataset dataset = TinyDataset();
   // Fabricate one revealed link for a cold item.

@@ -1,6 +1,7 @@
 // Graph construction tests: interaction graph normalization, kNN item-item
 // graphs (Eqs. 1-3), user-user co-occurrence (Eq. 4), collaborative KG
-// alignment, and the strict-cold inference mask (Eqs. 34-35).
+// alignment, and the strict-cold inference graphs (Eqs. 34-35) against the
+// masked full rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,6 @@
 
 #include "src/core/frozen_graphs.h"
 #include "src/data/synthetic.h"
-#include "src/graph/cold_mask.h"
 #include "src/graph/collaborative_kg.h"
 #include "src/graph/cooccurrence_graph.h"
 #include "src/graph/interaction_graph.h"
@@ -320,6 +320,55 @@ TEST(KnnGraphTest, TrainGraphsIgnoreColdFeatureValues) {
 
 // ---- Strict-cold inference graphs (Eqs. 34-35): bit oracle ----
 
+// Strict cold-start inference mask (paper §III-F, Eqs. 34-35): information
+// must not propagate FROM strict cold items INTO warm items:
+//   M(a, b) = 0  iff  a is warm and b is cold;  Ĝ = G̃ ⊙ M.
+// Cold rows still aggregate from warm columns; that is the warm -> cold
+// transfer that "fires" the cold items. Removes every edge of the
+// (unnormalized) item-item adjacency whose row is warm and column cold.
+CsrMatrix ApplyColdStartMask(const CsrMatrix& item_item,
+                             const std::vector<bool>& is_cold_item) {
+  EXPECT_EQ(item_item.rows(), static_cast<Index>(is_cold_item.size()));
+  EXPECT_EQ(item_item.rows(), item_item.cols());
+  return item_item.Filtered([&is_cold_item](Index row, Index col) {
+    const bool row_warm = !is_cold_item[static_cast<size_t>(row)];
+    const bool col_cold = is_cold_item[static_cast<size_t>(col)];
+    return !(row_warm && col_cold);
+  });
+}
+
+TEST(ColdMaskTest, RemovesExactlyWarmToColdEdges) {
+  // Full 4x4 adjacency minus diagonal.
+  std::vector<CooEntry> entries;
+  for (Index r = 0; r < 4; ++r) {
+    for (Index c = 0; c < 4; ++c) {
+      if (r != c) entries.push_back({r, c, 1.0});
+    }
+  }
+  const CsrMatrix adj = CsrMatrix::FromCoo(4, 4, entries);
+  const std::vector<bool> is_cold{false, false, true, true};
+  const CsrMatrix masked = ApplyColdStartMask(adj, is_cold);
+  const Matrix dense = masked.ToDense();
+  for (Index r = 0; r < 4; ++r) {
+    for (Index c = 0; c < 4; ++c) {
+      if (r == c) continue;
+      const bool warm_to_cold = !is_cold[static_cast<size_t>(r)] &&
+                                is_cold[static_cast<size_t>(c)];
+      EXPECT_EQ(dense(r, c) != 0.0, !warm_to_cold)
+          << "edge " << r << "->" << c;
+    }
+  }
+}
+
+TEST(ColdMaskTest, ColdRowsStillReceiveFromWarm) {
+  std::vector<CooEntry> entries{{2, 0, 1.0}, {0, 2, 1.0}};
+  const CsrMatrix adj = CsrMatrix::FromCoo(3, 3, entries);
+  const std::vector<bool> is_cold{false, false, true};
+  const CsrMatrix masked = ApplyColdStartMask(adj, is_cold);
+  EXPECT_EQ(masked.RowNnz(2), 1);  // cold aggregates from warm
+  EXPECT_EQ(masked.RowNnz(0), 0);  // warm no longer sees cold
+}
+
 // The inference item-item graph built the direct way: the kNN adjacency
 // over all items, the Eq. 34 mask, then symmetric normalization.
 CsrMatrix ReferenceInferenceItemGraph(const Matrix& features,
@@ -460,38 +509,6 @@ TEST(CollaborativeKgTest, AlignmentAndReverseEdges) {
                 ckg.edge_relation[static_cast<size_t>(p)]);
     }
   }
-}
-
-TEST(ColdMaskTest, RemovesExactlyWarmToColdEdges) {
-  // Full 4x4 adjacency minus diagonal.
-  std::vector<CooEntry> entries;
-  for (Index r = 0; r < 4; ++r) {
-    for (Index c = 0; c < 4; ++c) {
-      if (r != c) entries.push_back({r, c, 1.0});
-    }
-  }
-  const CsrMatrix adj = CsrMatrix::FromCoo(4, 4, entries);
-  const std::vector<bool> is_cold{false, false, true, true};
-  const CsrMatrix masked = ApplyColdStartMask(adj, is_cold);
-  const Matrix dense = masked.ToDense();
-  for (Index r = 0; r < 4; ++r) {
-    for (Index c = 0; c < 4; ++c) {
-      if (r == c) continue;
-      const bool warm_to_cold = !is_cold[static_cast<size_t>(r)] &&
-                                is_cold[static_cast<size_t>(c)];
-      EXPECT_EQ(dense(r, c) != 0.0, !warm_to_cold)
-          << "edge " << r << "->" << c;
-    }
-  }
-}
-
-TEST(ColdMaskTest, ColdRowsStillReceiveFromWarm) {
-  std::vector<CooEntry> entries{{2, 0, 1.0}, {0, 2, 1.0}};
-  const CsrMatrix adj = CsrMatrix::FromCoo(3, 3, entries);
-  const std::vector<bool> is_cold{false, false, true};
-  const CsrMatrix masked = ApplyColdStartMask(adj, is_cold);
-  EXPECT_EQ(masked.RowNnz(2), 1);  // cold aggregates from warm
-  EXPECT_EQ(masked.RowNnz(0), 0);  // warm no longer sees cold
 }
 
 }  // namespace
