@@ -1,13 +1,15 @@
 // Kernel microbenchmarks (google-benchmark): the computational primitives
 // dominating training cost — SpMM over the frozen graphs, dense Gemm
 // (including the backward-pass layouts of the Eq. 29 contrastive step), the
-// kNN item-item graph build, the per-epoch KG attention rebuild (DESIGN.md
-// §4 ablation candidate), lazy vs dense Adam, and top-K ranking selection.
+// kNN item-item graph build and its strict-cold expansion, the KG attention
+// rebuild (per epoch and per strict-cold pass; a DESIGN.md §4 ablation
+// candidate), lazy vs dense Adam, and top-K ranking selection.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
 
+#include "src/core/frozen_graphs.h"
 #include "src/core/losses.h"
 #include "src/data/synthetic.h"
 #include "src/graph/collaborative_kg.h"
@@ -333,23 +335,64 @@ BENCHMARK(BM_KnnGraphBuild)
     ->Args({320, 96})
     ->Unit(benchmark::kMillisecond);
 
+// Args: Beauty-S scale in percent, and the attention inputs: 0 = small
+// random entity and relation rows with every projection weight exactly
+// 1.0, 1 = MakeKgEmbeddings values. {40, 1} is the perfbench cold-start
+// shape, the CKG each strict-cold pass re-attends.
 void BM_KgAttentionRebuild(benchmark::State& state) {
-  const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.2));
+  const Dataset dataset = GenerateSyntheticDataset(
+      BeautySConfig(static_cast<Real>(state.range(0)) / 100.0));
   const CollaborativeKg ckg =
       BuildCollaborativeKg(dataset.train, dataset.num_users, dataset.kg);
   Rng rng(5);
   Matrix entity(ckg.num_entities, 32);
-  entity.FillNormal(&rng, 0.1);
   Matrix relation(ckg.num_relations, 32);
-  relation.FillNormal(&rng, 0.1);
   Matrix proj(ckg.num_relations, 32, 1.0);
+  if (state.range(1) != 0) {
+    const KgEmbeddings kg =
+        MakeKgEmbeddings(ckg.num_entities, ckg.num_relations, 32, &rng);
+    entity = kg.entity.value();
+    relation = kg.relation.value();
+    proj = kg.rel_proj.value();
+  } else {
+    entity.FillNormal(&rng, 0.1);
+    relation.FillNormal(&rng, 0.1);
+  }
   for (auto _ : state) {
     CsrMatrix att = ComputeKgAttention(ckg, entity, relation, proj);
     benchmark::DoNotOptimize(att.nnz());
   }
   state.SetItemsProcessed(state.iterations() * ckg.topology.nnz());
 }
-BENCHMARK(BM_KgAttentionRebuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KgAttentionRebuild)
+    ->Args({20, 0})
+    ->Args({40, 1})
+    ->Unit(benchmark::kMillisecond);
+
+// Args: items, feature dims. The strict-cold item-item graph (Eqs. 34-35)
+// of one modality: BuildInferenceGraphs after the training build, over a
+// Beauty-S split (20% of items cold) with random features. 320 x {48, 96}
+// is the perfbench cold-start shape.
+void BM_InferenceGraphExpand(benchmark::State& state) {
+  SyntheticConfig config = BeautySConfig(0.4);
+  config.num_items = state.range(0);
+  Dataset dataset = GenerateSyntheticDataset(config);
+  Rng rng(8);
+  Matrix features(dataset.num_items, state.range(1));
+  features.FillNormal(&rng, 1.0);
+  dataset.modalities = {Modality{"random", std::move(features)}};
+  FrozenGraphOptions options;
+  const FrozenGraphs train = BuildTrainGraphs(dataset, options);
+  for (auto _ : state) {
+    FrozenGraphs inference = BuildInferenceGraphs(dataset, options, train);
+    benchmark::DoNotOptimize(inference.item_item.front()->nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * dataset.num_items);
+}
+BENCHMARK(BM_InferenceGraphExpand)
+    ->Args({320, 48})
+    ->Args({320, 96})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AdamStep(benchmark::State& state) {
   const bool lazy = state.range(0) != 0;

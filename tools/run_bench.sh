@@ -60,7 +60,7 @@ cmake --build "${BUILD_DIR}" -j --target bench_kernels --target bench_serving \
   >/dev/null
 
 "./${BUILD_DIR}/bench_kernels" \
-  "--benchmark_filter=BM_(Gemm|SpMM|BatchTopK|ModalContrastive|KnnGraphBuild)" \
+  "--benchmark_filter=BM_(Gemm|SpMM|BatchTopK|ModalContrastive|KnnGraphBuild|KgAttentionRebuild|InferenceGraphExpand)" \
   --benchmark_min_time="${MIN_TIME}" \
   --benchmark_repetitions="${REPS}" \
   --benchmark_out="${OUT}" \

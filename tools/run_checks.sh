@@ -22,12 +22,15 @@
 #      distributed tier), scorer_parity_test, kernel_parity_test,
 #      util_test (ParallelFor's worker-to-caller exception hand-off),
 #      autograd_test and optim_test (the row-sharded Gemm kernels under
-#      training's backward pass, and the optimizer), and graph_test and
-#      eval_test (the kNN build's and the evaluator's parallel loops).
+#      training's backward pass, and the optimizer), graph_test and
+#      eval_test (the kNN build's, the strict-cold expansion's and the
+#      evaluator's parallel loops), and core_components_test (the knowledge
+#      attention and the SAHGL/MSHGL modules over the frozen graphs).
 #      distributed_e2e_test (real child processes, fork/exec) runs in the
 #      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
-#      admission + autograd + optim + graph + eval suites under UBSan —
+#      admission + autograd + optim + graph + eval + core_components
+#      suites under UBSan —
 #      the overload-protection paths (deadline arithmetic on steady_clock time points, hysteresis
 #      watermark comparisons, fair-share weight indexing) are where signed
 #      overflow or bad shifts would hide, and the quant suites (also in the
@@ -39,9 +42,11 @@
 #      tier-independent);
 #   6. rebuild without -march=native — the SSE2 baseline, no FMA — and run
 #      the dense-kernel suites (kernel_parity, matrix, autograd,
-#      scorer_parity) plus graph and eval, whose kNN bits come from GemmBT:
-#      the 1-lane tier of the register tile and the no-FMA MulAdd, which an
-#      AVX-512 host never compiles otherwise;
+#      scorer_parity) plus graph and eval, whose kNN bits come from GemmBT,
+#      and core_components, whose knowledge-attention oracle depends on
+#      whether w_r . x_h + x_r is fused: the 1-lane tier of the register
+#      tile and the no-FMA MulAdd, which an AVX-512 host never compiles
+#      otherwise;
 #   7. the same suites in a -mavx2 -mfma build: the 4-lane tier.
 #
 # Usage:
@@ -129,10 +134,11 @@ if [[ "${FAST}" == "0" ]]; then
   # a throwing worker shard to the caller; autograd and optim run the
   # row-sharded Gemm kernels under training's backward pass; graph and
   # eval run the kNN build's parallel query blocks and the evaluator's
-  # parallel selection and metric loops.
+  # parallel selection and metric loops; core_components the knowledge
+  # attention and the modules that propagate over the frozen graphs.
   TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-tsan -DFIRZEN_SANITIZE=thread -- \
-    -R "serving|scorer|kernel_parity|util|autograd|optim|graph|eval"
+    -R "serving|scorer|kernel_parity|util|autograd|optim|graph|eval|core_components"
 
   echo "== pass 4: UndefinedBehaviorSanitizer build + serving suites =="
   # TSan's filter plus the quant suites: the serving/admission binaries
@@ -143,10 +149,11 @@ if [[ "${FAST}" == "0" ]]; then
   # halt_on_error turns any UB report into a failing exit code (UBSan's
   # default is report-and-continue). autograd and optim add the training
   # kernels' index arithmetic (strided trans_a reads, ragged tiles), and
-  # graph and eval the kNN build's and the evaluator's selection loops.
+  # graph and eval the kNN build's and the evaluator's selection loops,
+  # and core_components the knowledge attention's per-relation slots.
   UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-ubsan -DFIRZEN_SANITIZE=undefined -- \
-    -R "serving|scorer|quant|autograd|optim|graph|eval"
+    -R "serving|scorer|quant|autograd|optim|graph|eval|core_components"
 
   echo "== pass 5: forced-scalar quant suites (FIRZEN_SIMD=scalar) =="
   # The quant tests compare against a tier-independent int32 reference, so
@@ -161,16 +168,18 @@ if [[ "${FAST}" == "0" ]]; then
   # baseline. Passes 1-4 only ever build the host's tier, so these two
   # rebuild the dense-kernel suites for the other two. graph and eval ride
   # along: the kNN graph's bits come from the tier-dispatched GemmBT, and
-  # graph_test pins them against a scalar reference.
+  # graph_test pins them against a scalar reference. core_components rides
+  # too: whether the attention's w_r . x_h + x_r is fused depends on the
+  # tier, and its oracle must match on each.
   echo "== pass 6: SSE2 baseline build (no FMA) + kernel suites =="
   run_pass build-sse2 -DFIRZEN_MARCH_NATIVE=OFF -- \
-    -R "kernel_parity|matrix|autograd|scorer_parity|graph|eval"
+    -R "kernel_parity|matrix|autograd|scorer_parity|graph|eval|core_components"
 
   echo "== pass 7: AVX2 + FMA build + kernel suites =="
   if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
     run_pass build-avx2 -DFIRZEN_MARCH_NATIVE=OFF \
       "-DCMAKE_CXX_FLAGS=-mavx2 -mfma" -- \
-      -R "kernel_parity|matrix|autograd|scorer_parity|graph|eval"
+      -R "kernel_parity|matrix|autograd|scorer_parity|graph|eval|core_components"
   else
     echo "skipped: this CPU cannot run AVX2 + FMA binaries"
   fi
