@@ -67,11 +67,11 @@ CsrMatrix BuildItemItemGraph(const Matrix& features,
 /// minus every warm -> cold edge, bit for bit. `warm_lists` must be the
 /// warm-only build over the same features (candidates and queries both the
 /// warm items of `is_cold_item`). Only similarities that touch a cold item
-/// are computed: cold rows x all items, selected with "not self", and warm
-/// rows x cold items, each offered to a heap that already holds the row's
-/// warm list; only its warm survivors are kept. Under RanksBefore that is
-/// exactly the all-item top-k with the cold columns removed. Bit-identical
-/// for any pool.
+/// are computed, as one GemmBT panel of cold rows x all items. Cold rows
+/// select from it with "not self". Each warm row offers its cold columns
+/// to a heap that already holds the row's warm list, and keeps only the
+/// warm survivors. Under RanksBefore that is exactly the all-item top-k
+/// with the cold columns removed. Bit-identical for any pool.
 CsrMatrix ExpandColdKnnAdjacency(const Matrix& features,
                                  const KnnLists& warm_lists,
                                  const std::vector<bool>& is_cold_item,
