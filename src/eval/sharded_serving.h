@@ -16,19 +16,6 @@
 // element, score bit for score bit. tests/sharded_serving_test.cc locks
 // this in for every registered model and shard counts {1, 2, 3, 7,
 // num_items}.
-//
-// Caveat — FullScoreAdapter-backed scorers: that adapter caches full
-// users x num_items score rows PER ARENA and keys them by user batch. When
-// a sharded engine's shards rank concurrently (at least one shard per pool
-// worker; each shard leases a private arena) S shards evaluate and hold S
-// copies of the full rows — S x the unsharded scoring cost and peak
-// transient. The sequential placement (fewer shards than workers) shares
-// one arena, so a batch with a single user-batch shape (all full-catalog,
-// or all explicit pools) computes the rows once; a MIXED batch alternates
-// the streamed and explicit user batches inside every shard and still
-// re-evaluates per shard. Sharding pays off for block-native scorers
-// (DotProductScorer, KGCN) whose per-shard cost is proportional to the
-// shard; for full-row-fallback models, prefer one shard.
 #ifndef FIRZEN_EVAL_SHARDED_SERVING_H_
 #define FIRZEN_EVAL_SHARDED_SERVING_H_
 

@@ -7,18 +7,8 @@
 
 namespace firzen {
 
-std::unique_ptr<Scorer> EmbeddingModel::MakeScorer() const {
-  FIRZEN_CHECK(!final_user_.empty());
-  FIRZEN_CHECK(!final_item_.empty());
-  return std::make_unique<DotProductScorer>(final_user_, final_item_);
-}
-
 std::unique_ptr<Scorer> EmbeddingModel::MakeScorer(
     ScoringPrecision precision) const {
-  // kFp32 goes through the virtual MakeScorer() so descendants with a
-  // native block scorer (KGCN) keep their path; those descendants also
-  // override this overload to fall back for kInt8.
-  if (precision == ScoringPrecision::kFp32) return MakeScorer();
   FIRZEN_CHECK(!final_user_.empty());
   FIRZEN_CHECK(!final_item_.empty());
   return std::make_unique<DotProductScorer>(final_user_, final_item_,

@@ -14,13 +14,12 @@ namespace firzen {
 
 class EmbeddingModel : public Recommender {
  public:
-  /// Streaming dot-product scorer over the final tables: an item block is a
-  /// zero-copy row slice of final_item_ fed to GemmBT. The model must
-  /// outlive the scorer.
-  std::unique_ptr<Scorer> MakeScorer() const override;
+  using Recommender::MakeScorer;
 
-  /// kInt8 mints a DotProductScorer over a once-quantized final_item_
-  /// table (see docs/quantization.md); kFp32 is MakeScorer().
+  /// Streaming dot-product scorer over the final tables: an item block is a
+  /// zero-copy row slice of final_item_ fed to GemmBT (kInt8: of a
+  /// once-quantized copy, see docs/quantization.md). The model must outlive
+  /// the scorer.
   std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const override;
 
   Matrix ItemEmbeddings() const override { return final_item_; }

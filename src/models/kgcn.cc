@@ -165,7 +165,7 @@ void Kgcn::Fit(const Dataset& dataset, const TrainOptions& options) {
     w_ = best_w;
     bias_ = best_bias;
   }
-  // final_* kept for ItemEmbeddings()/diagnostics; Score() is overridden.
+  // final_* kept for ItemEmbeddings()/diagnostics; KgcnScorer scores.
   final_user_ = user_emb_;
   final_item_ = ItemEmbeddings();
 }
@@ -184,9 +184,6 @@ namespace {
 // block partitioning and pool size.
 class KgcnScorer : public Scorer {
  public:
-  using Scorer::ScoreBlock;
-  using Scorer::ScoreCandidates;
-
   KgcnScorer(const Matrix& user_emb, const Matrix& relation_emb,
              const Matrix& bias, const std::vector<Index>& neighbor_tails,
              const std::vector<Index>& neighbor_rels, Index s,
@@ -320,7 +317,8 @@ class KgcnScorer : public Scorer {
 
 }  // namespace
 
-std::unique_ptr<Scorer> Kgcn::MakeScorer() const {
+std::unique_ptr<Scorer> Kgcn::MakeScorer(ScoringPrecision precision) const {
+  (void)precision;
   FIRZEN_CHECK(!user_emb_.empty());
   // entity_emb * W once per scorer, amortized over every streamed block.
   Matrix projected;

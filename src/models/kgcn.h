@@ -23,20 +23,16 @@ class Kgcn : public EmbeddingModel {
   std::string Name() const override { return "KGCN"; }
   void Fit(const Dataset& dataset, const TrainOptions& options) override;
 
+  using Recommender::MakeScorer;
+
   /// User-conditioned scoring: the item tower depends on the querying user,
   /// so there is no factorized dot-product path. The scorer evaluates item
   /// towers natively per block (the projected entity table is computed once
   /// at mint time), keeping streamed scoring O(users * block) like the
-  /// factorized models.
-  std::unique_ptr<Scorer> MakeScorer() const override;
-
-  /// The tanh tower has no Gemm hot loop to quantize: every precision falls
-  /// back to the native fp32 scorer (the quant quality gate then compares
-  /// it against itself and trivially passes).
-  std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const override {
-    (void)precision;
-    return MakeScorer();
-  }
+  /// factorized models. The tanh tower has no Gemm hot loop to quantize, so
+  /// `precision` is ignored: the quant quality gate compares the fp32
+  /// scorer against itself and trivially passes.
+  std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const override;
 
   Matrix ItemEmbeddings() const override;
 

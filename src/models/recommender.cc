@@ -4,31 +4,14 @@ namespace firzen {
 
 Recommender::~Recommender() = default;
 
-std::unique_ptr<Scorer> Recommender::MakeScorer() const {
-  // Generic full-row fallback: an empty-batch probe learns the catalog
-  // width (a 0 x num_items resize, no scoring work) before adapting the
-  // legacy Score() contract. Models with a factorized or block-native path
-  // override this instead.
-  Matrix probe;
-  Score({}, &probe);
-  return std::make_unique<FullScoreAdapter>(
-      [this](const std::vector<Index>& users, Matrix* scores) {
-        Score(users, scores);
-      },
-      probe.cols());
-}
-
-std::unique_ptr<Scorer> Recommender::MakeScorer(
-    ScoringPrecision precision) const {
-  // fp32 fallback for models without a quantizable Gemm path; dot-product
-  // models override to honor kInt8.
-  (void)precision;
-  return MakeScorer();
-}
-
 void Recommender::Score(const std::vector<Index>& users,
                         Matrix* scores) const {
-  MakeScorer()->ScoreAll(users, scores);
+  const std::unique_ptr<Scorer> scorer = MakeScorer();
+  scores->ResizeUninitialized(static_cast<Index>(users.size()),
+                              scorer->num_items());
+  ScoringArena arena;
+  scorer->ScoreBlock(users, {0, scorer->num_items()}, MatrixView(scores),
+                     &arena);
 }
 
 void Recommender::PrepareColdInference(const Dataset& dataset) {

@@ -31,13 +31,10 @@ struct TrainOptions {
 };
 
 /// Abstract recommender. Lifecycle: Fit() -> [PrepareColdInference()] ->
-/// MakeScorer() -> ScoreBlock()/ScoreCandidates(). Scoring streams bounded
-/// item panels; the evaluator and the serving engine fuse ranking with the
-/// stream so no users x num_items matrix ever materializes.
-///
-/// A concrete model must override at least one of MakeScorer() or the
-/// deprecated Score() — each default is implemented on top of the other, so
-/// overriding neither recurses.
+/// MakeScorer() -> ScoreBlock()/ScoreCandidates(), each through a
+/// caller-owned ScoringArena. Scoring streams bounded item panels; the
+/// evaluator and the serving engine fuse ranking with the stream so no
+/// users x num_items matrix ever materializes.
 class Recommender {
  public:
   virtual ~Recommender();
@@ -53,27 +50,24 @@ class Recommender {
   /// Prepare*ColdInference. Scorers are logically const and safely shared
   /// across threads (per-call scratch lives in caller ScoringArenas), so
   /// one mint serves any number of concurrent scoring streams — there is
-  /// no reason to mint per thread. Default: a FullScoreAdapter over
-  /// Score() — the
-  /// generic full-row fallback for non-factorized models (which must then
-  /// accept an empty user list: the adapter probes the catalog width with
-  /// one 0-row Score() call).
-  virtual std::unique_ptr<Scorer> MakeScorer() const;
+  /// no reason to mint per thread. kInt8 is honored by models whose scores
+  /// are dot products over frozen final tables (EmbeddingModel descendants,
+  /// StaticRecommender); KGCN's tanh tower has no Gemm hot loop to quantize
+  /// and scores in fp32 at either precision.
+  virtual std::unique_ptr<Scorer> MakeScorer(
+      ScoringPrecision precision) const = 0;
 
-  /// Precision-selecting mint. kFp32 is always MakeScorer(). kInt8 is
-  /// honored by models whose scores are dot products over frozen final
-  /// tables (EmbeddingModel descendants, StaticRecommender); the default
-  /// here falls back to the fp32 scorer for everything else (block-native
-  /// scorers like KGCN's tanh tower and FullScoreAdapter models have no
-  /// Gemm hot loop to quantize), so callers can request int8 uniformly —
-  /// the quant quality gate then trivially passes for fallback models.
-  virtual std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const;
+  /// The fp32 mint. Not virtual: a class overriding MakeScorer(precision)
+  /// hides this name and re-exposes it with `using Recommender::MakeScorer;`.
+  std::unique_ptr<Scorer> MakeScorer() const {
+    return MakeScorer(ScoringPrecision::kFp32);
+  }
 
-  /// Deprecated full-matrix scoring: fills `scores`
-  /// (users.size() x num_items) via one catalog-wide ScoreBlock. Kept so
-  /// existing call sites migrate without behavior change; prefer
-  /// MakeScorer() + ScoreBlock in new code.
-  virtual void Score(const std::vector<Index>& users, Matrix* scores) const;
+  /// Full-matrix scoring: resizes `scores` to users.size() x num_items and
+  /// fills it with one catalog-wide ScoreBlock through a local arena. Kept
+  /// only for perfbench/'s materialize-then-rank gate; new code streams
+  /// through MakeScorer() + ScoreBlock.
+  void Score(const std::vector<Index>& users, Matrix* scores) const;
 
   /// Rebuilds inference-time structures that may include strict cold items
   /// (e.g. expanded + masked item-item graphs, Eqs. 34-35). Default: no-op.

@@ -34,13 +34,6 @@ void CheckOut(MatrixView out, Index rows, Index cols) {
   FIRZEN_CHECK_EQ(out.cols(), cols);
 }
 
-// Arena behind the arena-less convenience overloads: one per thread, shared
-// by every scorer that thread drives (BindTo invalidates across scorers).
-ScoringArena* ThreadArena() {
-  thread_local ScoringArena arena;
-  return &arena;
-}
-
 }  // namespace
 
 ArenaPool::Lease& ArenaPool::Lease::operator=(Lease&& other) noexcept {
@@ -103,40 +96,6 @@ const char* ScoringPrecisionName(ScoringPrecision precision) {
 Scorer::Scorer() : scorer_id_(NextScorerId()) {}
 
 Scorer::~Scorer() = default;
-
-void Scorer::ScoreCandidates(const std::vector<Index>& users,
-                             const std::vector<Index>& candidates,
-                             MatrixView out, ScoringArena* arena) const {
-  CheckOut(out, static_cast<Index>(users.size()),
-           static_cast<Index>(candidates.size()));
-  Matrix full(static_cast<Index>(users.size()), num_items());
-  ScoreBlock(users, {0, num_items()}, MatrixView(&full), arena);
-  for (size_t r = 0; r < users.size(); ++r) {
-    const Real* src = full.row(static_cast<Index>(r));
-    Real* dst = out.row(static_cast<Index>(r));
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      FIRZEN_CHECK_GE(candidates[j], 0);
-      FIRZEN_CHECK_LT(candidates[j], num_items());
-      dst[j] = src[candidates[j]];
-    }
-  }
-}
-
-void Scorer::ScoreBlock(const std::vector<Index>& users, ItemBlock block,
-                        MatrixView out) const {
-  ScoreBlock(users, block, out, ThreadArena());
-}
-
-void Scorer::ScoreCandidates(const std::vector<Index>& users,
-                             const std::vector<Index>& candidates,
-                             MatrixView out) const {
-  ScoreCandidates(users, candidates, out, ThreadArena());
-}
-
-void Scorer::ScoreAll(const std::vector<Index>& users, Matrix* scores) const {
-  scores->ResizeUninitialized(static_cast<Index>(users.size()), num_items());
-  ScoreBlock(users, {0, num_items()}, MatrixView(scores), ThreadArena());
-}
 
 DotProductScorer::DotProductScorer(const Matrix& user_emb,
                                    const Matrix& item_emb, ThreadPool* pool,
@@ -298,60 +257,6 @@ void ItemRangeScorer::ScoreCandidates(const std::vector<Index>& users,
     }
   }
   base_->ScoreCandidates(users, global, out, arena);
-}
-
-FullScoreAdapter::FullScoreAdapter(FullScoreFn score_fn, Index num_items)
-    : score_fn_(std::move(score_fn)), num_items_(num_items) {
-  FIRZEN_CHECK(score_fn_ != nullptr);
-  FIRZEN_CHECK_GT(num_items, 0);
-}
-
-const Matrix& FullScoreAdapter::RowsFor(const std::vector<Index>& users,
-                                        ScoringArena* arena) const {
-  arena->BindTo(scorer_id());
-  if (users != arena->cached_users ||
-      arena->full_rows.rows() != static_cast<Index>(users.size())) {
-    score_fn_(users, &arena->full_rows);
-    FIRZEN_CHECK_EQ(arena->full_rows.rows(), static_cast<Index>(users.size()));
-    FIRZEN_CHECK_EQ(arena->full_rows.cols(), num_items_);
-    arena->cached_users = users;
-  }
-  return arena->full_rows;
-}
-
-void FullScoreAdapter::ScoreBlock(const std::vector<Index>& users,
-                                  ItemBlock block, MatrixView out,
-                                  ScoringArena* arena) const {
-  FIRZEN_CHECK(arena != nullptr);
-  CheckBlock(block, num_items_);
-  CheckOut(out, static_cast<Index>(users.size()), block.size());
-  if (users.empty() || block.size() == 0) return;
-  const Matrix& rows = RowsFor(users, arena);
-  for (size_t r = 0; r < users.size(); ++r) {
-    const Real* src = rows.row(static_cast<Index>(r)) + block.begin;
-    Real* dst = out.row(static_cast<Index>(r));
-    for (Index j = 0; j < block.size(); ++j) dst[j] = src[j];
-  }
-}
-
-void FullScoreAdapter::ScoreCandidates(const std::vector<Index>& users,
-                                       const std::vector<Index>& candidates,
-                                       MatrixView out,
-                                       ScoringArena* arena) const {
-  FIRZEN_CHECK(arena != nullptr);
-  CheckOut(out, static_cast<Index>(users.size()),
-           static_cast<Index>(candidates.size()));
-  if (users.empty() || candidates.empty()) return;
-  const Matrix& rows = RowsFor(users, arena);
-  for (size_t r = 0; r < users.size(); ++r) {
-    const Real* src = rows.row(static_cast<Index>(r));
-    Real* dst = out.row(static_cast<Index>(r));
-    for (size_t j = 0; j < candidates.size(); ++j) {
-      FIRZEN_CHECK_GE(candidates[j], 0);
-      FIRZEN_CHECK_LT(candidates[j], num_items_);
-      dst[j] = src[candidates[j]];
-    }
-  }
 }
 
 }  // namespace firzen

@@ -5,23 +5,21 @@
 // lists) through ScoreBlock/ScoreCandidates and fuse ranking on the fly, so
 // peak memory is O(user_batch * block_size) for any catalog size.
 //
-// Models whose scores are user·item dot products expose a DotProductScorer
+// Models whose scores are user·item dot products mint a DotProductScorer
 // over their final embedding tables (zero-copy Gemm over an item-row slice);
-// non-factorized models either implement ScoreBlock natively or fall back to
-// the generic FullScoreAdapter.
+// KGCN and KGNN-LS, whose item towers are user-conditioned, mint their own
+// block-native scorer.
 //
 // Thread safety: scorers are logically const and safely shared across
-// threads. All mutable per-batch scratch (gathered user rows, cached full
-// score rows, per-user relation logits, ...) lives in an explicit
-// ScoringArena supplied by the caller — one arena per concurrent stream.
-// The arena-less convenience overloads use a per-thread arena, so legacy
-// call sites are concurrency-safe without changes. One ServingEngine can
-// therefore serve many request threads over a single shared scorer.
+// threads. All mutable per-batch scratch (gathered user rows, per-user
+// relation logits, ...) lives in an explicit ScoringArena supplied by the
+// caller — one arena per concurrent stream. Every scoring call takes one;
+// there is no hidden per-thread arena. One ServingEngine can therefore
+// serve many request threads over a single shared scorer.
 #ifndef FIRZEN_MODELS_SCORER_H_
 #define FIRZEN_MODELS_SCORER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -38,8 +36,8 @@ namespace firzen {
 /// trading bounded ranking drift — gated by the Recall@K/NDCG quality ctest
 /// (label `quant`) — for a resident catalog 7.1x smaller than the 8-byte
 /// Real table at d = 64 (72 versus 512 bytes per row) and vectorized
-/// integer throughput. Models without a factorized scoring path ignore
-/// kInt8 and fall back to fp32 (Recommender::MakeScorer(precision) default).
+/// integer throughput. KGCN's scorer has no factorized scoring path; it
+/// ignores kInt8 and scores in fp32.
 enum class ScoringPrecision {
   kFp32 = 0,
   kInt8 = 1,
@@ -86,7 +84,6 @@ class ScoringArena {
   std::vector<Index> cached_users;  // batch the cached matrices were built for
   Matrix user_batch;                // gathered user rows (DotProductScorer)
   Matrix candidate_rows;            // gathered candidate rows
-  Matrix full_rows;                 // cached full score rows (FullScoreAdapter)
   Matrix rel_logits;                // per-user relation logits (KGCN)
   // Transient per-call id-translation buffer (ItemRangeScorer): valid only
   // within one call, never cached across calls.
@@ -154,10 +151,9 @@ class ArenaPool {
 /// Scorers are logically const and thread-safe: all mutable per-batch
 /// scratch lives in the caller-supplied ScoringArena, so any number of
 /// threads may score through one shared Scorer as long as each passes its
-/// own arena. The arena-less overloads use a per-thread arena and are
-/// likewise safe to call concurrently. Scoring parallelizes internally over
-/// the thread pool; concurrent callers interleave on it without blocking
-/// each other (per-call completion groups).
+/// own arena. Scoring parallelizes internally over the thread pool;
+/// concurrent callers interleave on it without blocking each other
+/// (per-call completion groups).
 class Scorer {
  public:
   Scorer();
@@ -175,26 +171,11 @@ class Scorer {
 
   /// Fills `out` (users.size() x candidates.size()) with scores of the
   /// explicitly listed items, out(r, j) = score of users[r] for
-  /// candidates[j]. Default: scores the full catalog into a temporary and
-  /// gathers — correct for any model, but O(num_items) per call; factorized
-  /// scorers override with a zero-materialization gather + Gemm.
+  /// candidates[j]. Each score is bit-identical to the same item's score
+  /// inside a ScoreBlock call. `arena` is as for ScoreBlock.
   virtual void ScoreCandidates(const std::vector<Index>& users,
                                const std::vector<Index>& candidates,
-                               MatrixView out, ScoringArena* arena) const;
-
-  /// Arena-less conveniences: score through a per-thread arena. Streaming
-  /// loops on one thread still amortize the batch gather; distinct threads
-  /// never share scratch.
-  void ScoreBlock(const std::vector<Index>& users, ItemBlock block,
-                  MatrixView out) const;
-  void ScoreCandidates(const std::vector<Index>& users,
-                       const std::vector<Index>& candidates,
-                       MatrixView out) const;
-
-  /// Legacy full-matrix convenience: resizes `scores` to
-  /// users.size() x num_items() and fills it with one catalog-wide block.
-  /// Prefer streaming ScoreBlock in new code.
-  void ScoreAll(const std::vector<Index>& users, Matrix* scores) const;
+                               MatrixView out, ScoringArena* arena) const = 0;
 
  protected:
   /// Process-unique, never-reused id for arena cache keying: pass to
@@ -225,9 +206,6 @@ class DotProductScorer : public Scorer {
   DotProductScorer(const Matrix& user_emb, const Matrix& item_emb,
                    ThreadPool* pool = nullptr,
                    ScoringPrecision precision = ScoringPrecision::kFp32);
-
-  using Scorer::ScoreBlock;
-  using Scorer::ScoreCandidates;
 
   Index num_items() const override { return item_emb_.rows(); }
 
@@ -275,9 +253,6 @@ class ItemRangeScorer : public Scorer {
   /// Requires 0 <= item_begin <= item_end <= base->num_items().
   ItemRangeScorer(const Scorer* base, Index item_begin, Index item_end);
 
-  using Scorer::ScoreBlock;
-  using Scorer::ScoreCandidates;
-
   Index num_items() const override { return item_end_ - item_begin_; }
   Index item_begin() const { return item_begin_; }
   Index item_end() const { return item_end_; }
@@ -296,43 +271,6 @@ class ItemRangeScorer : public Scorer {
   const Scorer* base_;
   Index item_begin_;
   Index item_end_;
-};
-
-/// Produces one row of scores per requested user over the full catalog
-/// (the legacy Recommender::Score contract).
-using FullScoreFn =
-    std::function<void(const std::vector<Index>& users, Matrix* scores)>;
-
-/// Generic adapter for models without a factorized or block-native scoring
-/// path: evaluates the full score rows for the batch, then copies the
-/// requested window out. Peak memory is O(users * num_items) per distinct
-/// user batch — the legacy footprint — but consecutive blocks for the same
-/// batch reuse the rows cached in the arena, so streaming costs one full
-/// evaluation per arena. The wrapped FullScoreFn must itself be safe to
-/// invoke concurrently (pure const scoring is; anything mutating model
-/// state is not).
-class FullScoreAdapter : public Scorer {
- public:
-  FullScoreAdapter(FullScoreFn score_fn, Index num_items);
-
-  using Scorer::ScoreBlock;
-  using Scorer::ScoreCandidates;
-
-  Index num_items() const override { return num_items_; }
-
-  void ScoreBlock(const std::vector<Index>& users, ItemBlock block,
-                  MatrixView out, ScoringArena* arena) const override;
-
-  void ScoreCandidates(const std::vector<Index>& users,
-                       const std::vector<Index>& candidates, MatrixView out,
-                       ScoringArena* arena) const override;
-
- private:
-  const Matrix& RowsFor(const std::vector<Index>& users,
-                        ScoringArena* arena) const;
-
-  FullScoreFn score_fn_;
-  Index num_items_;
 };
 
 }  // namespace firzen

@@ -21,6 +21,19 @@ void WriteMatrix(std::ofstream* out, const Matrix& m) {
              static_cast<std::streamsize>(sizeof(Real) * m.size()));
 }
 
+// Bytes between the read position and the end of `in`; 0 when the stream
+// has failed. Every size a header claims is checked against this before
+// anything is allocated, so a hostile header cannot make the loader
+// reserve more memory than the file holds.
+int64_t BytesLeft(std::ifstream* in) {
+  const std::streampos here = in->tellg();
+  in->seekg(0, std::ios::end);
+  const std::streampos end = in->tellg();
+  in->seekg(here);
+  if (!*in || here < 0 || end < here) return 0;
+  return static_cast<int64_t>(end - here);
+}
+
 bool ReadMatrix(std::ifstream* in, Matrix* m) {
   int64_t rows = 0;
   int64_t cols = 0;
@@ -30,6 +43,11 @@ bool ReadMatrix(std::ifstream* in, Matrix* m) {
       cols > (1LL << 20)) {
     return false;
   }
+  // rows * cols <= BytesLeft / sizeof(Real), phrased by division so the
+  // product cannot overflow.
+  const int64_t reals_left =
+      BytesLeft(in) / static_cast<int64_t>(sizeof(Real));
+  if (cols > 0 && rows > reals_left / cols) return false;
   m->Resize(rows, cols);
   in->read(reinterpret_cast<char*>(m->data()),
            static_cast<std::streamsize>(sizeof(Real) * m->size()));
@@ -53,10 +71,6 @@ void StaticRecommender::Fit(const Dataset& dataset,
   FIRZEN_CHECK_MSG(false,
                    "StaticRecommender serves pre-trained embeddings and "
                    "cannot be fitted");
-}
-
-std::unique_ptr<Scorer> StaticRecommender::MakeScorer() const {
-  return std::make_unique<DotProductScorer>(user_emb_, item_emb_);
 }
 
 std::unique_ptr<Scorer> StaticRecommender::MakeScorer(
@@ -98,6 +112,7 @@ Result<std::unique_ptr<StaticRecommender>> LoadEmbeddings(
   }
   uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof(version));
+  if (!in) return Status::InvalidArgument(path + ": truncated header");
   if (version != kVersion) {
     return Status::InvalidArgument(path + ": unsupported version " +
                                    std::to_string(version));
@@ -112,6 +127,9 @@ Result<std::unique_ptr<StaticRecommender>> LoadEmbeddings(
   }
   uint32_t name_len = 0;
   in.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
+  if (name_len > BytesLeft(&in)) {
+    return Status::InvalidArgument(path + ": truncated metadata");
+  }
   std::string name(name_len, '\0');
   in.read(name.data(), name_len);
   if (!in) return Status::InvalidArgument(path + ": truncated metadata");

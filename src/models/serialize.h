@@ -25,7 +25,7 @@ class StaticRecommender : public Recommender {
 
   std::string Name() const override { return name_; }
   void Fit(const Dataset& dataset, const TrainOptions& options) override;
-  std::unique_ptr<Scorer> MakeScorer() const override;
+  using Recommender::MakeScorer;
   /// kInt8 quantizes the loaded item table once at mint — the production
   /// .fzem serving path behind firzen_cli's --precision flag.
   std::unique_ptr<Scorer> MakeScorer(ScoringPrecision precision) const override;

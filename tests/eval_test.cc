@@ -12,6 +12,7 @@
 #include "src/eval/harmonic.h"
 #include "src/eval/metrics.h"
 #include "src/eval/tsne.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -73,17 +74,9 @@ Dataset TinyEvalDataset() {
   return d;
 }
 
-FullScoreAdapter DescendingByItemId() {
-  return FullScoreAdapter(
-      [](const std::vector<Index>& users, Matrix* scores) {
-        scores->Resize(static_cast<Index>(users.size()), 6);
-        for (Index r = 0; r < scores->rows(); ++r) {
-          for (Index i = 0; i < 6; ++i) {
-            (*scores)(r, i) = -static_cast<Real>(i);
-          }
-        }
-      },
-      /*num_items=*/6);
+CellScorer DescendingByItemId() {
+  return CellScorer([](Index, Index item) { return -static_cast<Real>(item); },
+                    /*num_items=*/6);
 }
 
 TEST(EvaluatorTest, WarmSettingMasksTrainItems) {

@@ -24,6 +24,7 @@
 #include "src/tensor/ops.h"
 #include "src/util/ranking.h"
 #include "src/util/rng.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -317,16 +318,8 @@ TEST_P(ShardedTopKPropertyTest, MergedTopKEqualsBruteForceFullRowSort) {
     std::sort(options.boundaries.begin(), options.boundaries.end());
     options.item_block = 1 + rng.UniformInt(num_items + 8);
 
-    auto scorer = std::make_unique<FullScoreAdapter>(
-        [salt, num_items](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), num_items);
-          for (size_t r = 0; r < users.size(); ++r) {
-            for (Index i = 0; i < num_items; ++i) {
-              (*scores)(static_cast<Index>(r), i) =
-                  TrialScore(salt, users[r], i);
-            }
-          }
-        },
+    auto scorer = std::make_unique<CellScorer>(
+        [salt](Index user, Index item) { return TrialScore(salt, user, item); },
         num_items);
     const ServingEngine engine(std::move(scorer), dataset, options);
 

@@ -70,9 +70,8 @@ TEST_P(ScorerParityTest, BlockStreamMatchesLegacyScoreBitExact) {
     ASSERT_EQ(scorer->num_items(), dataset.num_items);
 
     // Caller-owned arena: the explicit per-stream scratch contract that
-    // makes one scorer shareable across threads. (The arena-less overloads
-    // route to a per-thread arena and are covered by the Score() reference
-    // itself.)
+    // makes one scorer shareable across threads. The Score() reference
+    // scores through a fresh arena of its own.
     ScoringArena arena;
     for (Index block : {Index{1}, Index{7}, Index{64}, dataset.num_items}) {
       Matrix streamed(static_cast<Index>(users.size()), dataset.num_items);

@@ -15,11 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include "src/data/synthetic.h"
 #include "src/eval/serving.h"
 #include "src/eval/sharded_serving.h"
+#include "src/models/kgcn.h"
 #include "src/models/scorer.h"
 #include "src/models/serialize.h"
+#include "src/util/logging.h"
 #include "src/util/rng.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -191,20 +195,14 @@ TEST(ServingConcurrencyTest, SharedEngineDotProductBitExact) {
   StressEngine(engine, /*num_threads=*/6, /*rounds=*/2);
 }
 
-TEST(ServingConcurrencyTest, SharedEngineFullScoreAdapterBitExact) {
+TEST(ServingConcurrencyTest, SharedEngineCellScorerBitExact) {
   const Dataset dataset = StressDataset();
-  // Deterministic non-factorized scorer: exercises the cached-full-rows
-  // arena path under concurrency.
-  auto scorer = std::make_unique<FullScoreAdapter>(
-      [](const std::vector<Index>& users, Matrix* scores) {
-        scores->Resize(static_cast<Index>(users.size()), kItems);
-        for (size_t r = 0; r < users.size(); ++r) {
-          for (Index i = 0; i < kItems; ++i) {
-            (*scores)(static_cast<Index>(r), i) =
-                static_cast<Real>((users[r] * 31 + i * 17) % 101) -
-                static_cast<Real>(i % 7);
-          }
-        }
+  // Deterministic non-factorized scorer with frequent ties: a scorer that
+  // keeps no arena state, under concurrency.
+  auto scorer = std::make_unique<CellScorer>(
+      [](Index user, Index item) {
+        return static_cast<Real>((user * 31 + item * 17) % 101) -
+               static_cast<Real>(item % 7);
       },
       kItems);
   const ServingEngine engine(std::move(scorer), dataset);
@@ -275,7 +273,7 @@ TEST(ServingConcurrencyTest, ShardedEngineBothParallelismPlacementsBitExact) {
 }
 
 // Scorer-level contract: one shared scorer, one arena per thread, streamed
-// blocks must match ScoreAll exactly.
+// blocks must match one full-catalog block exactly.
 TEST(ServingConcurrencyTest, SharedScorerPerThreadArenasBitExact) {
   const Matrix user_emb = RandomEmb(kUsers, kDim, 3);
   const Matrix item_emb = RandomEmb(kItems, kDim, 4);
@@ -287,9 +285,12 @@ TEST(ServingConcurrencyTest, SharedScorerPerThreadArenasBitExact) {
     for (Index u = 0; u < 9; ++u) users.push_back((u * 5 + t) % kUsers);
     batches.push_back(users);
   }
-  std::vector<Matrix> expected(batches.size());
-  for (size_t b = 0; b < batches.size(); ++b) {
-    scorer.ScoreAll(batches[b], &expected[b]);
+  std::vector<Matrix> expected;
+  for (const std::vector<Index>& batch : batches) {
+    expected.emplace_back(static_cast<Index>(batch.size()), kItems);
+    ScoringArena arena;
+    scorer.ScoreBlock(batch, {0, kItems}, MatrixView(&expected.back()),
+                      &arena);
   }
 
   std::atomic<int> mismatches{0};
@@ -349,22 +350,51 @@ TEST(ServingConcurrencyTest, RemintedScorerNeverInheritsStaleArenaCache) {
   for (Index i = 0; i < want_b.size(); ++i) {
     ASSERT_EQ(got.data()[i], want_b.data()[i]) << "flat " << i;
   }
+}
 
-  // The per-thread arena behind the convenience overloads is the same
-  // machinery; pin it through ScoreAll too.
-  Matrix all_a;
-  Matrix all_b;
+// The same regression for KGCN's block-native scorer, which caches its
+// per-user relation logits in the arena under the same BindTo key: a
+// scorer minted from a second model must recompute them, not read the
+// first model's.
+TEST(ServingConcurrencyTest, RemintedKgcnScorerNeverInheritsStaleArenaCache) {
+  SetLogLevel(LogLevel::kError);
+  const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.1));
+  TrainOptions options;
+  options.embedding_dim = 8;
+  options.epochs = 2;
+  options.eval_every = 2;
+  Kgcn model_a;
+  options.seed = 1;
+  model_a.Fit(dataset, options);
+  Kgcn model_b;
+  options.seed = 2;
+  model_b.Fit(dataset, options);
+  const std::vector<Index> users{0, 1, 2};
+  const Index rows = static_cast<Index>(users.size());
+  const ItemBlock catalog{0, dataset.num_items};
+
+  Matrix want_b(rows, dataset.num_items);
   {
-    const DotProductScorer sc(emb_a, item_emb);
-    sc.ScoreAll(users, &all_a);
+    ScoringArena fresh;
+    model_b.MakeScorer()->ScoreBlock(users, catalog, MatrixView(&want_b),
+                                     &fresh);
   }
-  {
-    const DotProductScorer sc(emb_b, item_emb);
-    sc.ScoreAll(users, &all_b);
-  }
+
+  ScoringArena arena;
+  Matrix got_a(rows, dataset.num_items);
+  auto first = model_a.MakeScorer();
+  first->ScoreBlock(users, catalog, MatrixView(&got_a), &arena);
+  first.reset();
+  Matrix got(rows, dataset.num_items);
+  model_b.MakeScorer()->ScoreBlock(users, catalog, MatrixView(&got), &arena);
+  Index differing = 0;
   for (Index i = 0; i < want_b.size(); ++i) {
-    ASSERT_EQ(all_b.data()[i], want_b.data()[i]) << "flat " << i;
+    ASSERT_EQ(got.data()[i], want_b.data()[i]) << "flat " << i;
+    if (got_a.data()[i] != want_b.data()[i]) ++differing;
   }
+  // The two seeds must train different models, or the check above is
+  // vacuous.
+  EXPECT_GT(differing, 0);
 }
 
 // The engine's arena pool recycles leases; acquire/release from many

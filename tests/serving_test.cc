@@ -4,9 +4,16 @@
 // parity with the materialized legacy path).
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/data/synthetic.h"
 #include "src/eval/serving.h"
@@ -16,6 +23,7 @@
 #include "src/util/logging.h"
 #include "src/util/ranking.h"
 #include "src/util/thread_pool.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -100,6 +108,96 @@ TEST(SerializeTest, SaveRejectsEmptyOrMismatchedEmbeddings) {
   EXPECT_FALSE(
       SaveEmbeddings(model, RandomEmb(2, 3, 6), RandomEmb(2, 4, 7), path)
           .ok());
+}
+
+// Builds a .fzem file field by field: the magic and version, then each
+// Put() value's raw (little-endian) bytes.
+class FzemBytes {
+ public:
+  FzemBytes() {
+    bytes_ = "FZEM";
+    Put(uint32_t{1});
+  }
+  template <typename T>
+  FzemBytes& Put(T value) {
+    bytes_.append(reinterpret_cast<const char*>(&value), sizeof(value));
+    return *this;
+  }
+  std::string WriteTo(const std::string& name) const {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream(path, std::ios::binary) << bytes_;
+    return path;
+  }
+
+ private:
+  std::string bytes_;
+};
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kShadowMemorySanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kShadowMemorySanitizer = true;
+#else
+constexpr bool kShadowMemorySanitizer = false;
+#endif
+#else
+constexpr bool kShadowMemorySanitizer = false;
+#endif
+
+// Loads `path` with the address space capped at its current size plus
+// 512 MiB, so an allocation sized by a hostile header fails even on a host
+// with memory to spare. ASan and TSan reserve their shadow memory up front
+// and cannot run under a cap; there the load runs uncapped. Returns the
+// status code, or fails the test if the loader throws.
+StatusCode LoadUnderAddressSpaceCap(const std::string& path) {
+  rlimit saved{};
+  getrlimit(RLIMIT_AS, &saved);
+  if (!kShadowMemorySanitizer) {
+    size_t pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    rlimit cap = saved;
+    const rlim_t page = static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+    cap.rlim_cur =
+        std::min<rlim_t>(saved.rlim_max, pages * page + (rlim_t{512} << 20));
+    setrlimit(RLIMIT_AS, &cap);
+  }
+  StatusCode code = StatusCode::kOk;
+  try {
+    auto loaded = LoadEmbeddings(path);
+    if (!loaded.ok()) code = loaded.status().code();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << path << ": LoadEmbeddings threw " << e.what();
+  }
+  setrlimit(RLIMIT_AS, &saved);
+  return code;
+}
+
+// Each header claims more bytes than its file holds; the loader must say
+// so before allocating them. Parent commits threw std::bad_alloc (or, for
+// the 1 GiB claim, zero-filled it first).
+TEST(SerializeTest, RejectsHeadersClaimingMoreThanTheFileHolds) {
+  const std::vector<std::pair<std::string, FzemBytes>> cases = {
+      // 2^32 x 2^20 user rows of 8 bytes: 32 PiB claimed by 24 bytes.
+      {"huge_users", FzemBytes().Put(int64_t{1} << 32).Put(int64_t{1} << 20)},
+      // 2^27 x 1 user rows: 1 GiB claimed, 4 bytes present.
+      {"long_users",
+       FzemBytes().Put(int64_t{1} << 27).Put(int64_t{1}).Put(uint32_t{0})},
+      // Valid 1 x 1 user and item blocks, then a ~4 GiB name length.
+      {"long_name", FzemBytes()
+                        .Put(int64_t{1})
+                        .Put(int64_t{1})
+                        .Put(Real{0.5})
+                        .Put(int64_t{1})
+                        .Put(int64_t{1})
+                        .Put(Real{0.25})
+                        .Put(uint32_t{0xFFFFFFF0u})},
+  };
+  for (const auto& [name, bytes] : cases) {
+    EXPECT_EQ(LoadUnderAddressSpaceCap(bytes.WriteTo(name + ".fzem")),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 // Top-k items for one user through the engine, best first — the shape of
@@ -330,15 +428,10 @@ TEST(TopKHeapTest, NaNPushesAreDroppedDeterministically) {
 
 TEST(ServingEngineTest, NaNScoresNeverRecommended) {
   // Items 1 and 4 score NaN for every user; the rest score -item.
-  auto scorer = std::make_unique<FullScoreAdapter>(
-      [](const std::vector<Index>& users, Matrix* scores) {
-        scores->Resize(static_cast<Index>(users.size()), 6);
-        for (Index r = 0; r < scores->rows(); ++r) {
-          for (Index i = 0; i < 6; ++i) {
-            (*scores)(r, i) =
-                (i == 1 || i == 4) ? std::nan("") : -static_cast<Real>(i);
-          }
-        }
+  auto scorer = std::make_unique<CellScorer>(
+      [](Index, Index item) {
+        return (item == 1 || item == 4) ? std::nan("")
+                                        : -static_cast<Real>(item);
       },
       /*num_items=*/6);
   Dataset dataset;

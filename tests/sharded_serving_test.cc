@@ -22,6 +22,7 @@
 #include "src/util/logging.h"
 #include "src/util/ranking.h"
 #include "src/util/rng.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -324,14 +325,8 @@ TEST(ShardedEngineTest, SmallItemBlockAndExplicitBoundariesStayInvariant) {
 TEST(ShardedEngineTest, AllTiesCatalogRanksIdenticallyForAnyShardCount) {
   Dataset dataset = ShardDataset();
   auto make_scorer = [] {
-    return std::make_unique<FullScoreAdapter>(
-        [](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), kItems);
-          for (Index r = 0; r < scores->rows(); ++r) {
-            for (Index i = 0; i < kItems; ++i) (*scores)(r, i) = 0.5;
-          }
-        },
-        kItems);
+    return std::make_unique<CellScorer>([](Index, Index) { return 0.5; },
+                                        kItems);
   };
   const ServingEngine reference(make_scorer(), dataset);
   const std::vector<RecRequest> requests = ShardRequests();
@@ -354,17 +349,11 @@ TEST(ShardedEngineTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
   Dataset dataset = ShardDataset();
   dataset.train.clear();  // keep all items eligible
   auto make_scorer = [] {
-    return std::make_unique<FullScoreAdapter>(
-        [](const std::vector<Index>& users, Matrix* scores) {
-          scores->Resize(static_cast<Index>(users.size()), kItems);
-          for (size_t r = 0; r < users.size(); ++r) {
-            for (Index i = 0; i < kItems; ++i) {
-              (*scores)(static_cast<Index>(r), i) =
-                  i % 5 == 0 ? std::nan("")
-                             : static_cast<Real>((users[r] * 29 + i * 11) %
-                                                 37);
-            }
-          }
+    return std::make_unique<CellScorer>(
+        [](Index user, Index item) {
+          return item % 5 == 0
+                     ? std::nan("")
+                     : static_cast<Real>((user * 29 + item * 11) % 37);
         },
         kItems);
   };

@@ -5,13 +5,16 @@
 #      warnings-as-errors build (Clang additionally arms -Wthread-safety),
 #      and the wire-decoder fuzz smoke. --fast skips clang-tidy but NEVER
 #      the determinism linter;
-#   1. configure + build the default tree and run the full ctest suite;
+#   1. configure + build the default tree and run the full ctest suite,
+#      then build the frozen benchmark binary (perfbench/'s
+#      firzen_perfbench) against the tree, so a library change that drops
+#      a name the benchmark calls fails here rather than in the bench run;
 #   2. rebuild with -DFIRZEN_SANITIZE=address and re-run ctest under ASan;
 #   3. rebuild with -DFIRZEN_SANITIZE=thread and run the serving suites
 #      under TSan — the concurrent-serving stress tests hammering one shared
 #      ServingEngine (unsharded, and sharded with its shards ranking in
 #      parallel per call) from many threads are the data-race canary for
-#      the shared-scorer / per-thread-arena / per-shard-view contract, and
+#      the shared-scorer / caller-owned-arena / per-shard-view contract, and
 #      the admission stress exercises the AdmissionController ticket queue
 #      and leader-follower dispatcher hand-off under contention. The
 #      -R filter below matches serving_test, serving_admission_test,
@@ -118,6 +121,10 @@ fi
 
 echo "== pass 1: default build + ctest =="
 run_pass build
+# perfbench/ is edited only by benchmark changes, but it links the library:
+# build it here (its own --self-test builds only the helper tests).
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench --target firzen_perfbench -j
 
 if [[ "${FAST}" == "0" ]]; then
   echo "== pass 2: AddressSanitizer build + ctest =="
