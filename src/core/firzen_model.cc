@@ -121,8 +121,11 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
   std::vector<Index> users;
   std::vector<Index> pos;
   std::vector<Index> neg;
+  // Knowledge attention (Eqs. 9-11) is refreshed here and after each epoch's
+  // TransR steps: the next epoch, validation, the final representations and
+  // strict-cold inference all read the attention of the current parameters.
+  if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
     if (options_.dynamic_item_graphs && epoch > 0) {
       // LATTICE-style ablation: rebuild the item-item graphs from the
       // CURRENT learned modal projections (the paper's frozen design skips
@@ -258,14 +261,15 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
             {sahgl_.kg().entity, sahgl_.kg().relation, sahgl_.kg().rel_proj});
       }
     }
+    if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
     if ((epoch + 1) % options.eval_every == 0) {
       ComputeFinalFrom(train_graphs_, dataset,
                        MakeSahglOptions(options_, d, dataset));
       const Real mrr =
           ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      // No best-state restore: PrepareColdInference recomputes the final
-      // representations from the current parameters, so warm and cold
-      // evaluation must see the same model state.
+      // No best-state restore: warm and cold evaluation see one model
+      // state, the current parameters and the attention computed from them,
+      // which PrepareColdInference reuses.
       const bool stop = stopper.Update(mrr);
       if (options.verbose) {
         Logf(LogLevel::kInfo,
@@ -283,7 +287,8 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
 void FirzenModel::PrepareColdInference(const Dataset& dataset) {
   const FrozenGraphs graphs =
       BuildInferenceGraphs(dataset, graph_options_, train_graphs_);
-  if (options_.use_knowledge) sahgl_.RefreshAttention(graphs);
+  // Eq. 34 adds no CKG link, so the attention Fit left over the training
+  // CKG is the one this forward pass needs.
   ComputeFinalFrom(graphs, dataset,
                    MakeSahglOptions(options_, train_options_.embedding_dim,
                                     dataset));
@@ -292,10 +297,13 @@ void FirzenModel::PrepareColdInference(const Dataset& dataset) {
 void FirzenModel::PrepareNormalColdInference(const Dataset& dataset) {
   const FrozenGraphs graphs = BuildInferenceGraphs(
       dataset, graph_options_, train_graphs_, dataset.cold_known);
+  // The revealed links join the CKG: attend over it for this pass, then put
+  // back the training-CKG attention that PrepareColdInference reuses.
   if (options_.use_knowledge) sahgl_.RefreshAttention(graphs);
   ComputeFinalFrom(graphs, dataset,
                    MakeSahglOptions(options_, train_options_.embedding_dim,
                                     dataset));
+  if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
 }
 
 void FirzenModel::RecomputeFinal(const Dataset& dataset,

@@ -74,11 +74,13 @@ class FirzenModel : public EmbeddingModel {
   void Fit(const Dataset& dataset, const TrainOptions& options) override;
 
   /// Strict cold inference: expand + mask the item-item graphs (Eqs. 34-35)
-  /// and recompute final representations over all items.
+  /// and recompute final representations over all items. Reuses the
+  /// knowledge attention Fit left current: Eq. 34 adds no CKG link.
   void PrepareColdInference(const Dataset& dataset) override;
 
   /// Normal cold protocol: revealed links additionally join the behavior
-  /// and CKG pathways.
+  /// and CKG pathways. Attends over the merged CKG for its own pass, then
+  /// restores the training-CKG attention for PrepareColdInference.
   void PrepareNormalColdInference(const Dataset& dataset) override;
 
   /// Recomputes final embeddings with modified inference-time gates

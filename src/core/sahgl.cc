@@ -130,6 +130,10 @@ SahglOutput Sahgl::Forward(const FrozenGraphs& graphs, const Dataset& dataset,
   Tensor know_item;
   if (options_.use_knowledge) {
     FIRZEN_CHECK(attention_ != nullptr);
+    // Attention from another CKG (the normal-cold merge) spans the same
+    // entities, so SpMM would take it; its edge count tells it apart.
+    FIRZEN_CHECK_EQ(attention_->rows(), graphs.ckg.topology.rows());
+    FIRZEN_CHECK_EQ(attention_->nnz(), graphs.ckg.topology.nnz());
     Tensor current = kg_.entity;
     for (int l = 0; l < options_.knowledge_layers; ++l) {
       current = BiInteraction(attention_, current,

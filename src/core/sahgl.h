@@ -51,7 +51,9 @@ class Sahgl {
                       const std::vector<Real>& betas, bool training,
                       Rng* dropout_rng);
 
-  /// Refresh the per-epoch knowledge attention (reference-KGAT behaviour).
+  /// Recomputes the knowledge attention (Eqs. 9-11) over `graphs.ckg` from
+  /// the current KG parameters. Forward reads the last one computed, and
+  /// checks that it was computed over a CKG of its graphs' shape.
   void RefreshAttention(const FrozenGraphs& graphs);
 
   /// Parameters trained by the recommendation objective.

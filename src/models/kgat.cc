@@ -79,12 +79,15 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
   std::vector<Index> users;
   std::vector<Index> pos;
   std::vector<Index> neg;
-  std::shared_ptr<const CsrMatrix> attention;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    // Refresh attentive adjacency once per epoch (reference behaviour).
-    attention = std::make_shared<const CsrMatrix>(
+  // Attention is computed outside the tape: here, then after each epoch's KG
+  // steps, so the next epoch, validation and ComputeFinal read current values.
+  const auto refresh = [&] {
+    return std::make_shared<const CsrMatrix>(
         ComputeKgAttention(ckg, kg_.entity.value(), kg_.relation.value(),
                            kg_.rel_proj.value()));
+  };
+  std::shared_ptr<const CsrMatrix> attention = refresh();
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
     Real epoch_loss = 0.0;
     for (int step = 0; step < steps; ++step) {
       sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
@@ -112,6 +115,7 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
       Backward(kg_loss);
       optimizer.Step({kg_.entity, kg_.relation, kg_.rel_proj});
     }
+    attention = refresh();
     if ((epoch + 1) % options.eval_every == 0) {
       ComputeFinal(ckg, attention);
       const Real mrr =
@@ -125,7 +129,7 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
       if (stop) break;
     }
   }
-  if (attention != nullptr) ComputeFinal(ckg, attention);
+  ComputeFinal(ckg, attention);
   RestoreBestSnapshot();
 }
 

@@ -1,7 +1,9 @@
 // KGAT (Wang et al., 2019): attentive multi-layer propagation over the
 // collaborative knowledge graph with the bi-interaction aggregator, trained
 // jointly with a TransR objective. Attention coefficients are recomputed
-// once per epoch outside the tape, as in the reference implementation.
+// outside the tape after each epoch's KG phase, as in the reference
+// implementation, so validation and the final representations use current
+// attention.
 //
 // Cold-start behaviour: strict cold items still carry KG edges (brand,
 // category, features), so propagation reaches them — this is why KGAT is the

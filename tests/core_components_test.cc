@@ -125,6 +125,25 @@ TEST(SahglTest, BetaWeightsScaleModalContribution) {
   EXPECT_LT(image_diff, 1e-9);
 }
 
+// Attention refreshed over a CKG with extra interactions must not reach a
+// forward pass over the training graphs.
+TEST(SahglDeathTest, ForwardRejectsAttentionOfAnotherCkg) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const World& world = TinyWorld();
+  Dataset dataset = world.dataset;
+  dataset.cold_known = {{0, dataset.ColdItems().front()}};
+  FrozenGraphOptions graph_options;
+  const FrozenGraphs merged = BuildInferenceGraphs(
+      dataset, graph_options, world.graphs, dataset.cold_known);
+  Rng rng(1);
+  Sahgl sahgl(world.dataset, DefaultSahglOptions(world.dataset), &rng);
+  sahgl.RefreshAttention(merged);
+  Rng drop(2);
+  EXPECT_DEATH(sahgl.Forward(world.graphs, world.dataset, {0.5, 0.5},
+                             /*training=*/false, &drop),
+               "ckg.topology.nnz");
+}
+
 TEST(MshglTest, ForwardPreservesShapesAndIsFinite) {
   const World& world = TinyWorld();
   Rng rng(9);

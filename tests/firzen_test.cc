@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "src/core/firzen_model.h"
 #include "src/core/frozen_graphs.h"
 #include "src/core/losses.h"
+#include "src/data/split.h"
 #include "src/data/synthetic.h"
 #include "src/graph/knn_graph.h"
 #include "src/util/logging.h"
@@ -252,6 +254,70 @@ TEST_F(FirzenFixture, InferenceGatesChangeRepresentations) {
     diff += std::abs(with_all.data()[i] - without_text.data()[i]);
   }
   EXPECT_GT(diff, 1e-9);
+}
+
+// The knowledge-attention tests below each train their own model, so no
+// test's inference call can leave state that another reads.
+std::unique_ptr<FirzenModel> FitFresh(const Dataset& dataset) {
+  SetLogLevel(LogLevel::kError);
+  auto model = std::make_unique<FirzenModel>();
+  TrainOptions train = TinyTrainOptions();
+  train.epochs = 3;
+  train.eval_every = 1;
+  model->Fit(dataset, train);
+  return model;
+}
+
+std::vector<Real> Values(const Matrix& m) {
+  return std::vector<Real>(m.data(), m.data() + m.size());
+}
+
+void ExpectSameEmbeddings(const Matrix& want_user, const Matrix& want_item,
+                          const FirzenModel& model) {
+  const Matrix user = model.UserEmbeddings();
+  const Matrix item = model.ItemEmbeddings();
+  ASSERT_EQ(want_user.rows(), user.rows());
+  ASSERT_EQ(want_item.rows(), item.rows());
+  EXPECT_EQ(Values(want_user), Values(user));
+  EXPECT_EQ(Values(want_item), Values(item));
+}
+
+// Fit leaves final representations built from the attention of its final
+// parameters, so an explicit refresh-and-recompute changes no bit.
+TEST(FirzenAttentionTest, FinalRepresentationsUseCurrentAttention) {
+  const std::unique_ptr<FirzenModel> model = FitFresh(TinyDataset());
+  const Matrix user = model->UserEmbeddings();
+  const Matrix item = model->ItemEmbeddings();
+  model->RecomputeFinal(TinyDataset(), model->options(),
+                        /*cold_expanded=*/false);
+  ExpectSameEmbeddings(user, item, *model);
+}
+
+// Strict-cold inference reuses the attention Fit left current; it must
+// equal a fresh refresh over the expanded graphs.
+TEST(FirzenAttentionTest, PrepareColdInferenceMatchesFreshAttention) {
+  const std::unique_ptr<FirzenModel> model = FitFresh(TinyDataset());
+  model->PrepareColdInference(TinyDataset());
+  const Matrix user = model->UserEmbeddings();
+  const Matrix item = model->ItemEmbeddings();
+  model->RecomputeFinal(TinyDataset(), model->options(),
+                        /*cold_expanded=*/true);
+  ExpectSameEmbeddings(user, item, *model);
+}
+
+// The normal-cold pass refreshes attention over a CKG with the revealed
+// links; it must put the training-CKG attention back for strict cold.
+TEST(FirzenAttentionTest, StrictColdAfterNormalColdIsUnchanged) {
+  Rng rng(7);
+  const Dataset normal = MakeNormalColdProtocol(TinyDataset(), &rng);
+  ASSERT_FALSE(normal.cold_known.empty());
+  const std::unique_ptr<FirzenModel> direct = FitFresh(normal);
+  direct->PrepareColdInference(normal);
+  const std::unique_ptr<FirzenModel> after_normal = FitFresh(normal);
+  after_normal->PrepareNormalColdInference(normal);
+  after_normal->PrepareColdInference(normal);
+  ExpectSameEmbeddings(direct->UserEmbeddings(), direct->ItemEmbeddings(),
+                       *after_normal);
 }
 
 class AblationTest : public ::testing::TestWithParam<const char*> {};

@@ -33,7 +33,8 @@
 #      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
 #      admission + autograd + optim + graph + eval + core_components
-#      suites under UBSan —
+#      suites, plus firzen_test (the full model's Fit and inference
+#      passes, and the knowledge-attention reuse they pin), under UBSan —
 #      the overload-protection paths (deadline arithmetic on steady_clock time points, hysteresis
 #      watermark comparisons, fair-share weight indexing) are where signed
 #      overflow or bad shifts would hide, and the quant suites (also in the
@@ -157,10 +158,11 @@ if [[ "${FAST}" == "0" ]]; then
   # default is report-and-continue). autograd and optim add the training
   # kernels' index arithmetic (strided trans_a reads, ragged tiles), and
   # graph and eval the kNN build's and the evaluator's selection loops,
-  # and core_components the knowledge attention's per-relation slots.
+  # core_components the knowledge attention's per-relation slots, and
+  # firzen_test the whole Fit, strict-cold and normal-cold passes.
   UBSAN_OPTIONS=${UBSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-ubsan -DFIRZEN_SANITIZE=undefined -- \
-    -R "serving|scorer|quant|autograd|optim|graph|eval|core_components"
+    -R "serving|scorer|quant|autograd|optim|graph|eval|core_components|firzen_test"
 
   echo "== pass 5: forced-scalar quant suites (FIRZEN_SIMD=scalar) =="
   # The quant tests compare against a tier-independent int32 reference, so
