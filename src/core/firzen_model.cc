@@ -1,6 +1,8 @@
 #include "src/core/firzen_model.h"
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <unordered_set>
 
 #include "src/core/losses.h"
@@ -8,7 +10,6 @@
 #include "src/models/sampler.h"
 #include "src/tensor/optim.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 namespace {
@@ -94,11 +95,9 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
   kg_adam.lazy = true;
   Adam kg_optimizer(kg_adam);
 
-  BprSampler sampler(dataset, options.seed + 1);
   Rng kg_rng(options.seed + 2);
   Rng adv_rng(options.seed + 3);
   Rng drop_rng(options.seed + 4);
-  EarlyStopper stopper(options.patience);
 
   std::vector<std::unordered_set<Index>> train_sets(
       static_cast<size_t>(dataset.num_users));
@@ -111,177 +110,166 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
     for (const Tensor& p : mshgl_.Params()) rec_params.push_back(p);
   }
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
   const bool modalities_active =
       options_.use_modality && (options_.use_text || options_.use_image);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
   // Knowledge attention (Eqs. 9-11) is refreshed here and after each epoch's
   // TransR steps: the next epoch, validation, the final representations and
   // strict-cold inference all read the attention of the current parameters.
   if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    if (options_.dynamic_item_graphs && epoch > 0) {
-      // LATTICE-style ablation: rebuild the item-item graphs from the
-      // CURRENT learned modal projections (the paper's frozen design skips
-      // this entirely). Warm-only, like the frozen training graphs. Only
-      // item_item is replaced: strict-cold inference expands
-      // warm_knn_lists, which stay the raw-feature lists.
-      KnnGraphOptions knn_options;
-      knn_options.top_k = options_.knn_k;
-      knn_options.candidate_items = dataset.WarmItems();
-      knn_options.query_items = knn_options.candidate_items;
-      knn_options.pool = options.pool;
-      for (size_t m = 0; m < train_graphs_.item_item.size(); ++m) {
-        train_graphs_.item_item[m] = std::make_shared<const CsrMatrix>(
-            BuildItemItemGraph(sahgl_.ProjectedModalFeatures(m),
-                               knn_options));
-      }
+  EpochLoop loop;
+  loop.begin_epoch = [&](int epoch) {
+    if (!options_.dynamic_item_graphs || epoch == 0) return;
+    // LATTICE-style ablation: rebuild the item-item graphs from the
+    // CURRENT learned modal projections (the paper's frozen design skips
+    // this entirely). Warm-only, like the frozen training graphs. Only
+    // item_item is replaced: strict-cold inference expands
+    // warm_knn_lists, which stay the raw-feature lists.
+    KnnGraphOptions knn_options;
+    knn_options.top_k = options_.knn_k;
+    knn_options.candidate_items = dataset.WarmItems();
+    knn_options.query_items = knn_options.candidate_items;
+    knn_options.pool = options.pool;
+    for (size_t m = 0; m < train_graphs_.item_item.size(); ++m) {
+      train_graphs_.item_item[m] = std::make_shared<const CsrMatrix>(
+          BuildItemItemGraph(sahgl_.ProjectedModalFeatures(m),
+                             knn_options));
     }
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
+  };
+  loop.step = [&](const BprBatch& batch) {
+    // ---- Forward: SAHGL + MSHGL ----
+    SahglOutput sa = sahgl_.Forward(train_graphs_, dataset, betas_,
+                                    /*training=*/true, &drop_rng);
+    Tensor user_final = sa.fused_user;
+    Tensor item_final = sa.fused_item;
+    if (options_.use_mshgl) {
+      MshglOutput ms =
+          mshgl_.Forward(train_graphs_, sa.fused_user, sa.fused_item);
+      user_final = Add(sa.fused_user, ms.user);
+      item_final = Add(sa.fused_item, ms.item);
+    }
 
-      // ---- Forward: SAHGL + MSHGL ----
-      SahglOutput sa = sahgl_.Forward(train_graphs_, dataset, betas_,
-                                      /*training=*/true, &drop_rng);
-      Tensor user_final = sa.fused_user;
-      Tensor item_final = sa.fused_item;
-      if (options_.use_mshgl) {
-        MshglOutput ms =
-            mshgl_.Forward(train_graphs_, sa.fused_user, sa.fused_item);
-        user_final = Add(sa.fused_user, ms.user);
-        item_final = Add(sa.fused_item, ms.item);
+    // ---- L_BPR (Eq. 33) ----
+    Tensor eu = GatherRows(user_final, batch.users);
+    Tensor ep = GatherRows(item_final, batch.pos);
+    Tensor en = GatherRows(item_final, batch.neg);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, ep, en}, options.reg, options.batch_size));
+
+    // ---- L_adv (Eqs. 22-27) + beta momentum update (Eqs. 16-17) ----
+    if (modalities_active && options_.lambda_adv > 0.0) {
+      const std::vector<Index> adv_users =
+          batch.sampler->SampleUsers(adv_b);
+      const std::vector<Index> adv_items =
+          batch.sampler->SampleWarmItems(adv_b);
+      Tensor real = Tensor::Constant(BuildAugmentedBlock(
+          adv_users, adv_items, train_sets, final_user_, final_item_,
+          options_.adv_temperature, options_.aux_gamma, &adv_rng));
+
+      std::vector<Real> critic_means(betas_.size(), 0.0);
+      Tensor g_adv;
+      bool g_adv_set = false;
+      for (size_t m = 0; m < betas_.size(); ++m) {
+        if (!sahgl_.options().use_modality[m]) continue;
+        Tensor xu = RowL2Normalize(GatherRows(sa.modal_user[m], adv_users));
+        Tensor xi = RowL2Normalize(GatherRows(sa.modal_item[m], adv_items));
+        Tensor fake = MatMul(xu, xi, false, true);  // B x B (Eq. 22)
+
+        // Discriminator step on the detached fake block.
+        Tensor d_loss =
+            Sub(ReduceMean(
+                    discriminator_.Critic(Detach(fake), &adv_rng, true)),
+                ReduceMean(discriminator_.Critic(real, &adv_rng, true)));
+        Backward(d_loss);
+        d_optimizer.Step(discriminator_.Params());
+        discriminator_.ClipWeights();
+
+        // Generator signal + critic output for the beta update.
+        Tensor critic = ReduceMean(
+            discriminator_.Critic(fake, &adv_rng, true));
+        critic_means[m] = critic.scalar();
+        Tensor g_term = Scale(critic, -options_.lambda_adv /
+                                          static_cast<Real>(betas_.size()));
+        g_adv = g_adv_set ? Add(g_adv, g_term) : g_term;
+        g_adv_set = true;
       }
+      if (g_adv_set) loss = Add(loss, g_adv);
 
-      // ---- L_BPR (Eq. 33) ----
-      Tensor eu = GatherRows(user_final, users);
-      Tensor ep = GatherRows(item_final, pos);
-      Tensor en = GatherRows(item_final, neg);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, ep, en}, options.reg,
-                                options.batch_size));
-
-      // ---- L_adv (Eqs. 22-27) + beta momentum update (Eqs. 16-17) ----
-      if (modalities_active && options_.lambda_adv > 0.0) {
-        const std::vector<Index> adv_users = sampler.SampleUsers(adv_b);
-        const std::vector<Index> adv_items = sampler.SampleWarmItems(adv_b);
-        Tensor real = Tensor::Constant(BuildAugmentedBlock(
-            adv_users, adv_items, train_sets, final_user_, final_item_,
-            options_.adv_temperature, options_.aux_gamma, &adv_rng));
-
-        std::vector<Real> critic_means(betas_.size(), 0.0);
-        Tensor g_adv;
-        bool g_adv_set = false;
+      // Eqs. 16-17: softmax over critic outputs, momentum update.
+      Real max_c = -1e30;
+      for (size_t m = 0; m < betas_.size(); ++m) {
+        if (sahgl_.options().use_modality[m]) {
+          max_c = std::max(max_c, critic_means[m]);
+        }
+      }
+      Real denom = 0.0;
+      for (size_t m = 0; m < betas_.size(); ++m) {
+        if (sahgl_.options().use_modality[m]) {
+          denom += std::exp(critic_means[m] - max_c);
+        }
+      }
+      if (denom > 0.0) {
         for (size_t m = 0; m < betas_.size(); ++m) {
           if (!sahgl_.options().use_modality[m]) continue;
-          Tensor xu = RowL2Normalize(GatherRows(sa.modal_user[m], adv_users));
-          Tensor xi = RowL2Normalize(GatherRows(sa.modal_item[m], adv_items));
-          Tensor fake = MatMul(xu, xi, false, true);  // B x B (Eq. 22)
-
-          // Discriminator step on the detached fake block.
-          Tensor d_loss =
-              Sub(ReduceMean(
-                      discriminator_.Critic(Detach(fake), &adv_rng, true)),
-                  ReduceMean(discriminator_.Critic(real, &adv_rng, true)));
-          Backward(d_loss);
-          d_optimizer.Step(discriminator_.Params());
-          discriminator_.ClipWeights();
-
-          // Generator signal + critic output for the beta update.
-          Tensor critic = ReduceMean(
-              discriminator_.Critic(fake, &adv_rng, true));
-          critic_means[m] = critic.scalar();
-          Tensor g_term = Scale(critic, -options_.lambda_adv /
-                                            static_cast<Real>(betas_.size()));
-          g_adv = g_adv_set ? Add(g_adv, g_term) : g_term;
-          g_adv_set = true;
+          const Real target = std::exp(critic_means[m] - max_c) / denom;
+          betas_[m] = options_.beta_momentum * betas_[m] +
+                      (1.0 - options_.beta_momentum) * target;
         }
-        if (g_adv_set) loss = Add(loss, g_adv);
-
-        // Eqs. 16-17: softmax over critic outputs, momentum update.
-        Real max_c = -1e30;
-        for (size_t m = 0; m < betas_.size(); ++m) {
-          if (sahgl_.options().use_modality[m]) {
-            max_c = std::max(max_c, critic_means[m]);
-          }
-        }
-        Real denom = 0.0;
-        for (size_t m = 0; m < betas_.size(); ++m) {
-          if (sahgl_.options().use_modality[m]) {
-            denom += std::exp(critic_means[m] - max_c);
-          }
-        }
-        if (denom > 0.0) {
-          for (size_t m = 0; m < betas_.size(); ++m) {
-            if (!sahgl_.options().use_modality[m]) continue;
-            const Real target = std::exp(critic_means[m] - max_c) / denom;
-            betas_[m] = options_.beta_momentum * betas_[m] +
-                        (1.0 - options_.beta_momentum) * target;
-          }
-        }
-      }
-
-      // ---- L_contr (Eqs. 28-29) ----
-      if (modalities_active && options_.lambda_contr > 0.0) {
-        Tensor fu_batch = GatherRows(user_final, users);
-        Tensor contr;
-        bool contr_set = false;
-        for (size_t m = 0; m < betas_.size(); ++m) {
-          if (!sahgl_.options().use_modality[m]) continue;
-          Tensor xm_batch = GatherRows(sa.modal_user[m], users);
-          Tensor term = ModalContrastiveLoss(fu_batch, xm_batch);
-          contr = contr_set ? Add(contr, term) : term;
-          contr_set = true;
-        }
-        if (contr_set) {
-          loss = Add(loss, Scale(contr, options_.lambda_contr));
-        }
-      }
-
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step(rec_params);
-      for (Tensor p : discriminator_.Params()) p.ZeroGrad();
-
-      // ---- Alternating L_KG (Eqs. 30-31) ----
-      if (options_.use_knowledge) {
-        const KgBatch batch =
-            SampleKgBatch(train_graphs_.ckg.triplets,
-                          train_graphs_.ckg.num_entities,
-                          options.batch_size, &kg_rng);
-        Tensor kg_loss = TransRLoss(sahgl_.kg(), batch, options.reg);
-        Backward(kg_loss);
-        kg_optimizer.Step(
-            {sahgl_.kg().entity, sahgl_.kg().relation, sahgl_.kg().rel_proj});
       }
     }
+
+    // ---- L_contr (Eqs. 28-29) ----
+    if (modalities_active && options_.lambda_contr > 0.0) {
+      Tensor fu_batch = GatherRows(user_final, batch.users);
+      Tensor contr;
+      bool contr_set = false;
+      for (size_t m = 0; m < betas_.size(); ++m) {
+        if (!sahgl_.options().use_modality[m]) continue;
+        Tensor xm_batch = GatherRows(sa.modal_user[m], batch.users);
+        Tensor term = ModalContrastiveLoss(fu_batch, xm_batch);
+        contr = contr_set ? Add(contr, term) : term;
+        contr_set = true;
+      }
+      if (contr_set) {
+        loss = Add(loss, Scale(contr, options_.lambda_contr));
+      }
+    }
+
+    Backward(loss);
+    optimizer.Step(rec_params);
+    for (Tensor p : discriminator_.Params()) p.ZeroGrad();
+
+    // ---- Alternating L_KG (Eqs. 30-31) ----
+    if (options_.use_knowledge) {
+      const KgBatch kg_batch =
+          SampleKgBatch(train_graphs_.ckg.triplets,
+                        train_graphs_.ckg.num_entities,
+                        options.batch_size, &kg_rng);
+      Tensor kg_loss = TransRLoss(sahgl_.kg(), kg_batch, options.reg);
+      Backward(kg_loss);
+      kg_optimizer.Step(
+          {sahgl_.kg().entity, sahgl_.kg().relation, sahgl_.kg().rel_proj});
+    }
+    return loss.scalar();
+  };
+  loop.end_epoch = [&] {
     if (options_.use_knowledge) sahgl_.RefreshAttention(train_graphs_);
-    if ((epoch + 1) % options.eval_every == 0) {
-      ComputeFinalFrom(train_graphs_, dataset,
-                       MakeSahglOptions(options_, d, dataset));
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      // No best-state restore: warm and cold evaluation see one model
-      // state, the current parameters and the attention computed from them,
-      // which PrepareColdInference reuses.
-      const bool stop = stopper.Update(mrr);
-      if (options.verbose) {
-        Logf(LogLevel::kInfo,
-             "[Firzen] epoch %d loss=%.4f val-mrr=%.4f beta=[%.3f, %.3f]",
-             epoch, epoch_loss / steps, mrr, betas_.empty() ? 0.0 : betas_[0],
-             betas_.size() > 1 ? betas_[1] : 0.0);
-      }
-      if (stop) break;
-    }
-  }
-  ComputeFinalFrom(train_graphs_, dataset,
-                   MakeSahglOptions(options_, d, dataset));
+  };
+  loop.compute_final = [&] {
+    ComputeFinalFrom(train_graphs_, dataset,
+                     MakeSahglOptions(options_, d, dataset));
+  };
+  // No best-state restore: warm and cold evaluation see one model state,
+  // the current parameters and the attention computed from them, which
+  // PrepareColdInference reuses.
+  loop.keep_best = false;
+  loop.log_suffix = [&] {
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), " beta=[%.3f, %.3f]",
+                  betas_.empty() ? 0.0 : betas_[0],
+                  betas_.size() > 1 ? betas_[1] : 0.0);
+    return std::string(buf);
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 void FirzenModel::PrepareColdInference(const Dataset& dataset) {

@@ -3,10 +3,8 @@
 #include "src/graph/interaction_graph.h"
 #include "src/models/lightgcn.h"
 #include "src/models/mm_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 namespace {
@@ -40,94 +38,51 @@ void Bm3::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
   Rng drop_rng(options.seed + 3);
 
-  auto compute_final = [&] {
-    Matrix propagated = joint.value();
-    Matrix current = joint.value();
-    Matrix next;
-    for (int l = 0; l < options.num_layers; ++l) {
-      graph->SpMM(current, &next);
-      current = next;
-      propagated.Add(current);
-    }
-    propagated.Scale(1.0 / static_cast<Real>(options.num_layers + 1));
+  EpochLoop loop;
+  loop.compute_final = [&] {
+    LightGcn::PropagateFinal(*graph, joint.value(), options.num_layers,
+                             num_users, &final_user_, &final_item_);
     Matrix modal;
     Gemm(false, false, 1.0, features.value(), proj.value(), 0.0, &modal);
-    final_user_.Resize(num_users, d);
-    final_item_.Resize(num_items, d);
-    for (Index u = 0; u < num_users; ++u) {
-      for (Index c = 0; c < d; ++c) final_user_(u, c) = propagated(u, c);
-    }
-    for (Index i = 0; i < num_items; ++i) {
-      for (Index c = 0; c < d; ++c) {
-        final_item_(i, c) = propagated(num_users + i, c) + modal(i, c);
-      }
-    }
+    final_item_.Add(modal);
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg_unused;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg_unused);
-      std::vector<Index> pos_nodes;
-      for (Index i : pos) pos_nodes.push_back(num_users + i);
+  // BM3 learns without negatives: the batch's neg ids go unused.
+  loop.step = [&](const BprBatch& batch) {
+    std::vector<Index> pos_nodes;
+    for (Index i : batch.pos) pos_nodes.push_back(num_users + i);
 
-      Tensor propagated =
-          LightGcn::Propagate(graph, joint, options.num_layers);
-      Tensor hu = GatherRows(propagated, users);
-      Tensor hi = GatherRows(propagated, pos_nodes);
-      // Online views (dropout) -> predictor; targets are stop-gradient.
-      Tensor hu_view = MatMul(Dropout(hu, options_.dropout, &drop_rng),
-                              predictor);
-      Tensor hi_view = MatMul(Dropout(hi, options_.dropout, &drop_rng),
-                              predictor);
-      Tensor hu_target = Detach(hu);
-      Tensor hi_target = Detach(hi);
-      // Graph reconstruction: align user view with positive item target
-      // (inter-view) and each view with its own target (intra-view).
-      Tensor rec = Add(CosineAlignLoss(hu_view, hi_target),
-                       Add(CosineAlignLoss(hu_view, hu_target),
-                           CosineAlignLoss(hi_view, hi_target)));
-      // Modal alignment.
-      Tensor modal = MatMul(GatherRows(features, pos), proj);
-      Tensor modal_drop = Dropout(modal, options_.dropout, &drop_rng);
-      Tensor align = Add(CosineAlignLoss(modal, hi_target),
-                         CosineAlignLoss(modal_drop, Detach(modal)));
-      Tensor hu0 = GatherRows(joint, users);
-      Tensor hi0 = GatherRows(joint, pos_nodes);
-      Tensor loss = Add(Add(rec, Scale(align, options_.modal_weight)),
-                        BatchL2({hu0, hi0}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({joint, predictor, proj});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[BM3] epoch %d loss=%.4f val-mrr=%.4f", epoch,
-             epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+    Tensor propagated = LightGcn::Propagate(graph, joint, options.num_layers);
+    Tensor hu = GatherRows(propagated, batch.users);
+    Tensor hi = GatherRows(propagated, pos_nodes);
+    // Online views (dropout) -> predictor; targets are stop-gradient.
+    Tensor hu_view = MatMul(Dropout(hu, options_.dropout, &drop_rng),
+                            predictor);
+    Tensor hi_view = MatMul(Dropout(hi, options_.dropout, &drop_rng),
+                            predictor);
+    Tensor hu_target = Detach(hu);
+    Tensor hi_target = Detach(hi);
+    // Graph reconstruction: align user view with positive item target
+    // (inter-view) and each view with its own target (intra-view).
+    Tensor rec = Add(CosineAlignLoss(hu_view, hi_target),
+                     Add(CosineAlignLoss(hu_view, hu_target),
+                         CosineAlignLoss(hi_view, hi_target)));
+    // Modal alignment.
+    Tensor modal = MatMul(GatherRows(features, batch.pos), proj);
+    Tensor modal_drop = Dropout(modal, options_.dropout, &drop_rng);
+    Tensor align = Add(CosineAlignLoss(modal, hi_target),
+                       CosineAlignLoss(modal_drop, Detach(modal)));
+    Tensor hu0 = GatherRows(joint, batch.users);
+    Tensor hi0 = GatherRows(joint, pos_nodes);
+    Tensor loss = Add(Add(rec, Scale(align, options_.modal_weight)),
+                      BatchL2({hu0, hi0}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({joint, predictor, proj});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -1,9 +1,7 @@
 #include "src/models/bpr_mf.h"
 
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -19,48 +17,23 @@ void BprMf::Fit(const Dataset& dataset, const TrainOptions& options) {
   adam_options.lr = options.lr;
   adam_options.lazy = true;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = GatherRows(user_table, users);
-      Tensor ep = GatherRows(item_table, pos);
-      Tensor en = GatherRows(item_table, neg);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, ep, en}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, item_table});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      final_user_ = user_table.value();
-      final_item_ = item_table.value();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[BPR] epoch %d loss=%.4f val-mrr=%.4f", epoch,
-             epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  final_user_ = user_table.value();
-  final_item_ = item_table.value();
-  RestoreBestSnapshot();
+  EpochLoop loop;
+  loop.step = [&](const BprBatch& batch) {
+    Tensor eu = GatherRows(user_table, batch.users);
+    Tensor ep = GatherRows(item_table, batch.pos);
+    Tensor en = GatherRows(item_table, batch.neg);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, ep, en}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({user_table, item_table});
+    return loss.scalar();
+  };
+  loop.compute_final = [&] {
+    final_user_ = user_table.value();
+    final_item_ = item_table.value();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -1,10 +1,8 @@
 #include "src/models/cke.h"
 
 #include "src/models/kg_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -23,11 +21,10 @@ void Cke::Fit(const Dataset& dataset, const TrainOptions& options) {
   adam_options.lr = options.lr;
   adam_options.lazy = true;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
   Rng kg_rng(options.seed + 2);
-  EarlyStopper stopper(options.patience);
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     // Item representation = ID embedding + structural (entity) embedding.
     final_user_ = user_table.value();
     final_item_ = item_table.value();
@@ -38,54 +35,28 @@ void Cke::Fit(const Dataset& dataset, const TrainOptions& options) {
     }
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      // Alternate: recommendation objective ...
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = GatherRows(user_table, users);
-      Tensor ep = Add(GatherRows(item_table, pos),
-                      GatherRows(kg.entity, pos));
-      Tensor en = Add(GatherRows(item_table, neg),
-                      GatherRows(kg.entity, neg));
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, ep, en}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, item_table, kg.entity});
+  loop.step = [&](const BprBatch& batch) {
+    // Alternate: recommendation objective ...
+    Tensor eu = GatherRows(user_table, batch.users);
+    Tensor ep = Add(GatherRows(item_table, batch.pos),
+                    GatherRows(kg.entity, batch.pos));
+    Tensor en = Add(GatherRows(item_table, batch.neg),
+                    GatherRows(kg.entity, batch.neg));
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, ep, en}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({user_table, item_table, kg.entity});
 
-      // ... then the KG representation objective.
-      const KgBatch batch = SampleKgBatch(dataset.kg.triplets,
-                                          dataset.kg.num_entities,
-                                          options.batch_size, &kg_rng);
-      Tensor kg_loss = TransRLoss(kg, batch, options.reg);
-      Backward(kg_loss);
-      optimizer.Step({kg.entity, kg.relation, kg.rel_proj});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[CKE] epoch %d loss=%.4f val-mrr=%.4f", epoch,
-             epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+    // ... then the KG representation objective.
+    const KgBatch kg_batch = SampleKgBatch(dataset.kg.triplets,
+                                           dataset.kg.num_entities,
+                                           options.batch_size, &kg_rng);
+    Tensor kg_loss = TransRLoss(kg, kg_batch, options.reg);
+    Backward(kg_loss);
+    optimizer.Step({kg.entity, kg.relation, kg.rel_proj});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -1,10 +1,8 @@
 #include "src/models/clcrec.h"
 
 #include "src/models/mm_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -12,6 +10,7 @@ void ClcRec::Fit(const Dataset& dataset, const TrainOptions& options) {
   using namespace ops;  // NOLINT(build/namespaces)
   Rng rng(options.seed);
   const Index d = options.embedding_dim;
+  const Real a = options_.hybrid_alpha;
 
   Matrix raw = ConcatModalFeatures(dataset);
   StandardizeColumns(&raw);
@@ -25,19 +24,17 @@ void ClcRec::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
   auto encode = [&](const Tensor& f) {
     return MatMul(LeakyRelu(MatMul(f, enc1)), enc2);
   };
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     Tensor c = encode(features);
     content_ = c.value();
     final_user_ = user_table.value();
     hybrid_.Resize(dataset.num_items, d);
-    const Real a = options_.hybrid_alpha;
     for (Index i = 0; i < dataset.num_items; ++i) {
       for (Index col = 0; col < d; ++col) {
         hybrid_(i, col) =
@@ -47,59 +44,36 @@ void ClcRec::Fit(const Dataset& dataset, const TrainOptions& options) {
     final_item_ = hybrid_;
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  const Real a = options_.hybrid_alpha;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = GatherRows(user_table, users);
-      Tensor cp = encode(GatherRows(features, pos));
-      Tensor cn = encode(GatherRows(features, neg));
-      Tensor ep = Add(Scale(GatherRows(item_table, pos), a),
-                      Scale(cp, 1.0 - a));
-      Tensor en = Add(Scale(GatherRows(item_table, neg), a),
-                      Scale(cn, 1.0 - a));
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, GatherRows(item_table, pos)},
-                                options.reg, options.batch_size));
-      // Contrast content encoding against the collaborative embedding of
-      // the same item (positives) vs other items in the batch (negatives).
-      Tensor c_norm = RowL2Normalize(cp);
-      Tensor e_norm = RowL2Normalize(GatherRows(item_table, pos));
-      Tensor logits = Scale(MatMul(c_norm, e_norm, false, true),
-                            1.0 / options_.temperature);
-      Tensor positives = Scale(RowDot(c_norm, e_norm),
-                               1.0 / options_.temperature);
-      Tensor lse = Log(RowSum(Exp(logits)));
-      loss = Add(loss, Scale(ReduceMean(Sub(lse, positives)),
-                             options_.contrastive_weight));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, item_table, enc1, enc2});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      // No best-state restore: PrepareColdInference swaps in content_
-      // representations, which must match the state that produced final_*.
-      const bool stop = stopper.Update(mrr);
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[CLCRec] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
+  // No best-state restore: PrepareColdInference swaps in content_
+  // representations, which must match the state that produced final_*.
+  loop.keep_best = false;
+  loop.step = [&](const BprBatch& batch) {
+    Tensor eu = GatherRows(user_table, batch.users);
+    Tensor cp = encode(GatherRows(features, batch.pos));
+    Tensor cn = encode(GatherRows(features, batch.neg));
+    Tensor ep = Add(Scale(GatherRows(item_table, batch.pos), a),
+                    Scale(cp, 1.0 - a));
+    Tensor en = Add(Scale(GatherRows(item_table, batch.neg), a),
+                    Scale(cn, 1.0 - a));
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, GatherRows(item_table, batch.pos)},
+                              options.reg, options.batch_size));
+    // Contrast content encoding against the collaborative embedding of
+    // the same item (positives) vs other items in the batch (negatives).
+    Tensor c_norm = RowL2Normalize(cp);
+    Tensor e_norm = RowL2Normalize(GatherRows(item_table, batch.pos));
+    Tensor logits = Scale(MatMul(c_norm, e_norm, false, true),
+                          1.0 / options_.temperature);
+    Tensor positives = Scale(RowDot(c_norm, e_norm),
+                             1.0 / options_.temperature);
+    Tensor lse = Log(RowSum(Exp(logits)));
+    loss = Add(loss, Scale(ReduceMean(Sub(lse, positives)),
+                           options_.contrastive_weight));
+    Backward(loss);
+    optimizer.Step({user_table, item_table, enc1, enc2});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 void ClcRec::PrepareColdInference(const Dataset& dataset) {

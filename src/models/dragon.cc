@@ -5,10 +5,8 @@
 #include "src/graph/knn_graph.h"
 #include "src/models/lightgcn.h"
 #include "src/models/mm_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -42,8 +40,6 @@ void Dragon::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
   // Forward: behavior tower from the bipartite graph; homogeneous towers
   // refine items over the item-item graph and users over the user-user
@@ -74,7 +70,8 @@ void Dragon::Fit(const Dataset& dataset, const TrainOptions& options) {
     *item_out = Add(behavior_items, item_homo);
   };
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     Tensor user_out;
     Tensor item_out;
     forward(&user_out, &item_out);
@@ -82,47 +79,21 @@ void Dragon::Fit(const Dataset& dataset, const TrainOptions& options) {
     final_item_ = item_out.value();
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor user_out;
-      Tensor item_out;
-      forward(&user_out, &item_out);
-      Tensor eu = GatherRows(user_out, users);
-      Tensor ep = GatherRows(item_out, pos);
-      Tensor en = GatherRows(item_out, neg);
-      Tensor eu0 = GatherRows(joint, users);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu0, ep, en}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({joint, proj});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[DRAGON] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+  loop.step = [&](const BprBatch& batch) {
+    Tensor user_out;
+    Tensor item_out;
+    forward(&user_out, &item_out);
+    Tensor eu = GatherRows(user_out, batch.users);
+    Tensor ep = GatherRows(item_out, batch.pos);
+    Tensor en = GatherRows(item_out, batch.neg);
+    Tensor eu0 = GatherRows(joint, batch.users);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu0, ep, en}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({joint, proj});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -3,10 +3,8 @@
 #include <cmath>
 
 #include "src/models/mm_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -31,8 +29,6 @@ void DropoutNet::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
   Rng drop_rng(options.seed + 7);
 
   auto user_tower = [&](const std::vector<Index>& users) {
@@ -65,7 +61,8 @@ void DropoutNet::Fit(const Dataset& dataset, const TrainOptions& options) {
     bias_item_ = bias_item.value();
   };
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     snapshot();
     // Users.
     Matrix hu;
@@ -80,47 +77,24 @@ void DropoutNet::Fit(const Dataset& dataset, const TrainOptions& options) {
                    /*use_known_links=*/false);
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = user_tower(users);
-      Tensor ep = item_tower(pos, true);
-      Tensor en = item_tower(neg, true);
-      Tensor loss = Add(
-          BprLoss(eu, ep, en),
-          BatchL2({GatherRows(user_table, users),
-                   GatherRows(item_table, pos)},
-                  options.reg, options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, item_table, w_user, w_behavior, w_content,
-                      bias_user, bias_item});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      // No best-state restore here: PrepareColdInference recomputes item
-      // towers from the stored tables, so the final state must stay
-      // consistent with them.
-      const bool stop = stopper.Update(mrr);
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[DropoutNet] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
+  // No best-state restore: PrepareColdInference recomputes item towers
+  // from the stored tables, so the final state must stay consistent with
+  // them.
+  loop.keep_best = false;
+  loop.step = [&](const BprBatch& batch) {
+    Tensor eu = user_tower(batch.users);
+    Tensor ep = item_tower(batch.pos, true);
+    Tensor en = item_tower(batch.neg, true);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({GatherRows(user_table, batch.users),
+                               GatherRows(item_table, batch.pos)},
+                              options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({user_table, item_table, w_user, w_behavior, w_content,
+                    bias_user, bias_item});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 void DropoutNet::RecomputeItems(const Dataset& dataset,

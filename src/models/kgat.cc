@@ -1,9 +1,7 @@
 #include "src/models/kgat.h"
 
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -61,9 +59,7 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
   Rng kg_rng(options.seed + 2);
-  EarlyStopper stopper(options.patience);
 
   std::vector<Tensor> rec_params{kg_.entity};
   for (int l = 0; l < num_layers_; ++l) {
@@ -71,14 +67,6 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
     rec_params.push_back(w2_[static_cast<size_t>(l)]);
   }
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
   // Attention is computed outside the tape: here, then after each epoch's KG
   // steps, so the next epoch, validation and ComputeFinal read current values.
   const auto refresh = [&] {
@@ -87,50 +75,34 @@ void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {
                            kg_.rel_proj.value()));
   };
   std::shared_ptr<const CsrMatrix> attention = refresh();
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      std::vector<Index> user_nodes;
-      std::vector<Index> pos_nodes;
-      std::vector<Index> neg_nodes;
-      for (Index u : users) user_nodes.push_back(ckg.UserEntity(u));
-      for (Index i : pos) pos_nodes.push_back(ckg.ItemEntity(i));
-      for (Index i : neg) neg_nodes.push_back(ckg.ItemEntity(i));
+  EpochLoop loop;
+  loop.step = [&](const BprBatch& batch) {
+    std::vector<Index> user_nodes;
+    std::vector<Index> pos_nodes;
+    std::vector<Index> neg_nodes;
+    for (Index u : batch.users) user_nodes.push_back(ckg.UserEntity(u));
+    for (Index i : batch.pos) pos_nodes.push_back(ckg.ItemEntity(i));
+    for (Index i : batch.neg) neg_nodes.push_back(ckg.ItemEntity(i));
 
-      Tensor all = PropagateAll(attention);
-      Tensor eu = GatherRows(all, user_nodes);
-      Tensor ep = GatherRows(all, pos_nodes);
-      Tensor en = GatherRows(all, neg_nodes);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, ep, en}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step(rec_params);
+    Tensor all = PropagateAll(attention);
+    Tensor eu = GatherRows(all, user_nodes);
+    Tensor ep = GatherRows(all, pos_nodes);
+    Tensor en = GatherRows(all, neg_nodes);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, ep, en}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step(rec_params);
 
-      const KgBatch batch = SampleKgBatch(ckg.triplets, ckg.num_entities,
-                                          options.batch_size, &kg_rng);
-      Tensor kg_loss = TransRLoss(kg_, batch, options.reg);
-      Backward(kg_loss);
-      optimizer.Step({kg_.entity, kg_.relation, kg_.rel_proj});
-    }
-    attention = refresh();
-    if ((epoch + 1) % options.eval_every == 0) {
-      ComputeFinal(ckg, attention);
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[%s] epoch %d loss=%.4f val-mrr=%.4f",
-             Name().c_str(), epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  ComputeFinal(ckg, attention);
-  RestoreBestSnapshot();
+    const KgBatch kg_batch = SampleKgBatch(ckg.triplets, ckg.num_entities,
+                                           options.batch_size, &kg_rng);
+    Tensor kg_loss = TransRLoss(kg_, kg_batch, options.reg);
+    Backward(kg_loss);
+    optimizer.Step({kg_.entity, kg_.relation, kg_.rel_proj});
+    return loss.scalar();
+  };
+  loop.end_epoch = [&] { attention = refresh(); };
+  loop.compute_final = [&] { ComputeFinal(ckg, attention); };
+  RunEpochs(dataset, options, loop);
 }
 
 void Kgat::PrepareNormalColdInference(const Dataset& dataset) {

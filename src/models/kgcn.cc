@@ -6,11 +6,9 @@
 // Known back-edge: training-time validation metrics (see registry.h).
 // firzen-lint: allow(include-layering)
 #include "src/eval/evaluator.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
 #include "src/util/check.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -58,8 +56,6 @@ void Kgcn::Fit(const Dataset& dataset, const TrainOptions& options) {
   adam_options.lr = options.lr;
   adam_options.lazy = true;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
   auto item_tower = [&](const std::vector<Index>& items,
                         const Tensor& eu) -> Tensor {
@@ -84,90 +80,72 @@ void Kgcn::Fit(const Dataset& dataset, const TrainOptions& options) {
     return Tanh(AddRowBroadcast(MatMul(Add(agg, ego), w), bias));
   };
 
-  auto snapshot_tables = [&] {
+  EpochLoop loop;
+  loop.step = [&](const BprBatch& batch) {
+    Tensor eu = GatherRows(user_table, batch.users);
+    Tensor vp = item_tower(batch.pos, eu);
+    Tensor vn = item_tower(batch.neg, eu);
+    Tensor loss = Add(BprLoss(eu, vp, vn),
+                      BatchL2({eu, vp, vn}, options.reg, options.batch_size));
+    if (SmoothnessWeight() > 0.0) {
+      // Embedding smoothness over positive neighborhoods: pull sampled
+      // tails toward the item embedding (label-smoothness substitution).
+      const Index b = static_cast<Index>(batch.pos.size());
+      std::vector<Index> tails(static_cast<size_t>(b * s));
+      for (Index k = 0; k < b; ++k) {
+        for (Index j = 0; j < s; ++j) {
+          tails[static_cast<size_t>(k * s + j)] = neighbor_tails_
+              [static_cast<size_t>(batch.pos[static_cast<size_t>(k)] * s + j)];
+        }
+      }
+      Tensor t_emb = GatherRows(entity_table, tails);
+      Tensor ego_rep =
+          RepeatInterleaveRows(GatherRows(entity_table, batch.pos), s);
+      Tensor diff = Sub(t_emb, ego_rep);
+      loss = Add(loss, Scale(ReduceMean(Mul(diff, diff)),
+                             SmoothnessWeight()));
+    }
+    Backward(loss);
+    optimizer.Step({user_table, entity_table, relation_table, w, bias});
+    return loss.scalar();
+  };
+  // KgcnScorer scores from the five tables; final_* are kept for
+  // ItemEmbeddings() and diagnostics.
+  const auto publish = [&] {
+    final_user_ = user_emb_;
+    final_item_ = ItemEmbeddings();
+  };
+  loop.compute_final = [&] {
     user_emb_ = user_table.value();
     entity_emb_ = entity_table.value();
     relation_emb_ = relation_table.value();
     w_ = w.value();
     bias_ = bias.value();
+    publish();
   };
-
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
+  loop.validate = [&] { return ScoreValidationMrr(dataset, options.pool); };
+  // The best state is the five tables the scorer reads, not final_*.
   Matrix best_user;
   Matrix best_entity;
   Matrix best_relation;
   Matrix best_w;
   Matrix best_bias;
-  bool has_best = false;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = GatherRows(user_table, users);
-      Tensor vp = item_tower(pos, eu);
-      Tensor vn = item_tower(neg, eu);
-      Tensor loss = Add(BprLoss(eu, vp, vn),
-                        BatchL2({eu, vp, vn}, options.reg,
-                                options.batch_size));
-      if (SmoothnessWeight() > 0.0) {
-        // Embedding smoothness over positive neighborhoods: pull sampled
-        // tails toward the item embedding (label-smoothness substitution).
-        const Index b = static_cast<Index>(pos.size());
-        std::vector<Index> tails(static_cast<size_t>(b * s));
-        for (Index k = 0; k < b; ++k) {
-          for (Index j = 0; j < s; ++j) {
-            tails[static_cast<size_t>(k * s + j)] = neighbor_tails_
-                [static_cast<size_t>(pos[static_cast<size_t>(k)] * s + j)];
-          }
-        }
-        Tensor t_emb = GatherRows(entity_table, tails);
-        Tensor ego_rep =
-            RepeatInterleaveRows(GatherRows(entity_table, pos), s);
-        Tensor diff = Sub(t_emb, ego_rep);
-        loss = Add(loss, Scale(ReduceMean(Mul(diff, diff)),
-                               SmoothnessWeight()));
-      }
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, entity_table, relation_table, w, bias});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      snapshot_tables();
-      const Real mrr = ScoreValidationMrr(dataset, options.pool);
-      const bool stop = stopper.Update(mrr);
-      if (stopper.improved()) {
-        best_user = user_emb_;
-        best_entity = entity_emb_;
-        best_relation = relation_emb_;
-        best_w = w_;
-        best_bias = bias_;
-        has_best = true;
-      }
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[%s] epoch %d loss=%.4f val-mrr=%.4f",
-             Name().c_str(), epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  snapshot_tables();
-  if (has_best) {
+  loop.save_best = [&] {
+    best_user = user_emb_;
+    best_entity = entity_emb_;
+    best_relation = relation_emb_;
+    best_w = w_;
+    best_bias = bias_;
+  };
+  loop.restore_best = [&] {
     user_emb_ = best_user;
     entity_emb_ = best_entity;
     relation_emb_ = best_relation;
     w_ = best_w;
     bias_ = best_bias;
-  }
-  // final_* kept for ItemEmbeddings()/diagnostics; KgcnScorer scores.
-  final_user_ = user_emb_;
-  final_item_ = ItemEmbeddings();
+    publish();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 namespace {

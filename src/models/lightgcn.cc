@@ -1,10 +1,8 @@
 #include "src/models/lightgcn.h"
 
 #include "src/graph/interaction_graph.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -20,27 +18,30 @@ Tensor LightGcn::Propagate(const std::shared_ptr<const CsrMatrix>& graph,
   return Scale(AddN(layers), 1.0 / static_cast<Real>(layers.size()));
 }
 
-void LightGcn::ComputeFinal(const CsrMatrix& graph) {
-  Matrix propagated = joint_table_.value();
-  Matrix current = joint_table_.value();
+void LightGcn::PropagateFinal(const CsrMatrix& graph, const Matrix& table,
+                              int num_layers, Index num_users, Matrix* users,
+                              Matrix* items) {
+  Matrix propagated = table;
+  Matrix current = table;
   Matrix next;
-  for (int l = 0; l < num_layers_; ++l) {
+  for (int l = 0; l < num_layers; ++l) {
     graph.SpMM(current, &next);
     current = next;
     propagated.Add(current);
   }
-  propagated.Scale(1.0 / static_cast<Real>(num_layers_ + 1));
+  propagated.Scale(1.0 / static_cast<Real>(num_layers + 1));
 
-  final_user_.Resize(num_users_, propagated.cols());
-  final_item_.Resize(num_items_, propagated.cols());
-  for (Index u = 0; u < num_users_; ++u) {
+  const Index num_items = propagated.rows() - num_users;
+  users->Resize(num_users, propagated.cols());
+  items->Resize(num_items, propagated.cols());
+  for (Index u = 0; u < num_users; ++u) {
     for (Index c = 0; c < propagated.cols(); ++c) {
-      final_user_(u, c) = propagated(u, c);
+      (*users)(u, c) = propagated(u, c);
     }
   }
-  for (Index i = 0; i < num_items_; ++i) {
+  for (Index i = 0; i < num_items; ++i) {
     for (Index c = 0; c < propagated.cols(); ++c) {
-      final_item_(i, c) = propagated(num_users_ + i, c);
+      (*items)(i, c) = propagated(num_users + i, c);
     }
   }
 }
@@ -60,57 +61,35 @@ void LightGcn::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor propagated = Propagate(graph, joint_table_, num_layers_);
-      std::vector<Index> pos_nodes;
-      std::vector<Index> neg_nodes;
-      pos_nodes.reserve(pos.size());
-      neg_nodes.reserve(neg.size());
-      for (Index i : pos) pos_nodes.push_back(num_users_ + i);
-      for (Index i : neg) neg_nodes.push_back(num_users_ + i);
-      Tensor eu = GatherRows(propagated, users);
-      Tensor ep = GatherRows(propagated, pos_nodes);
-      Tensor en = GatherRows(propagated, neg_nodes);
-      // Regularize the layer-0 (ego) embeddings as in the reference code.
-      Tensor eu0 = GatherRows(joint_table_, users);
-      Tensor ep0 = GatherRows(joint_table_, pos_nodes);
-      Tensor en0 = GatherRows(joint_table_, neg_nodes);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu0, ep0, en0}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({joint_table_});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      ComputeFinal(*graph);
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[LightGCN] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  ComputeFinal(*graph);
-  RestoreBestSnapshot();
+  EpochLoop loop;
+  loop.step = [&](const BprBatch& batch) {
+    Tensor propagated = Propagate(graph, joint_table_, num_layers_);
+    std::vector<Index> pos_nodes;
+    std::vector<Index> neg_nodes;
+    pos_nodes.reserve(batch.pos.size());
+    neg_nodes.reserve(batch.neg.size());
+    for (Index i : batch.pos) pos_nodes.push_back(num_users_ + i);
+    for (Index i : batch.neg) neg_nodes.push_back(num_users_ + i);
+    Tensor eu = GatherRows(propagated, batch.users);
+    Tensor ep = GatherRows(propagated, pos_nodes);
+    Tensor en = GatherRows(propagated, neg_nodes);
+    // Regularize the layer-0 (ego) embeddings as in the reference code.
+    Tensor eu0 = GatherRows(joint_table_, batch.users);
+    Tensor ep0 = GatherRows(joint_table_, pos_nodes);
+    Tensor en0 = GatherRows(joint_table_, neg_nodes);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu0, ep0, en0}, options.reg,
+                              options.batch_size));
+    Backward(loss);
+    optimizer.Step({joint_table_});
+    return loss.scalar();
+  };
+  loop.compute_final = [&] {
+    PropagateFinal(*graph, joint_table_.value(), num_layers_, num_users_,
+                   &final_user_, &final_item_);
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 void LightGcn::PrepareNormalColdInference(const Dataset& dataset) {
@@ -118,9 +97,10 @@ void LightGcn::PrepareNormalColdInference(const Dataset& dataset) {
   std::vector<Interaction> merged = dataset.train;
   merged.insert(merged.end(), dataset.cold_known.begin(),
                 dataset.cold_known.end());
-  const CsrMatrix graph =
-      BuildNormalizedInteractionGraph(merged, num_users_, num_items_);
-  ComputeFinal(graph);
+  PropagateFinal(
+      BuildNormalizedInteractionGraph(merged, num_users_, num_items_),
+      joint_table_.value(), num_layers_, num_users_, &final_user_,
+      &final_item_);
 }
 
 }  // namespace firzen

@@ -25,9 +25,13 @@ class LightGcn : public EmbeddingModel {
   static Tensor Propagate(const std::shared_ptr<const CsrMatrix>& graph,
                           const Tensor& table, int num_layers);
 
- private:
-  void ComputeFinal(const CsrMatrix& graph);
+  /// Propagate without the tape, split into the first `num_users` rows
+  /// (users) and the rest (items).
+  static void PropagateFinal(const CsrMatrix& graph, const Matrix& table,
+                             int num_layers, Index num_users, Matrix* users,
+                             Matrix* items);
 
+ private:
   Tensor joint_table_;  // (U + I) x d parameter table
   Index num_users_ = 0;
   Index num_items_ = 0;

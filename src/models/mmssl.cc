@@ -11,7 +11,6 @@
 #include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -50,8 +49,6 @@ void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
   Rng adv_rng(options.seed + 5);
 
   // Train interaction lookup for building the observed block.
@@ -94,7 +91,8 @@ void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
     *item_out = hi;
   };
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     Tensor user_out;
     Tensor item_out;
     std::vector<Tensor> xus;
@@ -104,126 +102,99 @@ void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
     final_item_ = item_out.value();
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor user_out;
-      Tensor item_out;
-      std::vector<Tensor> xus;
-      std::vector<Tensor> xis;
-      forward(&user_out, &item_out, &xus, &xis);
+  loop.step = [&](const BprBatch& batch) {
+    Tensor user_out;
+    Tensor item_out;
+    std::vector<Tensor> xus;
+    std::vector<Tensor> xis;
+    forward(&user_out, &item_out, &xus, &xis);
 
-      // ---- Adversarial block over sampled users/items ----
-      const std::vector<Index> adv_users = sampler.SampleUsers(adv_b);
-      const std::vector<Index> adv_items = sampler.SampleWarmItems(adv_b);
-      // Observed block with Gumbel augmentation + auxiliary cosine signal
-      // (Eq. 23), treated as the "real" sample (constant).
-      Matrix real_block(adv_b, adv_b);
-      for (Index r = 0; r < adv_b; ++r) {
-        const auto& seen = train_sets[static_cast<size_t>(adv_users[r])];
-        Real max_v = -1e30;
-        std::vector<Real> row(static_cast<size_t>(adv_b));
-        for (Index c = 0; c < adv_b; ++c) {
-          const Real y = seen.count(adv_items[c]) > 0 ? 1.0 : 0.0;
-          row[static_cast<size_t>(c)] =
-              (y + adv_rng.Gumbel() * 0.1) / options_.temperature;
-          max_v = std::max(max_v, row[static_cast<size_t>(c)]);
-        }
-        Real denom = 0.0;
-        for (Index c = 0; c < adv_b; ++c) {
-          row[static_cast<size_t>(c)] =
-              std::exp(row[static_cast<size_t>(c)] - max_v);
-          denom += row[static_cast<size_t>(c)];
-        }
-        for (Index c = 0; c < adv_b; ++c) {
-          Real phi = 0.0;
-          const Real* eu = final_user_.empty()
-                               ? nullptr
-                               : final_user_.row(adv_users[r]);
-          if (eu != nullptr) {
-            const Real* ei = final_item_.row(adv_items[c]);
-            Real nu = 0.0;
-            Real ni = 0.0;
-            for (Index k = 0; k < final_user_.cols(); ++k) {
-              phi += eu[k] * ei[k];
-              nu += eu[k] * eu[k];
-              ni += ei[k] * ei[k];
-            }
-            phi /= std::sqrt(nu * ni) + 1e-12;
+    // ---- Adversarial block over sampled users/items ----
+    const std::vector<Index> adv_users = batch.sampler->SampleUsers(adv_b);
+    const std::vector<Index> adv_items = batch.sampler->SampleWarmItems(adv_b);
+    // Observed block with Gumbel augmentation + auxiliary cosine signal
+    // (Eq. 23), treated as the "real" sample (constant).
+    Matrix real_block(adv_b, adv_b);
+    for (Index r = 0; r < adv_b; ++r) {
+      const auto& seen = train_sets[static_cast<size_t>(adv_users[r])];
+      Real max_v = -1e30;
+      std::vector<Real> row(static_cast<size_t>(adv_b));
+      for (Index c = 0; c < adv_b; ++c) {
+        const Real y = seen.count(adv_items[c]) > 0 ? 1.0 : 0.0;
+        row[static_cast<size_t>(c)] =
+            (y + adv_rng.Gumbel() * 0.1) / options_.temperature;
+        max_v = std::max(max_v, row[static_cast<size_t>(c)]);
+      }
+      Real denom = 0.0;
+      for (Index c = 0; c < adv_b; ++c) {
+        row[static_cast<size_t>(c)] =
+            std::exp(row[static_cast<size_t>(c)] - max_v);
+        denom += row[static_cast<size_t>(c)];
+      }
+      for (Index c = 0; c < adv_b; ++c) {
+        Real phi = 0.0;
+        const Real* eu = final_user_.empty()
+                             ? nullptr
+                             : final_user_.row(adv_users[r]);
+        if (eu != nullptr) {
+          const Real* ei = final_item_.row(adv_items[c]);
+          Real nu = 0.0;
+          Real ni = 0.0;
+          for (Index k = 0; k < final_user_.cols(); ++k) {
+            phi += eu[k] * ei[k];
+            nu += eu[k] * eu[k];
+            ni += ei[k] * ei[k];
           }
-          real_block(r, c) = row[static_cast<size_t>(c)] / denom +
-                             options_.aux_weight * phi;
+          phi /= std::sqrt(nu * ni) + 1e-12;
         }
+        real_block(r, c) = row[static_cast<size_t>(c)] / denom +
+                           options_.aux_weight * phi;
       }
-      Tensor real = Tensor::Constant(real_block);
-
-      // Fake block from modality features (Eq. 22), one modality per step.
-      const size_t m = static_cast<size_t>(step) % modal_features.size();
-      Tensor xu_batch = RowL2Normalize(GatherRows(xus[m], adv_users));
-      Tensor xi_batch = RowL2Normalize(GatherRows(xis[m], adv_items));
-      Tensor fake = MatMul(xu_batch, xi_batch, false, true);  // B x B
-
-      // Discriminator update (fake detached).
-      Tensor d_loss = Sub(
-          ReduceMean(discriminator.Critic(Detach(fake), &adv_rng, true)),
-          ReduceMean(discriminator.Critic(real, &adv_rng, true)));
-      Backward(d_loss);
-      d_optimizer.Step(discriminator.Params());
-      discriminator.ClipWeights();
-
-      // ---- Main objective ----
-      std::vector<Index> pos_rows = pos;
-      std::vector<Index> neg_rows = neg;
-      Tensor eu = GatherRows(user_out, users);
-      Tensor ep = GatherRows(item_out, pos_rows);
-      Tensor en = GatherRows(item_out, neg_rows);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({GatherRows(joint, users)}, options.reg,
-                                options.batch_size));
-      // Generator: fool the critic.
-      Tensor g_adv = Scale(
-          ReduceMean(discriminator.Critic(fake, &adv_rng, true)),
-          -options_.adv_weight);
-      loss = Add(loss, g_adv);
-      // Cross-modality contrast: align modal user reps with fused ones.
-      Tensor xu_users = RowL2Normalize(GatherRows(xus[m], users));
-      Tensor fu_users = RowL2Normalize(GatherRows(user_out, users));
-      Tensor cos = RowDot(xu_users, fu_users);
-      loss = Add(loss,
-                 Scale(ReduceMean(AddScalar(Scale(cos, -1.0), 1.0)),
-                       options_.contrastive_weight));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      std::vector<Tensor> params{joint};
-      for (Tensor& p : proj) params.push_back(p);
-      optimizer.Step(params);
-      // Drop generator-step gradients accumulated on the critic.
-      for (Tensor p : discriminator.Params()) p.ZeroGrad();
     }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[MMSSL] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+    Tensor real = Tensor::Constant(real_block);
+
+    // Fake block from modality features (Eq. 22), one modality per step.
+    const size_t m = static_cast<size_t>(batch.step) % modal_features.size();
+    Tensor xu_batch = RowL2Normalize(GatherRows(xus[m], adv_users));
+    Tensor xi_batch = RowL2Normalize(GatherRows(xis[m], adv_items));
+    Tensor fake = MatMul(xu_batch, xi_batch, false, true);  // B x B
+
+    // Discriminator update (fake detached).
+    Tensor d_loss = Sub(
+        ReduceMean(discriminator.Critic(Detach(fake), &adv_rng, true)),
+        ReduceMean(discriminator.Critic(real, &adv_rng, true)));
+    Backward(d_loss);
+    d_optimizer.Step(discriminator.Params());
+    discriminator.ClipWeights();
+
+    // ---- Main objective ----
+    Tensor eu = GatherRows(user_out, batch.users);
+    Tensor ep = GatherRows(item_out, batch.pos);
+    Tensor en = GatherRows(item_out, batch.neg);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({GatherRows(joint, batch.users)}, options.reg,
+                              options.batch_size));
+    // Generator: fool the critic.
+    Tensor g_adv = Scale(
+        ReduceMean(discriminator.Critic(fake, &adv_rng, true)),
+        -options_.adv_weight);
+    loss = Add(loss, g_adv);
+    // Cross-modality contrast: align modal user reps with fused ones.
+    Tensor xu_users = RowL2Normalize(GatherRows(xus[m], batch.users));
+    Tensor fu_users = RowL2Normalize(GatherRows(user_out, batch.users));
+    Tensor cos = RowDot(xu_users, fu_users);
+    loss = Add(loss,
+               Scale(ReduceMean(AddScalar(Scale(cos, -1.0), 1.0)),
+                     options_.contrastive_weight));
+    Backward(loss);
+    std::vector<Tensor> params{joint};
+    for (Tensor& p : proj) params.push_back(p);
+    optimizer.Step(params);
+    // Drop generator-step gradients accumulated on the critic.
+    for (Tensor p : discriminator.Params()) p.ZeroGrad();
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -2,10 +2,8 @@
 
 #include "src/graph/interaction_graph.h"
 #include "src/models/lightgcn.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 namespace {
@@ -40,95 +38,52 @@ void Sgl::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  auto compute_final = [&] {
-    Matrix propagated = table.value();
-    Matrix current = table.value();
-    Matrix next;
-    for (int l = 0; l < options.num_layers; ++l) {
-      graph->SpMM(current, &next);
-      current = next;
-      propagated.Add(current);
-    }
-    propagated.Scale(1.0 / static_cast<Real>(options.num_layers + 1));
-    final_user_.Resize(num_users, propagated.cols());
-    final_item_.Resize(num_items, propagated.cols());
-    for (Index u = 0; u < num_users; ++u) {
-      for (Index c = 0; c < propagated.cols(); ++c) {
-        final_user_(u, c) = propagated(u, c);
-      }
-    }
-    for (Index i = 0; i < num_items; ++i) {
-      for (Index c = 0; c < propagated.cols(); ++c) {
-        final_item_(i, c) = propagated(num_users + i, c);
-      }
-    }
+  EpochLoop loop;
+  loop.compute_final = [&] {
+    LightGcn::PropagateFinal(*graph, table.value(), options.num_layers,
+                             num_users, &final_user_, &final_item_);
   };
 
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+  std::shared_ptr<CsrMatrix> view1;
+  std::shared_ptr<CsrMatrix> view2;
+  loop.begin_epoch = [&](int) {
     // Two fresh augmented views per epoch (edge dropout).
     Rng view_rng = rng.Fork();
-    auto view1 = std::make_shared<CsrMatrix>(BuildDroppedInteractionGraph(
+    view1 = std::make_shared<CsrMatrix>(BuildDroppedInteractionGraph(
         dataset.train, num_users, num_items, options_.edge_drop_rate,
         &view_rng));
-    auto view2 = std::make_shared<CsrMatrix>(BuildDroppedInteractionGraph(
+    view2 = std::make_shared<CsrMatrix>(BuildDroppedInteractionGraph(
         dataset.train, num_users, num_items, options_.edge_drop_rate,
         &view_rng));
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      std::vector<Index> pos_nodes;
-      std::vector<Index> neg_nodes;
-      for (Index i : pos) pos_nodes.push_back(num_users + i);
-      for (Index i : neg) neg_nodes.push_back(num_users + i);
+  };
+  loop.step = [&](const BprBatch& batch) {
+    std::vector<Index> pos_nodes;
+    std::vector<Index> neg_nodes;
+    for (Index i : batch.pos) pos_nodes.push_back(num_users + i);
+    for (Index i : batch.neg) neg_nodes.push_back(num_users + i);
 
-      Tensor main = LightGcn::Propagate(graph, table, options.num_layers);
-      Tensor eu = GatherRows(main, users);
-      Tensor ep = GatherRows(main, pos_nodes);
-      Tensor en = GatherRows(main, neg_nodes);
-      Tensor loss = Add(BprLoss(eu, ep, en),
-                        BatchL2({eu, ep, en}, options.reg,
-                                options.batch_size));
+    Tensor main = LightGcn::Propagate(graph, table, options.num_layers);
+    Tensor eu = GatherRows(main, batch.users);
+    Tensor ep = GatherRows(main, pos_nodes);
+    Tensor en = GatherRows(main, neg_nodes);
+    Tensor loss = Add(BprLoss(eu, ep, en),
+                      BatchL2({eu, ep, en}, options.reg, options.batch_size));
 
-      Tensor aug1 = LightGcn::Propagate(view1, table, options.num_layers);
-      Tensor aug2 = LightGcn::Propagate(view2, table, options.num_layers);
-      Tensor ssl_users = InfoNce(GatherRows(aug1, users),
-                                 GatherRows(aug2, users),
-                                 options_.ssl_temperature);
-      Tensor ssl_items = InfoNce(GatherRows(aug1, pos_nodes),
-                                 GatherRows(aug2, pos_nodes),
-                                 options_.ssl_temperature);
-      loss = Add(loss,
-                 Scale(Add(ssl_users, ssl_items), options_.ssl_weight));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({table});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[SGL] epoch %d loss=%.4f val-mrr=%.4f", epoch,
-             epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+    Tensor aug1 = LightGcn::Propagate(view1, table, options.num_layers);
+    Tensor aug2 = LightGcn::Propagate(view2, table, options.num_layers);
+    Tensor ssl_users = InfoNce(GatherRows(aug1, batch.users),
+                               GatherRows(aug2, batch.users),
+                               options_.ssl_temperature);
+    Tensor ssl_items = InfoNce(GatherRows(aug1, pos_nodes),
+                               GatherRows(aug2, pos_nodes),
+                               options_.ssl_temperature);
+    loss = Add(loss, Scale(Add(ssl_users, ssl_items), options_.ssl_weight));
+    Backward(loss);
+    optimizer.Step({table});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

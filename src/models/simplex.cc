@@ -4,7 +4,6 @@
 #include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -24,8 +23,6 @@ void SimpleX::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
   const Real g = options_.fusion_weight;
   const Index n_neg = options_.num_negatives;
@@ -35,7 +32,8 @@ void SimpleX::Fit(const Dataset& dataset, const TrainOptions& options) {
     return Add(Scale(user_table, g), Scale(aggregated, 1.0 - g));
   };
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     // Cosine scoring: store L2-normalized towers.
     Tensor fu = RowL2Normalize(fused_users());
     Tensor fi = RowL2Normalize(item_table);
@@ -43,61 +41,36 @@ void SimpleX::Fit(const Dataset& dataset, const TrainOptions& options) {
     final_item_ = fi.value();
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg_unused;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg_unused);
-      std::vector<Index> negs;
-      negs.reserve(static_cast<size_t>(options.batch_size * n_neg));
-      for (Index b = 0; b < options.batch_size; ++b) {
-        for (Index k = 0; k < n_neg; ++k) {
-          negs.push_back(sampler.SampleWarmItems(1)[0]);
-        }
+  // The batch's neg ids go unused: CCL draws its own n_neg per user.
+  loop.step = [&](const BprBatch& batch) {
+    std::vector<Index> negs;
+    negs.reserve(static_cast<size_t>(options.batch_size * n_neg));
+    for (Index b = 0; b < options.batch_size; ++b) {
+      for (Index k = 0; k < n_neg; ++k) {
+        negs.push_back(batch.sampler->SampleWarmItems(1)[0]);
       }
-      Tensor fu = RowL2Normalize(GatherRows(fused_users(), users));
-      Tensor fp = RowL2Normalize(GatherRows(item_table, pos));
-      Tensor fn = RowL2Normalize(GatherRows(item_table, negs));
+    }
+    Tensor fu = RowL2Normalize(GatherRows(fused_users(), batch.users));
+    Tensor fp = RowL2Normalize(GatherRows(item_table, batch.pos));
+    Tensor fn = RowL2Normalize(GatherRows(item_table, negs));
 
-      // CCL: (1 - cos(u, p)) + w * mean(relu(cos(u, n) - margin)).
-      Tensor pos_cos = RowDot(fu, fp);  // B x 1
-      Tensor pos_term = Scale(AddScalar(Scale(pos_cos, -1.0), 1.0), 1.0);
-      Tensor fu_rep = RepeatInterleaveRows(fu, n_neg);  // (B*n) x d
-      Tensor neg_cos = RowDot(fu_rep, fn);              // (B*n) x 1
-      Tensor neg_term = Scale(
-          SumGroups(Relu(AddScalar(neg_cos, -options_.margin)), n_neg),
-          options_.negative_weight / static_cast<Real>(n_neg));
-      Tensor eu0 = GatherRows(user_table, users);
-      Tensor ep0 = GatherRows(item_table, pos);
-      Tensor loss = Add(ReduceMean(Add(pos_term, neg_term)),
-                        BatchL2({eu0, ep0}, options.reg,
-                                options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_table, item_table});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[SimpleX] epoch %d loss=%.4f val-mrr=%.4f",
-             epoch, epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+    // CCL: (1 - cos(u, p)) + w * mean(relu(cos(u, n) - margin)).
+    Tensor pos_cos = RowDot(fu, fp);  // B x 1
+    Tensor pos_term = Scale(AddScalar(Scale(pos_cos, -1.0), 1.0), 1.0);
+    Tensor fu_rep = RepeatInterleaveRows(fu, n_neg);  // (B*n) x d
+    Tensor neg_cos = RowDot(fu_rep, fn);              // (B*n) x 1
+    Tensor neg_term = Scale(
+        SumGroups(Relu(AddScalar(neg_cos, -options_.margin)), n_neg),
+        options_.negative_weight / static_cast<Real>(n_neg));
+    Tensor eu0 = GatherRows(user_table, batch.users);
+    Tensor ep0 = GatherRows(item_table, batch.pos);
+    Tensor loss = Add(ReduceMean(Add(pos_term, neg_term)),
+                      BatchL2({eu0, ep0}, options.reg, options.batch_size));
+    Backward(loss);
+    optimizer.Step({user_table, item_table});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -1,10 +1,8 @@
 #include "src/models/vbpr.h"
 
 #include "src/models/mm_common.h"
-#include "src/models/sampler.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
-#include "src/util/logging.h"
 
 namespace firzen {
 
@@ -24,10 +22,9 @@ void Vbpr::Fit(const Dataset& dataset, const TrainOptions& options) {
   Adam::Options adam_options;
   adam_options.lr = options.lr;
   Adam optimizer(adam_options);
-  BprSampler sampler(dataset, options.seed + 1);
-  EarlyStopper stopper(options.patience);
 
-  auto compute_final = [&] {
+  EpochLoop loop;
+  loop.compute_final = [&] {
     // Concatenated towers make the two dot products one:
     //   [e_u | v_u] . [e_i | W f_i].
     Matrix content;
@@ -48,49 +45,24 @@ void Vbpr::Fit(const Dataset& dataset, const TrainOptions& options) {
     }
   };
 
-  const int steps = options.steps_per_epoch > 0
-                        ? options.steps_per_epoch
-                        : static_cast<int>(dataset.train.size() /
-                                               options.batch_size +
-                                           1);
-  std::vector<Index> users;
-  std::vector<Index> pos;
-  std::vector<Index> neg;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    Real epoch_loss = 0.0;
-    for (int step = 0; step < steps; ++step) {
-      sampler.SampleBatch(options.batch_size, &users, &pos, &neg);
-      Tensor eu = GatherRows(user_id, users);
-      Tensor vu = GatherRows(user_visual, users);
-      Tensor ep = GatherRows(item_id, pos);
-      Tensor en = GatherRows(item_id, neg);
-      Tensor fp = MatMul(GatherRows(features, pos), proj);
-      Tensor fn = MatMul(GatherRows(features, neg), proj);
-      Tensor pos_score = Add(RowDot(eu, ep), RowDot(vu, fp));
-      Tensor neg_score = Add(RowDot(eu, en), RowDot(vu, fn));
-      Tensor rank = Scale(
-          ReduceMean(LogSigmoid(Sub(pos_score, neg_score))), -1.0);
-      Tensor loss = Add(rank, BatchL2({eu, vu, ep, en, proj}, options.reg,
-                                      options.batch_size));
-      epoch_loss += loss.scalar();
-      Backward(loss);
-      optimizer.Step({user_id, item_id, user_visual, proj});
-    }
-    if ((epoch + 1) % options.eval_every == 0) {
-      compute_final();
-      const Real mrr =
-          ValidationMrr(dataset, final_user_, final_item_, options.pool);
-      const bool stop = stopper.Update(mrr);
-      SnapshotIfImproved(stopper.improved());
-      if (options.verbose) {
-        Logf(LogLevel::kInfo, "[VBPR] epoch %d loss=%.4f val-mrr=%.4f", epoch,
-             epoch_loss / steps, mrr);
-      }
-      if (stop) break;
-    }
-  }
-  compute_final();
-  RestoreBestSnapshot();
+  loop.step = [&](const BprBatch& batch) {
+    Tensor eu = GatherRows(user_id, batch.users);
+    Tensor vu = GatherRows(user_visual, batch.users);
+    Tensor ep = GatherRows(item_id, batch.pos);
+    Tensor en = GatherRows(item_id, batch.neg);
+    Tensor fp = MatMul(GatherRows(features, batch.pos), proj);
+    Tensor fn = MatMul(GatherRows(features, batch.neg), proj);
+    Tensor pos_score = Add(RowDot(eu, ep), RowDot(vu, fp));
+    Tensor neg_score = Add(RowDot(eu, en), RowDot(vu, fn));
+    Tensor rank =
+        Scale(ReduceMean(LogSigmoid(Sub(pos_score, neg_score))), -1.0);
+    Tensor loss = Add(rank, BatchL2({eu, vu, ep, en, proj}, options.reg,
+                                    options.batch_size));
+    Backward(loss);
+    optimizer.Step({user_id, item_id, user_visual, proj});
+    return loss.scalar();
+  };
+  RunEpochs(dataset, options, loop);
 }
 
 }  // namespace firzen

@@ -10,7 +10,8 @@
 // range, so the CLI refuses to start — also covered below.) This is the
 // only test that exercises the stack across process boundaries; the
 // in-process suite (distributed_serving_test.cc) covers the engine-level
-// contracts.
+// contracts. The same process harness also pins `firzen_cli train`'s
+// numeric-flag bounds: a bad value is a usage error (exit 2), not an abort.
 //
 // FIRZEN_CLI_BINARY / FIRZEN_SHARD_SERVER_BINARY are injected by CMake as
 // the built targets' paths.
@@ -20,8 +21,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/models/serialize.h"
@@ -252,6 +255,40 @@ TEST(DistributedE2ETest, CliDistributedMatchesLocalAndDegradesOnKill) {
   EXPECT_FALSE(down.err.empty());
 
   std::remove(model_path.c_str());
+}
+
+TEST(CliTrainFlagsTest, BadNumericValuesAreUsageErrors) {
+  // A real (tiny) dataset, so a flag that slipped through would train
+  // rather than fail on a missing file.
+  char dir_template[] = "/tmp/firzen_e2e_train_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const CommandResult synth = RunCommand(
+      {FIRZEN_CLI_BINARY, "synth", "--profile", "beauty", "--scale", "0.05",
+       "--out", dir});
+  ASSERT_EQ(synth.exit_code, 0) << synth.err;
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"--epochs", "abc"},        {"--epochs", "-1"},
+      {"--epochs", "3000000000"},
+      {"--seed", "x"},            {"--seed", "-2"},
+      {"--dim", "0"},             {"--dim", "-3"},
+      {"--dim", "4x"},            {"--cold-fraction", "1.5"},
+      {"--cold-fraction", "0"},   {"--cold-fraction", "abc"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const CommandResult train = RunCommand(
+        {FIRZEN_CLI_BINARY, "train", "--interactions",
+         dir + "/interactions.tsv", "--model", "BPR", flag, value});
+    EXPECT_EQ(train.exit_code, 2) << flag << " " << value << ": " << train.err;
+    EXPECT_NE(train.err.find(flag), std::string::npos)
+        << flag << " " << value << ": " << train.err;
+  }
+
+  for (const char* file : {"interactions", "text", "image", "kg"}) {
+    std::remove((dir + "/" + file + ".tsv").c_str());
+  }
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

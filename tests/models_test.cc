@@ -2,7 +2,8 @@
 // sixteen registered models (train on a tiny world, score finitely, beat a
 // degenerate ranking on warm validation), plus model-specific behaviours
 // (VBPR cold pathway, DropoutNet behavior zeroing, CLCRec content fallback,
-// KGAT cold reachability).
+// KGAT cold reachability), and the contract of the epoch driver every Fit
+// runs through (EmbeddingModel::RunEpochs).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,12 +13,14 @@
 #include "src/eval/evaluator.h"
 #include "src/models/clcrec.h"
 #include "src/models/dropoutnet.h"
+#include "src/models/embedding_model.h"
 #include "src/models/kgat.h"
 #include "src/models/kgcn.h"
 #include "src/models/lightgcn.h"
 #include "src/models/registry.h"
 #include "src/models/sampler.h"
 #include "src/util/logging.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -257,6 +260,171 @@ TEST(LightGcnTest, NormalColdInferenceChangesColdScores) {
     cold_delta += std::abs(strict_scores(0, item) - normal_scores(0, item));
   }
   EXPECT_GT(cold_delta, 0.0);
+}
+
+// A model with no parameters that records what the epoch driver does: its
+// step counts calls and returns 0, its final tables hold the number of steps
+// run so far, and its validation replays a scripted MRR sequence.
+class DriverProbe : public EmbeddingModel {
+ public:
+  DriverProbe(std::vector<Real> mrr_script, bool keep_best)
+      : mrr_script_(std::move(mrr_script)), keep_best_(keep_best) {}
+
+  std::string Name() const override { return "DriverProbe"; }
+
+  void Fit(const Dataset& dataset, const TrainOptions& options) override {
+    int epoch = -1;
+    EpochLoop loop;
+    loop.begin_epoch = [&](int e) { epoch = e; };
+    loop.step = [&](const BprBatch& batch) {
+      EXPECT_EQ(batch.users.size(), static_cast<size_t>(options.batch_size));
+      ++steps;
+      return 0.0;
+    };
+    loop.compute_final = [&] {
+      ++computes;
+      final_user_ = Matrix(1, 1);
+      final_user_(0, 0) = static_cast<Real>(steps);
+      final_item_ = final_user_;
+    };
+    loop.validate = [&] {
+      const size_t i = validated_epochs.size();
+      validated_epochs.push_back(epoch);
+      return i < mrr_script_.size() ? mrr_script_[i] : 0.0;
+    };
+    loop.keep_best = keep_best_;
+    RunEpochs(dataset, options, loop);
+  }
+
+  // The step count the final tables were computed at.
+  Real FinalSteps() const { return final_user_(0, 0); }
+
+  int steps = 0;
+  int computes = 0;
+  std::vector<int> validated_epochs;
+
+ private:
+  std::vector<Real> mrr_script_;
+  bool keep_best_;
+};
+
+TrainOptions DriverOptions() {
+  TrainOptions options;
+  options.epochs = 5;
+  options.batch_size = 16;
+  options.steps_per_epoch = 3;
+  options.eval_every = 100;  // no validation unless a test asks
+  options.seed = 5;
+  return options;
+}
+
+TEST(EpochDriverTest, RunsTheExplicitStepsPerEpoch) {
+  DriverProbe probe({}, /*keep_best=*/true);
+  probe.Fit(TinyDataset(), DriverOptions());
+  EXPECT_EQ(probe.steps, 5 * 3);
+  EXPECT_TRUE(probe.validated_epochs.empty());
+  EXPECT_EQ(probe.computes, 1);
+  EXPECT_EQ(probe.FinalSteps(), 5 * 3);
+}
+
+TEST(EpochDriverTest, DerivesStepsPerEpochFromTrainSize) {
+  const Dataset& dataset = TinyDataset();
+  TrainOptions options = DriverOptions();
+  options.epochs = 2;
+  options.steps_per_epoch = 0;
+  options.batch_size = 256;
+  DriverProbe probe({}, /*keep_best=*/true);
+  probe.Fit(dataset, options);
+  const int per_epoch = static_cast<int>(dataset.train.size() / 256 + 1);
+  EXPECT_EQ(probe.steps, 2 * per_epoch);
+}
+
+TEST(EpochDriverTest, ValidatesAfterEveryEvalEveryEpochs) {
+  TrainOptions options = DriverOptions();
+  options.epochs = 7;
+  options.eval_every = 3;
+  DriverProbe probe({0.1, 0.2}, /*keep_best=*/true);
+  probe.Fit(TinyDataset(), options);
+  EXPECT_EQ(probe.validated_epochs, (std::vector<int>{2, 5}));
+  EXPECT_EQ(probe.steps, 7 * 3);
+  EXPECT_EQ(probe.computes, 3);  // two validations plus the final one
+}
+
+// Scripted MRR 0.1, 0.3, 0.2, 0.2 at patience 1: the second miss in a row
+// stops the run after epoch 3; the best validation was after epoch 1.
+TEST(EpochDriverTest, PatienceStopsAndSnapshotsRestoreTheBest) {
+  TrainOptions options = DriverOptions();
+  options.epochs = 10;
+  options.eval_every = 1;
+  options.patience = 1;
+  const std::vector<Real> script{0.1, 0.3, 0.2, 0.2, 0.9};
+
+  DriverProbe keeping(script, /*keep_best=*/true);
+  keeping.Fit(TinyDataset(), options);
+  EXPECT_EQ(keeping.validated_epochs, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(keeping.steps, 4 * 3);
+  EXPECT_EQ(keeping.FinalSteps(), 2 * 3);  // the tables validated at epoch 1
+
+  DriverProbe last(script, /*keep_best=*/false);
+  last.Fit(TinyDataset(), options);
+  EXPECT_EQ(last.validated_epochs, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(last.FinalSteps(), 4 * 3);  // the tables of the last epoch
+}
+
+TEST(EpochDriverTest, ZeroEpochsComputeTheFinalTablesOnce) {
+  TrainOptions options = DriverOptions();
+  options.epochs = 0;
+  options.eval_every = 1;
+  DriverProbe probe({0.5}, /*keep_best=*/true);
+  probe.Fit(TinyDataset(), options);
+  EXPECT_EQ(probe.steps, 0);
+  EXPECT_TRUE(probe.validated_epochs.empty());
+  EXPECT_EQ(probe.computes, 1);
+  EXPECT_EQ(probe.FinalSteps(), 0);
+}
+
+// The default validation ranks through options.pool inside Fit; the early
+// stop and the restored snapshot must not depend on the pool size.
+TEST(EpochDriverTest, PooledValidationGivesTheSerialBits) {
+  SetLogLevel(LogLevel::kError);
+  TrainOptions options = TinyTrainOptions();
+  options.epochs = 4;
+  options.eval_every = 1;
+  options.patience = 0;
+  ThreadPool pool(4);
+  std::vector<Matrix> tables;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    options.pool = p;
+    auto model = CreateModel("BPR");
+    model->Fit(TinyDataset(), options);
+    tables.push_back(model->UserEmbeddings());
+    tables.push_back(model->ItemEmbeddings());
+  }
+  for (size_t t = 0; t < 2; ++t) {
+    const Matrix& serial = tables[t];
+    const Matrix& pooled = tables[t + 2];
+    ASSERT_EQ(serial.rows(), pooled.rows());
+    ASSERT_EQ(serial.cols(), pooled.cols());
+    for (Index i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial.data()[i], pooled.data()[i]) << "table " << t;
+    }
+  }
+}
+
+TEST(EpochDriverDeathTest, RejectsZeroEvalEvery) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TrainOptions options = DriverOptions();
+  options.eval_every = 0;
+  DriverProbe probe({}, /*keep_best=*/true);
+  EXPECT_DEATH(probe.Fit(TinyDataset(), options), "eval_every");
+}
+
+TEST(EpochDriverDeathTest, RejectsZeroBatchSize) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TrainOptions options = DriverOptions();
+  options.batch_size = 0;
+  DriverProbe probe({}, /*keep_best=*/true);
+  EXPECT_DEATH(probe.Fit(TinyDataset(), options), "batch_size");
 }
 
 }  // namespace

@@ -7,7 +7,11 @@
 // saves), writes its .fzem, and prints one digest line per model: the
 // 64-bit FNV-1a of the .fzem bytes and of the full users x items score
 // matrix. The score digest covers the models with no static embeddings to
-// save (KGCN, KGNNLS), which write no .fzem.
+// save (KGCN, KGNNLS), which write no .fzem. There are two child
+// configurations: the protocol one validates once and never stops early;
+// the early-stop one validates after every epoch with patience 0, so the
+// validation, best-state snapshot and early-stop paths of the epoch driver
+// carry bits too.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -44,11 +48,9 @@ std::string Hex(uint64_t v) {
   return buf;
 }
 
-// The child: trains every model in this process's global pool and prints
-// "digest <model> <fzem-hash|none> <score-hash>" lines.
-TEST(TrainingDeterminismChild, DISABLED_PrintsModelDigests) {
-  SetLogLevel(LogLevel::kError);
-  const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.1));
+// The protocol configuration: validates once (after epoch 2 of 3) and
+// never reaches the early-stop break.
+TrainOptions ProtocolOptions() {
   TrainOptions options;
   options.embedding_dim = 8;
   options.epochs = 3;
@@ -59,6 +61,14 @@ TEST(TrainingDeterminismChild, DISABLED_PrintsModelDigests) {
   options.batch_size = 203;
   options.seed = 7;
   options.pool = ThreadPool::Global();
+  return options;
+}
+
+// Trains every model in this process's global pool and prints
+// "digest <model> <fzem-hash|none> <score-hash>" lines.
+void PrintModelDigests(const TrainOptions& options) {
+  SetLogLevel(LogLevel::kError);
+  const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.1));
   const std::string fzem_path = "/tmp/firzen_determinism_" +
                                 std::to_string(::getpid()) + ".fzem";
   for (const ModelInfo& info : AllModels()) {
@@ -91,18 +101,35 @@ TEST(TrainingDeterminismChild, DISABLED_PrintsModelDigests) {
   }
 }
 
+TEST(TrainingDeterminismChild, DISABLED_PrintsModelDigests) {
+  PrintModelDigests(ProtocolOptions());
+}
+
+// Validates after every epoch with patience 0: the first epoch whose
+// validation MRR does not improve stops the run, and snapshotting models
+// end on their best validated state.
+TEST(TrainingDeterminismChild, DISABLED_PrintsEarlyStopDigests) {
+  TrainOptions options = ProtocolOptions();
+  options.epochs = 4;
+  options.eval_every = 1;
+  options.patience = 0;
+  PrintModelDigests(options);
+}
+
 std::string SelfPath() {
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   return n > 0 ? std::string(buf, static_cast<size_t>(n)) : std::string();
 }
 
-// Runs the child at `threads` pool threads; returns model -> digest pair.
-std::map<std::string, std::string> ChildDigests(int threads) {
+// Runs the child case `child` (a TrainingDeterminismChild test name) at
+// `threads` pool threads; returns model -> digest pair.
+std::map<std::string, std::string> ChildDigests(const std::string& child,
+                                                int threads) {
   const std::string command =
       "FIRZEN_NUM_THREADS=" + std::to_string(threads) + " '" + SelfPath() +
       "' --gtest_also_run_disabled_tests"
-      " --gtest_filter=TrainingDeterminismChild.*";
+      " --gtest_filter=TrainingDeterminismChild." + child;
   std::map<std::string, std::string> digests;
   FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return digests;
@@ -123,16 +150,25 @@ std::map<std::string, std::string> ChildDigests(int threads) {
   return digests;
 }
 
-TEST(TrainingDeterminismTest, EveryModelTrainsToTheSameBitsAtPools1And4) {
+// Every model's digests from `child` agree between pools 1 and 4.
+void ExpectSameDigestsAtPools1And4(const std::string& child) {
   ASSERT_FALSE(SelfPath().empty());
-  const auto one = ChildDigests(1);
-  const auto four = ChildDigests(4);
+  const auto one = ChildDigests(child, 1);
+  const auto four = ChildDigests(child, 4);
   for (const ModelInfo& info : AllModels()) {
     ASSERT_EQ(one.count(info.name), 1u) << info.name;
     ASSERT_EQ(four.count(info.name), 1u) << info.name;
     EXPECT_EQ(one.at(info.name), four.at(info.name))
         << info.name << ": .fzem / score digests differ between pools 1 and 4";
   }
+}
+
+TEST(TrainingDeterminismTest, EveryModelTrainsToTheSameBitsAtPools1And4) {
+  ExpectSameDigestsAtPools1And4("DISABLED_PrintsModelDigests");
+}
+
+TEST(TrainingDeterminismTest, EarlyStoppingTrainsToTheSameBitsAtPools1And4) {
+  ExpectSameDigestsAtPools1And4("DISABLED_PrintsEarlyStopDigests");
 }
 
 }  // namespace

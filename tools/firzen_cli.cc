@@ -4,9 +4,13 @@
 //       Generate a synthetic benchmark and export it as TSV files.
 //
 //   firzen_cli train --interactions F --text F --image F --kg F
-//              [--model Firzen] [--dim 32] [--epochs 20] [--save model.fzem]
+//              [--model Firzen] [--dim 32] [--epochs 20] [--seed 7]
+//              [--cold-fraction 0.2] [--save model.fzem]
 //       Train any registered model on TSV data, report strict cold-start and
 //       warm-start metrics, optionally serialize the final embeddings.
+//       Bounds: --dim >= 1, 0 <= --epochs <= INT_MAX, --seed >= 0
+//       (integers) and 0 < --cold-fraction < 1; a value out of bounds or
+//       not a number is a usage error (exit 2).
 //
 //   firzen_cli serve-shard --embeddings model.fzem --shard-range A:B
 //              [--listen 127.0.0.1:0] [--item-block 512]
@@ -59,6 +63,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -141,6 +146,58 @@ bool ParsePrecisionFlag(const std::map<std::string, std::string>& flags,
   return true;
 }
 
+// Parses an integer flag in [min_value, max_value] into *out (left at its
+// default when the flag is absent); returns false (and reports) on bad
+// values.
+bool ParseIntFlag(const std::map<std::string, std::string>& flags,
+                  const std::string& name, long long min_value,
+                  long long* out,
+                  long long max_value = std::numeric_limits<long long>::max()) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  try {
+    size_t used = 0;
+    const long long parsed = std::stoll(it->second, &used);
+    if (used != it->second.size() || parsed < min_value ||
+        parsed > max_value) {
+      throw std::invalid_argument(it->second);
+    }
+    *out = parsed;
+    return true;
+  } catch (const std::exception&) {
+    if (max_value == std::numeric_limits<long long>::max()) {
+      std::fprintf(stderr, "--%s expects an integer >= %lld, got '%s'\n",
+                   name.c_str(), min_value, it->second.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "--%s expects an integer in [%lld, %lld], got '%s'\n",
+                   name.c_str(), min_value, max_value, it->second.c_str());
+    }
+    return false;
+  }
+}
+
+// Parses a fraction flag in the open interval (0, 1) into *out (left at its
+// default when the flag is absent); returns false (and reports) on bad
+// values.
+bool ParseFractionFlag(const std::map<std::string, std::string>& flags,
+                       const std::string& name, double* out) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return true;
+  try {
+    size_t used = 0;
+    const double parsed = std::stod(it->second, &used);
+    if (used == it->second.size() && parsed > 0.0 && parsed < 1.0) {
+      *out = parsed;
+      return true;
+    }
+  } catch (const std::exception&) {
+  }
+  std::fprintf(stderr, "--%s expects a number in (0, 1), got '%s'\n",
+               name.c_str(), it->second.c_str());
+  return false;
+}
+
 int RunSynth(const std::map<std::string, std::string>& flags) {
   std::string profile = "beauty";
   if (!ParseChoiceFlag(flags, "profile",
@@ -189,6 +246,18 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "--interactions is required\n");
     return 2;
   }
+  long long dim = 32;
+  long long epochs = 20;
+  long long seed = 7;
+  SplitOptions split_options;
+  if (!ParseIntFlag(flags, "dim", 1, &dim) ||
+      !ParseIntFlag(flags, "epochs", 0, &epochs,
+                    std::numeric_limits<int>::max()) ||
+      !ParseIntFlag(flags, "seed", 0, &seed) ||
+      !ParseFractionFlag(flags, "cold-fraction",
+                         &split_options.cold_fraction)) {
+    return 2;
+  }
   auto interactions = LoadInteractionsTsv(inter_path);
   if (!interactions.ok()) {
     std::fprintf(stderr, "%s\n", interactions.status().ToString().c_str());
@@ -227,10 +296,7 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
     dataset.kg = std::move(kg.value());
   }
 
-  SplitOptions split_options;
-  split_options.cold_fraction =
-      std::stod(FlagOr(flags, "cold-fraction", "0.2"));
-  Rng rng(static_cast<uint64_t>(std::stoll(FlagOr(flags, "seed", "7"))));
+  Rng rng(static_cast<uint64_t>(seed));
   ApplyStrictColdSplit(interactions.value(), split_options, &rng, &dataset);
   dataset.CheckValid();
 
@@ -246,9 +312,8 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   }
 
   TrainOptions train;
-  train.embedding_dim =
-      static_cast<Index>(std::stol(FlagOr(flags, "dim", "32")));
-  train.epochs = static_cast<int>(std::stol(FlagOr(flags, "epochs", "20")));
+  train.embedding_dim = static_cast<Index>(dim);
+  train.epochs = static_cast<int>(epochs);
   train.eval_every = 5;
   train.pool = ThreadPool::Global();
   train.verbose = FlagOr(flags, "verbose", "0") == "1";
@@ -292,28 +357,6 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
     }
   }
   return 0;
-}
-
-// Parses an integer flag with a lower bound into *out (left at its default
-// when the flag is absent); returns false (and reports) on bad values.
-bool ParseIntFlag(const std::map<std::string, std::string>& flags,
-                  const std::string& name, long long min_value,
-                  long long* out) {
-  const auto it = flags.find(name);
-  if (it == flags.end()) return true;
-  try {
-    size_t used = 0;
-    const long long parsed = std::stoll(it->second, &used);
-    if (used != it->second.size() || parsed < min_value) {
-      throw std::invalid_argument(it->second);
-    }
-    *out = parsed;
-    return true;
-  } catch (const std::exception&) {
-    std::fprintf(stderr, "--%s expects an integer >= %lld, got '%s'\n",
-                 name.c_str(), min_value, it->second.c_str());
-    return false;
-  }
 }
 
 // Parses "3,17,42" into ids; returns false (and reports) on bad tokens.

@@ -27,8 +27,11 @@
 #      autograd_test and optim_test (the row-sharded Gemm kernels under
 #      training's backward pass, and the optimizer), graph_test and
 #      eval_test (the kNN build's, the strict-cold expansion's and the
-#      evaluator's parallel loops), and core_components_test (the knowledge
-#      attention and the SAHGL/MSHGL modules over the frozen graphs).
+#      evaluator's parallel loops), core_components_test (the knowledge
+#      attention and the SAHGL/MSHGL modules over the frozen graphs), and
+#      the training smoke: firzen_test and models_test train Firzen and
+#      every baseline, whose shared epoch driver validates through the
+#      pooled evaluator inside Fit.
 #      distributed_e2e_test (real child processes, fork/exec) runs in the
 #      default pass only: sanitizer runtimes and fork don't mix;
 #   4. rebuild with -DFIRZEN_SANITIZE=undefined and run the same serving +
@@ -135,18 +138,21 @@ if [[ "${FAST}" == "0" ]]; then
     run_pass build-asan -DFIRZEN_SANITIZE=address
 
   echo "== pass 3: ThreadSanitizer build + serving suites =="
-  # Full-suite TSan is prohibitively slow (model training is single-origin
-  # anyway); the serving + scorer-parity binaries are where threads share
-  # one engine/scorer, so they carry the race coverage. kernel_parity and
-  # util add the pooled kernels and ParallelFor's exception hand-off from
-  # a throwing worker shard to the caller; autograd and optim run the
-  # row-sharded Gemm kernels under training's backward pass; graph and
-  # eval run the kNN build's parallel query blocks and the evaluator's
-  # parallel selection and metric loops; core_components the knowledge
-  # attention and the modules that propagate over the frozen graphs.
+  # Full-suite TSan is prohibitively slow; the serving + scorer-parity
+  # binaries are where threads share one engine/scorer, so they carry the
+  # race coverage. kernel_parity and util add the pooled kernels and
+  # ParallelFor's exception hand-off from a throwing worker shard to the
+  # caller; autograd and optim run the row-sharded Gemm kernels under
+  # training's backward pass; graph and eval run the kNN build's parallel
+  # query blocks and the evaluator's parallel selection and metric loops;
+  # core_components the knowledge attention and the modules that propagate
+  # over the frozen graphs.
+  # firzen_test and models_test are the training smoke: short Fits of every
+  # model, each validating through the pooled EvaluateRanking inside the
+  # epoch driver, and the pooled kNN builds and kernels under them.
   TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1} \
     run_pass build-tsan -DFIRZEN_SANITIZE=thread -- \
-    -R "serving|scorer|kernel_parity|util|autograd|optim|graph|eval|core_components"
+    -R "serving|scorer|kernel_parity|util|autograd|optim|graph|eval|core_components|firzen_test|models_test"
 
   echo "== pass 4: UndefinedBehaviorSanitizer build + serving suites =="
   # TSan's filter plus the quant suites: the serving/admission binaries
