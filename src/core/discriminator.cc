@@ -47,9 +47,9 @@ void Discriminator::ClipWeights() {
   const Real clip = options_.weight_clip;
   for (Tensor param : {w1_, w2_}) {
     Matrix* value = param.mutable_value();
-    ops::ApplyElementwise(value->size(), value->data(), [clip](Real v) {
-      return std::clamp(v, -clip, clip);
-    });
+    ops::ApplyElementwise(
+        value->size(), value->data(), value->data(),
+        [clip](Real v) { return std::clamp(v, -clip, clip); });
   }
 }
 

@@ -20,7 +20,7 @@ Tensor ModalContrastiveLoss(const Tensor& final_user_batch,
   // and the modal embedding families.
   Tensor s_final = MatMul(fin, mod, false, true);  // [u', u]
   Tensor s_modal = MatMul(mod, mod, false, true);
-  Tensor den = Add(ColSum(Exp(s_final)), ColSum(Exp(s_modal)));  // 1 x B
+  Tensor den = Add(ColSumExp(s_final), ColSumExp(s_modal));  // 1 x B
   Tensor log_den = Reshape(Log(den), b, 1);
   return ReduceMean(Sub(log_den, positives));
 }

@@ -50,25 +50,6 @@ std::vector<std::vector<Index>> Dataset::TrainItemsByUser() const {
   return out;
 }
 
-std::vector<std::vector<Index>> Dataset::TrainUsersByItem() const {
-  std::vector<std::vector<Index>> out(static_cast<size_t>(num_items));
-  for (const Interaction& x : train) {
-    out[static_cast<size_t>(x.item)].push_back(x.user);
-  }
-  for (auto& users : out) {
-    std::sort(users.begin(), users.end());
-    users.erase(std::unique(users.begin(), users.end()), users.end());
-  }
-  return out;
-}
-
-const Modality* Dataset::FindModality(const std::string& name) const {
-  for (const Modality& m : modalities) {
-    if (m.name == name) return &m;
-  }
-  return nullptr;
-}
-
 void Dataset::CheckValid() const {
   FIRZEN_CHECK_GT(num_users, 0);
   FIRZEN_CHECK_GT(num_items, 0);

@@ -62,12 +62,6 @@ struct Dataset {
   /// Per-user sorted unique train item lists (size num_users).
   std::vector<std::vector<Index>> TrainItemsByUser() const;
 
-  /// Per-item sorted unique train user lists (size num_items).
-  std::vector<std::vector<Index>> TrainUsersByItem() const;
-
-  /// Pointer to the modality with the given name, or nullptr.
-  const Modality* FindModality(const std::string& name) const;
-
   /// Sanity checks on all invariants (cold items absent from train, index
   /// ranges, feature table shapes). Aborts on violation.
   void CheckValid() const;

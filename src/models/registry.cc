@@ -24,13 +24,16 @@
 namespace firzen {
 
 std::vector<ModelInfo> AllModels() {
+  // {name, category, needs_features, needs_kg}
   return {
-      {"BPR", "CF"},         {"LightGCN", "CF"},  {"SGL", "CF"},
-      {"SimpleX", "CF"},     {"CKE", "KG"},       {"KGAT", "KG"},
-      {"KGCN", "KG"},        {"KGNNLS", "KG"},    {"VBPR", "MM"},
-      {"DRAGON", "MM"},      {"BM3", "MM"},       {"MMSSL", "MM"},
-      {"DropoutNet", "CS"},  {"CLCRec", "CS"},    {"MKGAT", "MM+KG"},
-      {"Firzen", "Ours"},
+      {"BPR", "CF", false, false},        {"LightGCN", "CF", false, false},
+      {"SGL", "CF", false, false},        {"SimpleX", "CF", false, false},
+      {"CKE", "KG", false, true},         {"KGAT", "KG", false, true},
+      {"KGCN", "KG", false, true},        {"KGNNLS", "KG", false, true},
+      {"VBPR", "MM", true, false},        {"DRAGON", "MM", true, false},
+      {"BM3", "MM", true, false},         {"MMSSL", "MM", true, false},
+      {"DropoutNet", "CS", true, false},  {"CLCRec", "CS", true, false},
+      {"MKGAT", "MM+KG", true, true},     {"Firzen", "Ours", true, false},
   };
 }
 

@@ -20,6 +20,10 @@ namespace firzen {
 struct ModelInfo {
   std::string name;
   std::string category;
+  /// Trains on item features: the dataset needs at least one modality.
+  bool needs_features = false;
+  /// Trains on knowledge-graph triples: the dataset needs a non-empty KG.
+  bool needs_kg = false;
 };
 
 /// All models in the paper's Table II row order.

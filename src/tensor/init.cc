@@ -11,13 +11,6 @@ Matrix XavierUniform(Index rows, Index cols, Rng* rng) {
   return m;
 }
 
-Matrix XavierNormal(Index rows, Index cols, Rng* rng) {
-  Matrix m(rows, cols);
-  const Real stddev = std::sqrt(2.0 / static_cast<Real>(rows + cols));
-  m.FillNormal(rng, stddev);
-  return m;
-}
-
 Tensor ZerosVariable(Index rows, Index cols) {
   return Tensor::Variable(Matrix(rows, cols));
 }

@@ -12,9 +12,6 @@ namespace firzen {
 /// Xavier/Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
 Matrix XavierUniform(Index rows, Index cols, Rng* rng);
 
-/// Xavier/Glorot normal: N(0, sqrt(2 / (fan_in + fan_out))).
-Matrix XavierNormal(Index rows, Index cols, Rng* rng);
-
 /// Zero-initialized matrix as a trainable Variable.
 Tensor ZerosVariable(Index rows, Index cols);
 

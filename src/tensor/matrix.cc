@@ -88,7 +88,8 @@ void Matrix::FillUniform(Rng* rng, Real lo, Real hi) {
 }
 
 Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
+  Matrix t;
+  t.ResizeUninitialized(cols_, rows_);
   for (Index r = 0; r < rows_; ++r) {
     const Real* src = row(r);
     for (Index c = 0; c < cols_; ++c) t(c, r) = src[c];

@@ -9,6 +9,10 @@
 #ifndef FIRZEN_TENSOR_MATRIX_H_
 #define FIRZEN_TENSOR_MATRIX_H_
 
+#include <limits>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
@@ -26,6 +30,35 @@
 namespace firzen {
 
 class ThreadPool;
+
+/// Allocator whose value-less construct() default-initializes, so growing a
+/// std::vector of doubles leaves the new elements unwritten instead of
+/// zero-filling them. Sanitizer builds (FIRZEN_NAN_FILL_NEW_STORAGE, set
+/// with FIRZEN_SANITIZE) fill them with NaN instead, so a kernel that reads
+/// storage it never wrote shows up in every test it runs in.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <typename U>
+  void construct(U* p) {
+#ifdef FIRZEN_NAN_FILL_NEW_STORAGE
+    ::new (static_cast<void*>(p)) U(std::numeric_limits<U>::quiet_NaN());
+#else
+    ::new (static_cast<void*>(p)) U;
+#endif
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Dense row-major matrix of Real. A (rows x cols) matrix stores element
 /// (r, c) at data[r * cols + c]. Vectors are represented as n x 1 or 1 x n.
@@ -60,13 +93,12 @@ class Matrix {
   /// Resize to (rows x cols) and zero. Existing contents are discarded.
   void Resize(Index rows, Index cols);
 
-  /// Resize to (rows x cols) without clearing the elements already held.
-  /// For kernels that overwrite every element (e.g. Gemm's beta == 0 path):
-  /// when the buffer already has the right size — the steady state when an
-  /// output matrix is reused across training steps — this skips Resize()'s
-  /// zero-fill pass. Growing still zero-fills the new elements
-  /// (std::vector::resize value-initializes them), so a fresh Matrix pays
-  /// one fill either way. Contents are unspecified; read only after writing.
+  /// Resize to (rows x cols) without writing any element: elements already
+  /// held keep their values and new ones are left uninitialized (NaN in
+  /// sanitizer builds, see DefaultInitAllocator). For kernels that write
+  /// every element before reading it (Gemm's beta == 0 path, SpMM, the
+  /// autograd ops' forward values and first gradient writes), so a fresh
+  /// output costs no fill pass at all.
   void ResizeUninitialized(Index rows, Index cols);
 
   /// Element-wise +=. Shapes must match.
@@ -99,7 +131,7 @@ class Matrix {
  private:
   Index rows_ = 0;
   Index cols_ = 0;
-  std::vector<Real> data_;
+  std::vector<Real, DefaultInitAllocator<Real>> data_;
 };
 
 /// Non-owning writable window into a dense row-major buffer: `rows` x `cols`

@@ -26,11 +26,62 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
   FIRZEN_CHECK_EQ(a.cols(), b.cols());
 }
 
-// Accumulate src into parent's grad if it participates in the tape.
-void AccumulateInto(TensorNode* parent, const Matrix& src) {
+// How one backward contribution x lands in a gradient element. The first
+// contribution to a gradient writes 0.0 + x into uninitialized storage: the
+// bits of adding x to a zeroed buffer, which maps -0.0 to +0.0 (a bare
+// `= x` would not). Later contributions add. kBeta is the matching beta
+// of a kernel computing out = product + beta * out: with beta = 0 the Gemm
+// register tile starts every chain at +0.0, so it never stores -0.0 either.
+struct FirstWrite {
+  static constexpr Real kBeta = 0.0;
+  void operator()(Real& dst, Real x) const { dst = 0.0 + x; }
+};
+struct AddTo {
+  static constexpr Real kBeta = 1.0;
+  void operator()(Real& dst, Real x) const { dst += x; }
+};
+
+// The one fresh-or-accumulate decision of the tape: calls
+// body(&parent->grad, put) with AddTo when the parent already holds a
+// gradient (a leaf accumulating across Backward calls, or a node reached
+// by an earlier child), else sizes the gradient uninitialized and passes
+// FirstWrite. `body` must put every element exactly once. No-op for
+// parents that take no gradient.
+template <typename Body>
+void Accumulate(TensorNode* parent, Body body) {
   if (!parent->requires_grad) return;
-  parent->EnsureGrad();
-  parent->grad.Add(src);
+  Matrix& grad = parent->grad;
+  if (grad.rows() == parent->value.rows() &&
+      grad.cols() == parent->value.cols()) {
+    body(&grad, AddTo());
+  } else {
+    grad.ResizeUninitialized(parent->value.rows(), parent->value.cols());
+    body(&grad, FirstWrite());
+  }
+}
+
+// Accumulate for elementwise contributions: puts fn(i) at every flat index
+// i, sharded like ApplyElementwise.
+template <typename Fn>
+void AccumulateEach(TensorNode* parent, Fn fn) {
+  Accumulate(parent, [&](Matrix* grad, auto put) {
+    Real* out = grad->data();
+    ParallelFor(
+        ThreadPool::Global(), grad->size(),
+        [&](Index begin, Index end) {
+          for (Index i = begin; i < end; ++i) put(out[i], fn(i));
+        },
+        detail::kElementwiseGrain);
+  });
+}
+
+// Backward of ops whose output gradient passes unchanged to every parent
+// (sums, scalar shifts, reshapes).
+void PassGradToParents(TensorNode* self) {
+  const Real* g = self->grad.data();
+  for (auto& parent : self->parents) {
+    AccumulateEach(parent.get(), [g](Index i) { return g[i]; });
+  }
 }
 
 }  // namespace
@@ -38,30 +89,24 @@ void AccumulateInto(TensorNode* parent, const Matrix& src) {
 Tensor Add(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   auto node = NewNode("add", {a.node(), b.node()});
-  node->value = a.value();
-  node->value.Add(b.value());
-  if (node->requires_grad) {
-    node->backward_fn = [](TensorNode* self) {
-      AccumulateInto(self->parents[0].get(), self->grad);
-      AccumulateInto(self->parents[1].get(), self->grad);
-    };
-  }
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), b.value().data(),
+                   node->value.data(), [](Real x, Real y) { return x + y; });
+  if (node->requires_grad) node->backward_fn = PassGradToParents;
   return Tensor(node);
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   auto node = NewNode("sub", {a.node(), b.node()});
-  node->value = a.value();
-  node->value.Axpy(-1.0, b.value());
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), b.value().data(),
+                   node->value.data(), [](Real x, Real y) { return x - y; });
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
-      AccumulateInto(self->parents[0].get(), self->grad);
-      TensorNode* b_node = self->parents[1].get();
-      if (b_node->requires_grad) {
-        b_node->EnsureGrad();
-        b_node->grad.Axpy(-1.0, self->grad);
-      }
+      const Real* g = self->grad.data();
+      AccumulateEach(self->parents[0].get(), [g](Index i) { return g[i]; });
+      AccumulateEach(self->parents[1].get(), [g](Index i) { return -g[i]; });
     };
   }
   return Tensor(node);
@@ -70,26 +115,18 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   auto node = NewNode("mul", {a.node(), b.node()});
-  node->value = a.value();
-  ApplyElementwise(node->value.size(), node->value.data(), b.value().data(),
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), b.value().data(),
                    node->value.data(), [](Real x, Real y) { return x * y; });
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
       TensorNode* a_node = self->parents[0].get();
       TensorNode* b_node = self->parents[1].get();
-      const Index n = self->grad.size();
-      if (a_node->requires_grad) {
-        a_node->EnsureGrad();
-        ApplyElementwiseGrad(n, self->grad.data(), b_node->value.data(),
-                             a_node->grad.data(),
-                             [](Real g, Real y) { return g * y; });
-      }
-      if (b_node->requires_grad) {
-        b_node->EnsureGrad();
-        ApplyElementwiseGrad(n, self->grad.data(), a_node->value.data(),
-                             b_node->grad.data(),
-                             [](Real g, Real x) { return g * x; });
-      }
+      const Real* g = self->grad.data();
+      const Real* x = a_node->value.data();
+      const Real* y = b_node->value.data();
+      AccumulateEach(a_node, [g, y](Index i) { return g[i] * y[i]; });
+      AccumulateEach(b_node, [g, x](Index i) { return g[i] * x[i]; });
     };
   }
   return Tensor(node);
@@ -98,28 +135,19 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 Tensor Div(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   auto node = NewNode("div", {a.node(), b.node()});
-  node->value = a.value();
-  ApplyElementwise(node->value.size(), node->value.data(), b.value().data(),
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), b.value().data(),
                    node->value.data(), [](Real x, Real y) { return x / y; });
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
-      TensorNode* a_node = self->parents[0].get();
-      TensorNode* b_node = self->parents[1].get();
-      const Index n = self->grad.size();
-      if (a_node->requires_grad) {
-        a_node->EnsureGrad();
-        ApplyElementwiseGrad(n, self->grad.data(), b_node->value.data(),
-                             a_node->grad.data(),
-                             [](Real g, Real y) { return g / y; });
-      }
-      if (b_node->requires_grad) {
-        b_node->EnsureGrad();
-        ApplyElementwiseGrad(n, self->grad.data(), self->value.data(),
-                             b_node->value.data(), b_node->grad.data(),
-                             [](Real g, Real out, Real y) {
-                               return -g * out / y;
-                             });
-      }
+      const Real* g = self->grad.data();
+      const Real* out = self->value.data();
+      const Real* y = self->parents[1]->value.data();
+      AccumulateEach(self->parents[0].get(),
+                     [g, y](Index i) { return g[i] / y[i]; });
+      AccumulateEach(self->parents[1].get(), [g, out, y](Index i) {
+        return -g[i] * out[i] / y[i];
+      });
     };
   }
   return Tensor(node);
@@ -127,13 +155,14 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 
 Tensor Scale(const Tensor& a, Real alpha) {
   auto node = NewNode("scale", {a.node()});
-  node->value = a.value();
-  node->value.Scale(alpha);
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), node->value.data(),
+                   [alpha](Real v) { return v * alpha; });
   if (node->requires_grad) {
     node->backward_fn = [alpha](TensorNode* self) {
-      TensorNode* a_node = self->parents[0].get();
-      a_node->EnsureGrad();
-      a_node->grad.Axpy(alpha, self->grad);
+      const Real* g = self->grad.data();
+      AccumulateEach(self->parents[0].get(),
+                     [alpha, g](Index i) { return alpha * g[i]; });
     };
   }
   return Tensor(node);
@@ -141,14 +170,10 @@ Tensor Scale(const Tensor& a, Real alpha) {
 
 Tensor AddScalar(const Tensor& a, Real alpha) {
   auto node = NewNode("add_scalar", {a.node()});
-  node->value = a.value();
-  ApplyElementwise(node->value.size(), node->value.data(),
+  node->value.ResizeUninitialized(a.rows(), a.cols());
+  ApplyElementwise(node->value.size(), a.value().data(), node->value.data(),
                    [alpha](Real v) { return v + alpha; });
-  if (node->requires_grad) {
-    node->backward_fn = [](TensorNode* self) {
-      AccumulateInto(self->parents[0].get(), self->grad);
-    };
-  }
+  if (node->requires_grad) node->backward_fn = PassGradToParents;
   return Tensor(node);
 }
 
@@ -161,15 +186,20 @@ Tensor AddN(const std::vector<Tensor>& xs) {
     parents.push_back(x.node());
   }
   auto node = NewNode("add_n", std::move(parents));
-  node->value = xs[0].value();
-  for (size_t i = 1; i < xs.size(); ++i) node->value.Add(xs[i].value());
-  if (node->requires_grad) {
-    node->backward_fn = [](TensorNode* self) {
-      for (auto& parent : self->parents) {
-        AccumulateInto(parent.get(), self->grad);
-      }
-    };
+  if (xs.size() == 1) {
+    node->value = xs[0].value();
+  } else {
+    node->value.ResizeUninitialized(xs[0].rows(), xs[0].cols());
+    Real* out = node->value.data();
+    const auto add = [](Real x, Real y) { return x + y; };
+    ApplyElementwise(node->value.size(), xs[0].value().data(),
+                     xs[1].value().data(), out, add);
+    for (size_t i = 2; i < xs.size(); ++i) {
+      ApplyElementwise(node->value.size(), out, xs[i].value().data(), out,
+                       add);
+    }
   }
+  if (node->requires_grad) node->backward_fn = PassGradToParents;
   return Tensor(node);
 }
 
@@ -181,32 +211,32 @@ Tensor MatMul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
       TensorNode* a_node = self->parents[0].get();
       TensorNode* b_node = self->parents[1].get();
       const Matrix& g = self->grad;
-      if (a_node->requires_grad) {
-        a_node->EnsureGrad();
+      Accumulate(a_node, [&](Matrix* ga, auto put) {
+        const Real beta = decltype(put)::kBeta;
         if (!trans_a) {
           // dA = dC * op(B)^T
-          Gemm(false, !trans_b, 1.0, g, b_node->value, 1.0, &a_node->grad);
+          Gemm(false, !trans_b, 1.0, g, b_node->value, beta, ga);
         } else if (!trans_b) {
           // C = A^T B  =>  dA = B * dC^T
-          Gemm(false, true, 1.0, b_node->value, g, 1.0, &a_node->grad);
+          Gemm(false, true, 1.0, b_node->value, g, beta, ga);
         } else {
           // C = A^T B^T  =>  dA = B^T * dC^T
-          Gemm(true, true, 1.0, b_node->value, g, 1.0, &a_node->grad);
+          Gemm(true, true, 1.0, b_node->value, g, beta, ga);
         }
-      }
-      if (b_node->requires_grad) {
-        b_node->EnsureGrad();
+      });
+      Accumulate(b_node, [&](Matrix* gb, auto put) {
+        const Real beta = decltype(put)::kBeta;
         if (!trans_b) {
           // dB = op(A)^T * dC
-          Gemm(!trans_a, false, 1.0, a_node->value, g, 1.0, &b_node->grad);
+          Gemm(!trans_a, false, 1.0, a_node->value, g, beta, gb);
         } else if (!trans_a) {
           // C = A B^T  =>  dB = dC^T * A
-          Gemm(true, false, 1.0, g, a_node->value, 1.0, &b_node->grad);
+          Gemm(true, false, 1.0, g, a_node->value, beta, gb);
         } else {
           // C = A^T B^T  =>  dB = dC^T * A^T
-          Gemm(true, true, 1.0, g, a_node->value, 1.0, &b_node->grad);
+          Gemm(true, true, 1.0, g, a_node->value, beta, gb);
         }
-      }
+      });
     };
   }
   return Tensor(node);
@@ -219,9 +249,15 @@ Tensor SpMM(std::shared_ptr<const CsrMatrix> a, const Tensor& x) {
   a->SpMM(x.value(), &node->value);
   if (node->requires_grad) {
     node->backward_fn = [a](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      a->SpMMTAccum(1.0, self->grad, &x_node->grad);
+      // SpMMT starts each output row at 0.0 and adds in the same order as
+      // SpMMTAccum into a zeroed buffer, so it is the first write.
+      Accumulate(self->parents[0].get(), [&](Matrix* gx, auto put) {
+        if (decltype(put)::kBeta == 0.0) {
+          a->SpMMT(self->grad, gx);
+        } else {
+          a->SpMMTAccum(1.0, self->grad, gx);
+        }
+      });
     };
   }
   return Tensor(node);
@@ -230,7 +266,7 @@ Tensor SpMM(std::shared_ptr<const CsrMatrix> a, const Tensor& x) {
 Tensor GatherRows(const Tensor& x, std::vector<Index> idx) {
   const Index d = x.cols();
   auto node = NewNode("gather_rows", {x.node()});
-  node->value.Resize(static_cast<Index>(idx.size()), d);
+  node->value.ResizeUninitialized(static_cast<Index>(idx.size()), d);
   for (size_t k = 0; k < idx.size(); ++k) {
     FIRZEN_CHECK_GE(idx[k], 0);
     FIRZEN_CHECK_LT(idx[k], x.rows());
@@ -259,7 +295,7 @@ Tensor SliceCols(const Tensor& x, Index begin, Index end) {
   const Index n = x.rows();
   const Index w = end - begin;
   auto node = NewNode("slice_cols", {x.node()});
-  node->value.Resize(n, w);
+  node->value.ResizeUninitialized(n, w);
   for (Index r = 0; r < n; ++r) {
     const Real* src = x.value().row(r) + begin;
     Real* dst = node->value.row(r);
@@ -284,9 +320,13 @@ Tensor Transpose(const Tensor& x) {
   node->value = x.value().Transposed();
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      x_node->grad.Add(self->grad.Transposed());
+      const Matrix& g = self->grad;
+      Accumulate(self->parents[0].get(), [&](Matrix* gx, auto put) {
+        for (Index r = 0; r < gx->rows(); ++r) {
+          Real* dst = gx->row(r);
+          for (Index c = 0; c < gx->cols(); ++c) put(dst[c], g(c, r));
+        }
+      });
     };
   }
   return Tensor(node);
@@ -296,7 +336,7 @@ Tensor RowL2Normalize(const Tensor& x, Real eps) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("row_l2_normalize", {x.node()});
-  node->value.Resize(n, d);
+  node->value.ResizeUninitialized(n, d);
   std::vector<Real> norms(static_cast<size_t>(n));
   for (Index r = 0; r < n; ++r) {
     const Real norm = std::max(x.value().RowNorm(r), eps);
@@ -307,20 +347,21 @@ Tensor RowL2Normalize(const Tensor& x, Real eps) {
   }
   if (node->requires_grad) {
     node->backward_fn = [norms = std::move(norms), d](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      for (Index r = 0; r < self->grad.rows(); ++r) {
-        const Real* g = self->grad.row(r);
-        const Real* y = self->value.row(r);
-        Real* gx = x_node->grad.row(r);
-        // Sequential fixed-order scalar reduction: deterministic as written; the
-        // sanctioned fma kernels (matrix.cc) exist for blocked/parallel panels.
-        // firzen-lint: allow(raw-float-accum)
-        Real gy = 0.0;
-        for (Index c = 0; c < d; ++c) gy += g[c] * y[c];
-        const Real inv = 1.0 / norms[static_cast<size_t>(r)];
-        for (Index c = 0; c < d; ++c) gx[c] += (g[c] - y[c] * gy) * inv;
-      }
+      Accumulate(self->parents[0].get(), [&](Matrix* gx_all, auto put) {
+        for (Index r = 0; r < self->grad.rows(); ++r) {
+          const Real* g = self->grad.row(r);
+          const Real* y = self->value.row(r);
+          Real* gx = gx_all->row(r);
+          // Sequential fixed-order scalar reduction: deterministic as
+          // written; the sanctioned fma kernels (matrix.cc) exist for
+          // blocked/parallel panels.
+          // firzen-lint: allow(raw-float-accum)
+          Real gy = 0.0;
+          for (Index c = 0; c < d; ++c) gy += g[c] * y[c];
+          const Real inv = 1.0 / norms[static_cast<size_t>(r)];
+          for (Index c = 0; c < d; ++c) put(gx[c], (g[c] - y[c] * gy) * inv);
+        }
+      });
     };
   }
   return Tensor(node);
@@ -335,18 +376,18 @@ namespace {
 template <typename Fwd, typename Dfn>
 Tensor UnaryOp(const char* name, const Tensor& x, Fwd fwd, Dfn dfn) {
   auto node = NewNode(name, {x.node()});
-  node->value = x.value();
-  ApplyElementwise(node->value.size(), node->value.data(), fwd);
+  node->value.ResizeUninitialized(x.rows(), x.cols());
+  ApplyElementwise(node->value.size(), x.value().data(), node->value.data(),
+                   fwd);
   if (node->requires_grad) {
     node->backward_fn = [dfn](TensorNode* self) {
       TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      ApplyElementwiseGrad(self->grad.size(), self->grad.data(),
-                           x_node->value.data(), self->value.data(),
-                           x_node->grad.data(), [dfn](Real g, Real in,
-                                                      Real out) {
-                             return g * dfn(in, out);
-                           });
+      const Real* g = self->grad.data();
+      const Real* in = x_node->value.data();
+      const Real* out = self->value.data();
+      AccumulateEach(x_node, [dfn, g, in, out](Index i) {
+        return g[i] * dfn(in[i], out[i]);
+      });
     };
   }
   return Tensor(node);
@@ -409,7 +450,7 @@ Tensor RowSoftmax(const Tensor& x) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("row_softmax", {x.node()});
-  node->value.Resize(n, d);
+  node->value.ResizeUninitialized(n, d);
   for (Index r = 0; r < n; ++r) {
     const Real* src = x.value().row(r);
     Real* dst = node->value.row(r);
@@ -427,19 +468,20 @@ Tensor RowSoftmax(const Tensor& x) {
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      for (Index r = 0; r < self->grad.rows(); ++r) {
-        const Real* g = self->grad.row(r);
-        const Real* y = self->value.row(r);
-        Real* gx = x_node->grad.row(r);
-        // Sequential fixed-order scalar reduction: deterministic as written; the
-        // sanctioned fma kernels (matrix.cc) exist for blocked/parallel panels.
-        // firzen-lint: allow(raw-float-accum)
-        Real gy = 0.0;
-        for (Index c = 0; c < d; ++c) gy += g[c] * y[c];
-        for (Index c = 0; c < d; ++c) gx[c] += (g[c] - gy) * y[c];
-      }
+      Accumulate(self->parents[0].get(), [&](Matrix* gx_all, auto put) {
+        for (Index r = 0; r < self->grad.rows(); ++r) {
+          const Real* g = self->grad.row(r);
+          const Real* y = self->value.row(r);
+          Real* gx = gx_all->row(r);
+          // Sequential fixed-order scalar reduction: deterministic as
+          // written; the sanctioned fma kernels (matrix.cc) exist for
+          // blocked/parallel panels.
+          // firzen-lint: allow(raw-float-accum)
+          Real gy = 0.0;
+          for (Index c = 0; c < d; ++c) gy += g[c] * y[c];
+          for (Index c = 0; c < d; ++c) put(gx[c], (g[c] - gy) * y[c]);
+        }
+      });
     };
   }
   return Tensor(node);
@@ -451,19 +493,18 @@ Tensor Dropout(const Tensor& x, Real p, Rng* rng) {
   FIRZEN_CHECK(rng != nullptr);
   const Real keep = 1.0 - p;
   auto node = NewNode("dropout", {x.node()});
-  node->value = x.value();
+  node->value.ResizeUninitialized(x.rows(), x.cols());
   std::vector<Real> mask(static_cast<size_t>(x.value().size()));
   for (size_t i = 0; i < mask.size(); ++i) {
     mask[i] = rng->Bernoulli(keep) ? 1.0 / keep : 0.0;
-    node->value.data()[static_cast<Index>(i)] *= mask[i];
+    node->value.data()[i] = x.value().data()[i] * mask[i];
   }
   if (node->requires_grad) {
     node->backward_fn = [mask = std::move(mask)](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      ApplyElementwiseGrad(self->grad.size(), self->grad.data(), mask.data(),
-                           x_node->grad.data(),
-                           [](Real g, Real m) { return g * m; });
+      const Real* g = self->grad.data();
+      const Real* m = mask.data();
+      AccumulateEach(self->parents[0].get(),
+                     [g, m](Index i) { return g[i] * m[i]; });
     };
   }
   return Tensor(node);
@@ -475,35 +516,39 @@ Tensor RowScale(const Tensor& x, const Tensor& w) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("row_scale", {x.node(), w.node()});
-  node->value = x.value();
+  node->value.ResizeUninitialized(n, d);
   for (Index r = 0; r < n; ++r) {
+    const Real* src = x.value().row(r);
     Real* dst = node->value.row(r);
     const Real s = w.value()(r, 0);
-    for (Index c = 0; c < d; ++c) dst[c] *= s;
+    for (Index c = 0; c < d; ++c) dst[c] = src[c] * s;
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
       TensorNode* x_node = self->parents[0].get();
       TensorNode* w_node = self->parents[1].get();
-      for (Index r = 0; r < self->grad.rows(); ++r) {
-        const Real* g = self->grad.row(r);
-        if (x_node->requires_grad) {
-          x_node->EnsureGrad();
-          Real* gx = x_node->grad.row(r);
+      const Index n = self->grad.rows();
+      Accumulate(x_node, [&](Matrix* gx_all, auto put) {
+        for (Index r = 0; r < n; ++r) {
+          const Real* g = self->grad.row(r);
+          Real* gx = gx_all->row(r);
           const Real s = w_node->value(r, 0);
-          for (Index c = 0; c < d; ++c) gx[c] += g[c] * s;
+          for (Index c = 0; c < d; ++c) put(gx[c], g[c] * s);
         }
-        if (w_node->requires_grad) {
-          w_node->EnsureGrad();
+      });
+      Accumulate(w_node, [&](Matrix* gw, auto put) {
+        for (Index r = 0; r < n; ++r) {
+          const Real* g = self->grad.row(r);
           const Real* xv = x_node->value.row(r);
-          // Sequential fixed-order scalar reduction: deterministic as written; the
-          // sanctioned fma kernels (matrix.cc) exist for blocked/parallel panels.
+          // Sequential fixed-order scalar reduction: deterministic as
+          // written; the sanctioned fma kernels (matrix.cc) exist for
+          // blocked/parallel panels.
           // firzen-lint: allow(raw-float-accum)
           Real acc = 0.0;
           for (Index c = 0; c < d; ++c) acc += g[c] * xv[c];
-          w_node->grad(r, 0) += acc;
+          put((*gw)(r, 0), acc);
         }
-      }
+      });
     };
   }
   return Tensor(node);
@@ -515,19 +560,20 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& b) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("add_row_broadcast", {x.node(), b.node()});
-  node->value = x.value();
+  node->value.ResizeUninitialized(n, d);
+  const Real* bias = b.value().row(0);
   for (Index r = 0; r < n; ++r) {
+    const Real* src = x.value().row(r);
     Real* dst = node->value.row(r);
-    const Real* bias = b.value().row(0);
-    for (Index c = 0; c < d; ++c) dst[c] += bias[c];
+    for (Index c = 0; c < d; ++c) dst[c] = src[c] + bias[c];
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
       TensorNode* x_node = self->parents[0].get();
       TensorNode* b_node = self->parents[1].get();
-      if (x_node->requires_grad) {
-        AccumulateInto(x_node, self->grad);
-      }
+      const Real* g_all = self->grad.data();
+      AccumulateEach(x_node, [g_all](Index i) { return g_all[i]; });
+      // Every row adds into the one bias row: a scatter, so zero first.
       if (b_node->requires_grad) {
         b_node->EnsureGrad();
         Real* gb = b_node->grad.row(0);
@@ -546,7 +592,7 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
   const Index n = a.rows();
   const Index d = a.cols();
   auto node = NewNode("row_dot", {a.node(), b.node()});
-  node->value.Resize(n, 1);
+  node->value.ResizeUninitialized(n, 1);
   for (Index r = 0; r < n; ++r) {
     const Real* av = a.value().row(r);
     const Real* bv = b.value().row(r);
@@ -559,22 +605,17 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
-      TensorNode* a_node = self->parents[0].get();
-      TensorNode* b_node = self->parents[1].get();
-      for (Index r = 0; r < self->grad.rows(); ++r) {
-        const Real g = self->grad(r, 0);
-        if (a_node->requires_grad) {
-          a_node->EnsureGrad();
-          Real* ga = a_node->grad.row(r);
-          const Real* bv = b_node->value.row(r);
-          for (Index c = 0; c < d; ++c) ga[c] += g * bv[c];
-        }
-        if (b_node->requires_grad) {
-          b_node->EnsureGrad();
-          Real* gb = b_node->grad.row(r);
-          const Real* av = a_node->value.row(r);
-          for (Index c = 0; c < d; ++c) gb[c] += g * av[c];
-        }
+      // d(a . b)/da = b and d/db = a, row by row.
+      for (int k = 0; k < 2; ++k) {
+        const Matrix& other = self->parents[1 - k]->value;
+        Accumulate(self->parents[k].get(), [&](Matrix* grad, auto put) {
+          for (Index r = 0; r < self->grad.rows(); ++r) {
+            const Real g = self->grad(r, 0);
+            Real* dst = grad->row(r);
+            const Real* v = other.row(r);
+            for (Index c = 0; c < d; ++c) put(dst[c], g * v[c]);
+          }
+        });
       }
     };
   }
@@ -583,7 +624,7 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
 
 Tensor ReduceSum(const Tensor& x) {
   auto node = NewNode("reduce_sum", {x.node()});
-  node->value.Resize(1, 1);
+  node->value.ResizeUninitialized(1, 1);
   // Sequential fixed-order scalar reduction: deterministic as written; the
   // sanctioned fma kernels (matrix.cc) exist for blocked/parallel panels.
   // firzen-lint: allow(raw-float-accum)
@@ -593,11 +634,8 @@ Tensor ReduceSum(const Tensor& x) {
   node->value(0, 0) = acc;
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
       const Real g = self->grad(0, 0);
-      ApplyElementwise(x_node->grad.size(), x_node->grad.data(),
-                       [g](Real v) { return v + g; });
+      AccumulateEach(self->parents[0].get(), [g](Index) { return g; });
     };
   }
   return Tensor(node);
@@ -612,7 +650,7 @@ Tensor RowSum(const Tensor& x) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("row_sum", {x.node()});
-  node->value.Resize(n, 1);
+  node->value.ResizeUninitialized(n, 1);
   for (Index r = 0; r < n; ++r) {
     const Real* src = x.value().row(r);
     // Sequential fixed-order scalar reduction: deterministic as written; the
@@ -624,13 +662,13 @@ Tensor RowSum(const Tensor& x) {
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      for (Index r = 0; r < self->grad.rows(); ++r) {
-        const Real g = self->grad(r, 0);
-        Real* gx = x_node->grad.row(r);
-        for (Index c = 0; c < d; ++c) gx[c] += g;
-      }
+      Accumulate(self->parents[0].get(), [&](Matrix* gx_all, auto put) {
+        for (Index r = 0; r < self->grad.rows(); ++r) {
+          const Real g = self->grad(r, 0);
+          Real* gx = gx_all->row(r);
+          for (Index c = 0; c < d; ++c) put(gx[c], g);
+        }
+      });
     };
   }
   return Tensor(node);
@@ -648,13 +686,60 @@ Tensor ColSum(const Tensor& x) {
   }
   if (node->requires_grad) {
     node->backward_fn = [d](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
       const Real* g = self->grad.row(0);
-      for (Index r = 0; r < x_node->grad.rows(); ++r) {
-        Real* gx = x_node->grad.row(r);
-        for (Index c = 0; c < d; ++c) gx[c] += g[c];
-      }
+      Accumulate(self->parents[0].get(), [&](Matrix* gx_all, auto put) {
+        for (Index r = 0; r < gx_all->rows(); ++r) {
+          Real* gx = gx_all->row(r);
+          for (Index c = 0; c < d; ++c) put(gx[c], g[c]);
+        }
+      });
+    };
+  }
+  return Tensor(node);
+}
+
+Tensor ColSumExp(const Tensor& x) {
+  const Index n = x.rows();
+  const Index d = x.cols();
+  auto node = NewNode("col_sum_exp", {x.node()});
+  Matrix e;
+  e.ResizeUninitialized(n, d);
+  node->value.ResizeUninitialized(1, d);
+  Real* sums = node->value.data();
+  // Column shards, each walking its rows in order: every column is the same
+  // row-ordered chain from 0.0 that ColSum runs over Exp's values.
+  ParallelFor(
+      ThreadPool::Global(), d,
+      [&](Index begin, Index end) {
+        for (Index c = begin; c < end; ++c) sums[c] = 0.0;
+        for (Index r = 0; r < n; ++r) {
+          const Real* src = x.value().row(r);
+          Real* er = e.row(r);
+          for (Index c = begin; c < end; ++c) {
+            er[c] = std::exp(src[c]);
+            sums[c] += er[c];
+          }
+        }
+      },
+      std::max<Index>(1, detail::kElementwiseGrain / std::max<Index>(1, n)));
+  if (node->requires_grad) {
+    node->backward_fn = [e = std::move(e), d](TensorNode* self) {
+      // The bits of the unfused pair: ColSum writes 0.0 + g[c] into Exp's
+      // gradient, and Exp multiplies it by the exp value.
+      const Real* g = self->grad.data();
+      Accumulate(self->parents[0].get(), [&](Matrix* gx, auto put) {
+        ParallelFor(
+            ThreadPool::Global(), gx->rows(),
+            [&](Index begin, Index end) {
+              for (Index r = begin; r < end; ++r) {
+                const Real* er = e.row(r);
+                Real* dst = gx->row(r);
+                for (Index c = 0; c < d; ++c) put(dst[c], (0.0 + g[c]) * er[c]);
+              }
+            },
+            std::max<Index>(1, detail::kElementwiseGrain /
+                                   std::max<Index>(1, d)));
+      });
     };
   }
   return Tensor(node);
@@ -662,14 +747,14 @@ Tensor ColSum(const Tensor& x) {
 
 Tensor SumSquares(const Tensor& x) {
   auto node = NewNode("sum_squares", {x.node()});
-  node->value.Resize(1, 1);
+  node->value.ResizeUninitialized(1, 1);
   node->value(0, 0) = x.value().SquaredNorm();
   if (node->requires_grad) {
     node->backward_fn = [](TensorNode* self) {
       TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
       const Real g = 2.0 * self->grad(0, 0);
-      x_node->grad.Axpy(g, x_node->value);
+      const Real* xv = x_node->value.data();
+      AccumulateEach(x_node, [g, xv](Index i) { return g * xv[i]; });
     };
   }
   return Tensor(node);
@@ -705,8 +790,9 @@ Tensor BatchNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
         1.0 / std::sqrt(inv_std[static_cast<size_t>(c)] / n + eps);
   }
   // Store normalized pre-affine activations for the backward pass.
-  auto xhat = std::make_shared<Matrix>(n, d);
-  node->value.Resize(n, d);
+  auto xhat = std::make_shared<Matrix>();
+  xhat->ResizeUninitialized(n, d);
+  node->value.ResizeUninitialized(n, d);
   for (Index r = 0; r < n; ++r) {
     const Real* src = x.value().row(r);
     Real* h = xhat->row(r);
@@ -734,32 +820,24 @@ Tensor BatchNorm(const Tensor& x, const Tensor& gamma, const Tensor& beta,
           sum_dy_xhat[static_cast<size_t>(c)] += g[c] * h[c];
         }
       }
-      if (g_node->requires_grad) {
-        g_node->EnsureGrad();
-        for (Index c = 0; c < d; ++c) {
-          g_node->grad(0, c) += sum_dy_xhat[static_cast<size_t>(c)];
-        }
-      }
-      if (b_node->requires_grad) {
-        b_node->EnsureGrad();
-        for (Index c = 0; c < d; ++c) {
-          b_node->grad(0, c) += sum_dy[static_cast<size_t>(c)];
-        }
-      }
-      if (x_node->requires_grad) {
-        x_node->EnsureGrad();
+      AccumulateEach(g_node, [&](Index c) {
+        return sum_dy_xhat[static_cast<size_t>(c)];
+      });
+      AccumulateEach(b_node,
+                     [&](Index c) { return sum_dy[static_cast<size_t>(c)]; });
+      Accumulate(x_node, [&](Matrix* gx_all, auto put) {
         for (Index r = 0; r < n; ++r) {
           const Real* g = self->grad.row(r);
           const Real* h = xhat->row(r);
-          Real* gx = x_node->grad.row(r);
+          Real* gx = gx_all->row(r);
           for (Index c = 0; c < d; ++c) {
             const size_t sc = static_cast<size_t>(c);
             const Real gamma_c = g_node->value(0, c);
-            gx[c] += gamma_c * inv_std[sc] / n *
-                     (n * g[c] - sum_dy[sc] - h[c] * sum_dy_xhat[sc]);
+            put(gx[c], gamma_c * inv_std[sc] / n *
+                           (n * g[c] - sum_dy[sc] - h[c] * sum_dy_xhat[sc]));
           }
         }
-      }
+      });
     };
   }
   return Tensor(node);
@@ -778,7 +856,7 @@ Tensor ConcatCols(const std::vector<Tensor>& xs) {
     parents.push_back(x.node());
   }
   auto node = NewNode("concat_cols", std::move(parents));
-  node->value.Resize(n, total);
+  node->value.ResizeUninitialized(n, total);
   Index offset = 0;
   for (const Tensor& x : xs) {
     for (Index r = 0; r < n; ++r) {
@@ -792,16 +870,14 @@ Tensor ConcatCols(const std::vector<Tensor>& xs) {
     node->backward_fn = [widths = std::move(widths)](TensorNode* self) {
       Index offset = 0;
       for (size_t k = 0; k < self->parents.size(); ++k) {
-        TensorNode* parent = self->parents[k].get();
         const Index w = widths[k];
-        if (parent->requires_grad) {
-          parent->EnsureGrad();
+        Accumulate(self->parents[k].get(), [&](Matrix* grad, auto put) {
           for (Index r = 0; r < self->grad.rows(); ++r) {
             const Real* src = self->grad.row(r) + offset;
-            Real* dst = parent->grad.row(r);
-            for (Index c = 0; c < w; ++c) dst[c] += src[c];
+            Real* dst = grad->row(r);
+            for (Index c = 0; c < w; ++c) put(dst[c], src[c]);
           }
-        }
+        });
         offset += w;
       }
     };
@@ -815,15 +891,7 @@ Tensor Reshape(const Tensor& x, Index rows, Index cols) {
   node->value = x.value();
   // Same element count, so this only rewrites the dims of the copied buffer.
   node->value.ResizeUninitialized(rows, cols);
-  if (node->requires_grad) {
-    node->backward_fn = [](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      ApplyElementwiseGrad(self->grad.size(), self->grad.data(),
-                           self->grad.data(), x_node->grad.data(),
-                           [](Real g, Real) { return g; });
-    };
-  }
+  if (node->requires_grad) node->backward_fn = PassGradToParents;
   return Tensor(node);
 }
 
@@ -843,15 +911,15 @@ Tensor SumGroups(const Tensor& x, Index group_size) {
   }
   if (node->requires_grad) {
     node->backward_fn = [group_size, d](TensorNode* self) {
-      TensorNode* x_node = self->parents[0].get();
-      x_node->EnsureGrad();
-      for (Index b = 0; b < self->grad.rows(); ++b) {
-        const Real* g = self->grad.row(b);
-        for (Index s = 0; s < group_size; ++s) {
-          Real* gx = x_node->grad.row(b * group_size + s);
-          for (Index c = 0; c < d; ++c) gx[c] += g[c];
+      Accumulate(self->parents[0].get(), [&](Matrix* gx_all, auto put) {
+        for (Index b = 0; b < self->grad.rows(); ++b) {
+          const Real* g = self->grad.row(b);
+          for (Index s = 0; s < group_size; ++s) {
+            Real* gx = gx_all->row(b * group_size + s);
+            for (Index c = 0; c < d; ++c) put(gx[c], g[c]);
+          }
         }
-      }
+      });
     };
   }
   return Tensor(node);
@@ -862,7 +930,7 @@ Tensor RepeatInterleaveRows(const Tensor& x, Index times) {
   const Index n = x.rows();
   const Index d = x.cols();
   auto node = NewNode("repeat_interleave_rows", {x.node()});
-  node->value.Resize(n * times, d);
+  node->value.ResizeUninitialized(n * times, d);
   for (Index r = 0; r < n; ++r) {
     const Real* src = x.value().row(r);
     for (Index t = 0; t < times; ++t) {
@@ -871,6 +939,7 @@ Tensor RepeatInterleaveRows(const Tensor& x, Index times) {
     }
   }
   if (node->requires_grad) {
+    // Each row of x sums `times` gradient rows: a scatter, so zero first.
     node->backward_fn = [times, d](TensorNode* self) {
       TensorNode* x_node = self->parents[0].get();
       x_node->EnsureGrad();

@@ -28,13 +28,13 @@ namespace detail {
 constexpr Index kElementwiseGrain = 1 << 14;
 }  // namespace detail
 
-/// out[i] = fn(out[i])  (in-place unary map).
+/// out[i] = fn(a[i]). `out` may alias `a`.
 template <typename Fn>
-void ApplyElementwise(Index n, Real* out, Fn fn) {
+void ApplyElementwise(Index n, const Real* a, Real* out, Fn fn) {
   ParallelFor(
       ThreadPool::Global(), n,
       [&](Index begin, Index end) {
-        for (Index i = begin; i < end; ++i) out[i] = fn(out[i]);
+        for (Index i = begin; i < end; ++i) out[i] = fn(a[i]);
       },
       detail::kElementwiseGrain);
 }
@@ -47,30 +47,6 @@ void ApplyElementwise(Index n, const Real* a, const Real* b, Real* out,
       ThreadPool::Global(), n,
       [&](Index begin, Index end) {
         for (Index i = begin; i < end; ++i) out[i] = fn(a[i], b[i]);
-      },
-      detail::kElementwiseGrain);
-}
-
-/// acc[i] += fn(g[i], a[i])  (fused backward accumulation).
-template <typename Fn>
-void ApplyElementwiseGrad(Index n, const Real* g, const Real* a, Real* acc,
-                          Fn fn) {
-  ParallelFor(
-      ThreadPool::Global(), n,
-      [&](Index begin, Index end) {
-        for (Index i = begin; i < end; ++i) acc[i] += fn(g[i], a[i]);
-      },
-      detail::kElementwiseGrain);
-}
-
-/// acc[i] += fn(g[i], a[i], b[i]).
-template <typename Fn>
-void ApplyElementwiseGrad(Index n, const Real* g, const Real* a,
-                          const Real* b, Real* acc, Fn fn) {
-  ParallelFor(
-      ThreadPool::Global(), n,
-      [&](Index begin, Index end) {
-        for (Index i = begin; i < end; ++i) acc[i] += fn(g[i], a[i], b[i]);
       },
       detail::kElementwiseGrain);
 }
@@ -143,6 +119,10 @@ Tensor ReduceMean(const Tensor& x);
 Tensor RowSum(const Tensor& x);
 /// Per-column sums (1 x d).
 Tensor ColSum(const Tensor& x);
+/// ColSum(Exp(x)) as one node, bit-identical to the pair in value and in
+/// x's gradient: each column sums its exp values in row order. Keeps only
+/// the exp values for backward, not a second n x d gradient.
+Tensor ColSumExp(const Tensor& x);
 /// Scalar sum of squares (1 x 1) — L2 regularization workhorse.
 Tensor SumSquares(const Tensor& x);
 

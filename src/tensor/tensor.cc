@@ -6,12 +6,10 @@
 
 namespace firzen {
 
-bool TensorNode::EnsureGrad() {
-  if (grad.rows() == value.rows() && grad.cols() == value.cols()) {
-    return false;
+void TensorNode::EnsureGrad() {
+  if (grad.rows() != value.rows() || grad.cols() != value.cols()) {
+    grad.Resize(value.rows(), value.cols());
   }
-  grad.Resize(value.rows(), value.cols());
-  return true;
 }
 
 Tensor Tensor::Constant(Matrix value) {
@@ -77,20 +75,21 @@ void Backward(const Tensor& loss) {
   std::vector<TensorNode*> order;
   TopoSort(root, &order);
 
-  // Seed gradients. EnsureGrad zeroes only when it allocates, so re-zero
-  // reused interior gradients explicitly (parameters keep accumulating by
-  // design).
-  for (TensorNode* node : order) {
-    const bool fresh = node->EnsureGrad();
-    if (!fresh && node != root && node->backward_fn) node->grad.Zero();
-  }
-  root->grad.Fill(1.0);
+  // Seed only the root; every other gradient is written by its first
+  // contribution.
+  root->grad = Matrix(1, 1, 1.0);
 
   // Post-order gives parents before children; walk in reverse so each node's
-  // gradient is complete before it is propagated.
+  // gradient is complete before it is propagated, then release it.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     TensorNode* node = *it;
-    if (node->backward_fn) node->backward_fn(node);
+    // A node no contribution reached propagates (and keeps) zeros, as if
+    // every gradient had been zeroed up front.
+    node->EnsureGrad();
+    if (node->backward_fn) {
+      node->backward_fn(node);
+      node->grad = Matrix();
+    }
   }
 }
 

@@ -5,6 +5,14 @@
 // Design notes:
 //  * A Tensor is a cheap shared handle to a Node holding the forward value,
 //    a lazily allocated gradient, and a backward closure.
+//  * Backward() seeds only the loss. A node's gradient is allocated when the
+//    first contribution reaches it, which stores 0.0 + x into uninitialized
+//    storage (the bits of adding x to a zeroed buffer: -0.0 becomes +0.0);
+//    later contributions add, in reverse topological order of the children.
+//  * An interior node's gradient is released as soon as its backward
+//    closure has run, so after Backward() only leaves hold gradients. Leaf
+//    gradients keep accumulating across Backward() calls until ZeroGrad()
+//    or an optimizer step.
 //  * Graphs are rebuilt each training step (define-by-run); leaf parameter
 //    nodes persist across steps and are updated by an Optimizer.
 //  * Sparse graph matrices (the paper's frozen graphs) enter the graph as
@@ -26,7 +34,7 @@ namespace firzen {
 /// nodes directly.
 struct TensorNode {
   Matrix value;
-  Matrix grad;  // empty until the backward pass reaches this node
+  Matrix grad;  // empty until the first contribution reaches this node
   bool requires_grad = false;
   std::vector<std::shared_ptr<TensorNode>> parents;
   /// Propagates this->grad into parents' grads. Null for leaves.
@@ -34,8 +42,8 @@ struct TensorNode {
   const char* op_name = "leaf";
 
   /// Allocates and zeroes grad if it does not match the value shape yet.
-  /// Returns true when it did, i.e. grad is freshly zeroed.
-  bool EnsureGrad();
+  /// For backward closures that scatter into parts of a parent's gradient.
+  void EnsureGrad();
 };
 
 /// Value-semantic handle to an autograd node.
@@ -73,7 +81,8 @@ class Tensor {
 };
 
 /// Runs reverse-mode differentiation from `loss` (must be 1x1). Gradients
-/// accumulate into every reachable node with requires_grad.
+/// accumulate into every reachable leaf with requires_grad; interior
+/// gradients are released once propagated (see the design notes above).
 void Backward(const Tensor& loss);
 
 }  // namespace firzen

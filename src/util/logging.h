@@ -12,9 +12,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 
 /// Sets the global minimum level that is emitted.
 void SetLogLevel(LogLevel level);
 
-/// Current minimum level.
-LogLevel GetLogLevel();
-
 /// Emit a log line ("[LEVEL] message") to stderr when level >= the minimum.
 void Log(LogLevel level, const std::string& message);
 

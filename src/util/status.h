@@ -73,11 +73,6 @@ class Result {
   T& value() { return std::get<T>(value_); }
   const T& value() const { return std::get<T>(value_); }
 
-  T ValueOrDie() && {
-    if (!ok()) std::abort();
-    return std::move(std::get<T>(value_));
-  }
-
  private:
   std::variant<T, Status> value_;
 };

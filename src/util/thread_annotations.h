@@ -55,11 +55,6 @@
 #define FIRZEN_RELEASE(...) \
   FIRZEN_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Functions: acquires the capability iff the return value equals the first
-/// argument.
-#define FIRZEN_TRY_ACQUIRE(...) \
-  FIRZEN_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Functions: caller must NOT hold the capability(ies) (deadlock guard for
 /// functions that acquire internally).
 #define FIRZEN_EXCLUDES(...) FIRZEN_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
@@ -85,7 +80,6 @@ class FIRZEN_CAPABILITY("mutex") Mutex {
 
   void Lock() FIRZEN_ACQUIRE() { mu_.lock(); }
   void Unlock() FIRZEN_RELEASE() { mu_.unlock(); }
-  bool TryLock() FIRZEN_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -1,10 +1,13 @@
 // Autograd engine verification: every differentiable op is checked against
 // central-difference numerical gradients (the canonical way to validate a
 // reverse-mode engine), plus graph-mechanics tests (accumulation, detach,
-// reuse across steps).
+// reuse across steps) and the tape's write-once contract (first-write
+// gradients, contribution order, released interior gradients).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 
@@ -13,6 +16,7 @@
 #include "src/tensor/init.h"
 #include "src/tensor/ops.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 namespace {
@@ -119,6 +123,9 @@ std::vector<OpCase> AllOpCases() {
   cases.push_back(MakeUnaryCase("col_sum", [](const Tensor& x) {
     return Exp(ColSum(x));
   }, 0.3));
+  cases.push_back(MakeUnaryCase("col_sum_exp", [](const Tensor& x) {
+    return Log(ColSumExp(x));
+  }));
   cases.push_back(MakeUnaryCase("sum_squares", [](const Tensor& x) {
     return SumSquares(x);
   }));
@@ -298,6 +305,118 @@ TEST(AutogradTest, DropoutScalesByKeepProbability) {
     const Real g = x.grad().data()[i];
     EXPECT_TRUE(g == 0.0 || std::abs(g - 2.0) < 1e-12);
   }
+}
+
+// Bit patterns, so exact comparisons also tell -0.0 from +0.0.
+std::vector<uint64_t> Bits(const Matrix& m) {
+  std::vector<uint64_t> bits(static_cast<size_t>(m.size()));
+  if (!bits.empty()) std::memcpy(bits.data(), m.data(), bits.size() * 8);
+  return bits;
+}
+
+// Runs `fn` with every ParallelFor inside it inline, as a one-thread pool
+// would: a caller running its own shard runs nested sections serially.
+void RunSerial(const std::function<void()>& fn) {
+  ThreadPool pool(2);
+  ParallelFor(
+      &pool, 2, [&](Index begin, Index) { if (begin == 0) fn(); }, 1);
+}
+
+TEST(TapeContractTest, NegativeZeroFirstContributionStoresPositiveZero) {
+  // d/dx sum(x * z) = z = -0.0, the first contribution x's gradient sees.
+  Tensor x = Tensor::Variable(Matrix(1, 3, 2.0));
+  const Tensor z = Tensor::Constant(Matrix(1, 3, -0.0));
+  Backward(ReduceSum(Mul(x, z)));
+  for (Index c = 0; c < 3; ++c) {
+    EXPECT_EQ(x.grad()(0, c), 0.0);
+    EXPECT_FALSE(std::signbit(x.grad()(0, c))) << c;
+  }
+  // Accumulating into a zeroed leaf gradient gives the same +0.0.
+  x.ZeroGrad();
+  Backward(ReduceSum(Mul(x, z)));
+  for (Index c = 0; c < 3; ++c) EXPECT_FALSE(std::signbit(x.grad()(0, c)));
+
+  // MatMul's first contribution runs Gemm with beta = 0: dA = 1 * w^T, each
+  // cell a chain from +0.0 over a -0.0 product.
+  Tensor a = Tensor::Variable(Matrix(2, 1, 1.0));
+  const Tensor w = Tensor::Constant(Matrix(1, 3, -0.0));
+  Backward(ReduceSum(MatMul(a, w)));
+  for (Index r = 0; r < 2; ++r) {
+    EXPECT_FALSE(std::signbit(a.grad()(r, 0))) << r;
+  }
+}
+
+TEST(TapeContractTest, ContributionsSumInReverseTopologicalOrder) {
+  // h has three children. The tape walks them last-created first, so h's
+  // gradient is ((0 + -1) + 1e-16) + 1, which is not the creation-order
+  // sum ((0 + 1) + 1e-16) + -1 = 0.
+  Tensor x = Tensor::Variable(Matrix(1, 1, 1.0));
+  const Tensor h = Scale(x, 1.0);
+  Backward(ReduceSum(
+      AddN({Scale(h, 1.0), Scale(h, 1e-16), Scale(h, -1.0)})));
+  const Real reverse = ((0.0 + -1.0) + 1e-16) + 1.0;
+  const Real creation = ((0.0 + 1.0) + 1e-16) + -1.0;
+  ASSERT_NE(reverse, creation);
+  EXPECT_EQ(x.grad()(0, 0), reverse);
+}
+
+TEST(TapeContractTest, InteriorGradientsAreReleasedAfterBackward) {
+  Tensor x = Tensor::Variable(Matrix(3, 2, 0.5));
+  const Tensor h = Tanh(x);
+  const Tensor y = Mul(h, h);
+  const Tensor loss = ReduceSum(y);
+  Backward(loss);
+  EXPECT_TRUE(h.grad().empty());
+  EXPECT_TRUE(y.grad().empty());
+  EXPECT_TRUE(loss.grad().empty());
+  EXPECT_EQ(x.grad().rows(), 3);
+  EXPECT_EQ(x.grad().cols(), 2);
+}
+
+TEST(TapeContractTest, SharedSubgraphBackwardedTwiceGivesFreshGraphBits) {
+  // Two losses share h. Backward over each must give the leaves exactly
+  // what two separately built graphs give: no interior gradient of the
+  // first pass may leak into the second.
+  const auto grads = [](bool shared) {
+    Tensor x = SmallVariable(5, 4, 101);
+    Tensor w = SmallVariable(4, 3, 102);
+    const auto h = [&] { return Tanh(MatMul(x, w)); };
+    const Tensor h1 = h();
+    Backward(ReduceSum(h1));
+    Backward(SumSquares(shared ? h1 : h()));
+    return std::make_pair(Bits(x.grad()), Bits(w.grad()));
+  };
+  EXPECT_EQ(grads(true), grads(false));
+
+  // One loss backwarded twice doubles its leaf gradients exactly.
+  Tensor x = SmallVariable(5, 4, 103);
+  const Tensor loss = SumSquares(Tanh(x));
+  Backward(loss);
+  Matrix twice = x.grad();
+  twice.Scale(2.0);
+  Backward(loss);
+  EXPECT_EQ(Bits(x.grad()), Bits(twice));
+}
+
+TEST(TapeContractTest, ColSumExpIsBitEqualToColSumOfExpSerialAndPooled) {
+  // Sized so the pooled run shards ColSumExp's columns, its backward's
+  // rows and the unfused Exp's elements.
+  const auto run = [](bool fused) {
+    Tensor x = SmallVariable(300, 200, 104);
+    const Tensor w = Tensor::Constant(SmallVariable(1, 200, 105).value());
+    const Tensor sums = fused ? ColSumExp(x) : ColSum(Exp(x));
+    Backward(ReduceSum(Mul(sums, w)));
+    return std::make_pair(Bits(sums.value()), Bits(x.grad()));
+  };
+  std::pair<std::vector<uint64_t>, std::vector<uint64_t>> fused_serial;
+  std::pair<std::vector<uint64_t>, std::vector<uint64_t>> unfused_serial;
+  RunSerial([&] {
+    fused_serial = run(true);
+    unfused_serial = run(false);
+  });
+  EXPECT_EQ(fused_serial, unfused_serial);
+  EXPECT_EQ(run(true), unfused_serial);
+  EXPECT_EQ(run(false), unfused_serial);
 }
 
 TEST(AutogradTest, XavierInitBounds) {

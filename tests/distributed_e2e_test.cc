@@ -291,5 +291,48 @@ TEST(CliTrainFlagsTest, BadNumericValuesAreUsageErrors) {
   ::rmdir(dir.c_str());
 }
 
+TEST(CliTrainFlagsTest, ModelsWithoutTheirInputsAreUsageErrors) {
+  // Feature and KG models used to abort (SIGABRT) deep in training when
+  // their input flag was missing; now train names the flag and exits 2.
+  char dir_template[] = "/tmp/firzen_e2e_inputs_XXXXXX";
+  ASSERT_NE(mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  const CommandResult synth = RunCommand(
+      {FIRZEN_CLI_BINARY, "synth", "--profile", "beauty", "--scale", "0.05",
+       "--out", dir});
+  ASSERT_EQ(synth.exit_code, 0) << synth.err;
+  const std::string inter = dir + "/interactions.tsv";
+  const std::string kg = dir + "/kg.tsv";
+  const std::string text = dir + "/text.tsv";
+
+  struct Case {
+    std::vector<std::string> args;
+    std::string named;  // flag the message must name
+  };
+  const std::vector<Case> cases = {
+      {{"--model", "Firzen"}, "--text"},
+      {{"--model", "VBPR", "--kg", kg}, "--image"},
+      {{"--model", "CKE"}, "--kg"},
+      {{"--model", "MKGAT", "--text", text}, "--kg"},
+      {{"--model", "MKGAT", "--kg", kg}, "--text"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> argv = {FIRZEN_CLI_BINARY, "train",
+                                     "--interactions", inter, "--epochs",
+                                     "0"};
+    argv.insert(argv.end(), c.args.begin(), c.args.end());
+    const CommandResult train = RunCommand(argv);
+    EXPECT_EQ(train.exit_code, 2) << c.args[1] << ": " << train.err;
+    EXPECT_NE(train.err.find(c.named), std::string::npos)
+        << c.args[1] << ": " << train.err;
+    EXPECT_NE(train.err.find(c.args[1]), std::string::npos) << train.err;
+  }
+
+  for (const char* file : {"interactions", "text", "image", "kg"}) {
+    std::remove((dir + "/" + file + ".tsv").c_str());
+  }
+  ::rmdir(dir.c_str());
+}
+
 }  // namespace
 }  // namespace firzen

@@ -7,13 +7,18 @@
 // order and a tight tolerance elsewhere.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/graph/knn_graph.h"
+#include "src/models/scorer.h"
 #include "src/tensor/csr.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/ops.h"
 #include "src/util/ranking.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -523,6 +528,200 @@ TEST(KernelParityTest, TopKHeapMatchesFullSort) {
         ASSERT_EQ(got[i].score, expected[i].score);
       }
     }
+  }
+}
+
+// ResizeUninitialized's overwrite contract: a kernel that sizes its output
+// with it must write every element before anything reads it. Each
+// destination below starts out NaN at its final size, which
+// ResizeUninitialized keeps, so an element the kernel skips survives into
+// the check. Sanitizer builds also fill newly grown storage with NaN
+// (FIRZEN_NAN_FILL_NEW_STORAGE): that reaches buffers a caller cannot
+// pre-fill, such as the kNN similarity panels checked against their
+// oracle below, and every other test of the suite.
+constexpr Real kNaN = std::numeric_limits<Real>::quiet_NaN();
+
+bool AnyNaN(const Matrix& m) {
+  return std::any_of(m.data(), m.data() + m.size(),
+                     [](Real v) { return std::isnan(v); });
+}
+
+TEST(OverwriteContractTest, HeldElementsSurviveNewOnesNaNUnderSanitizers) {
+  Matrix m;
+  m.ResizeUninitialized(3, 5);
+  Matrix same(2, 2, 7.0);
+  same.ResizeUninitialized(4, 1);  // same element count: contents kept
+  for (Index r = 0; r < 4; ++r) EXPECT_EQ(same(r, 0), 7.0);
+#ifdef FIRZEN_NAN_FILL_NEW_STORAGE
+  for (Index i = 0; i < m.size(); ++i) EXPECT_TRUE(std::isnan(m.data()[i]));
+#endif
+}
+
+TEST(OverwriteContractTest, GemmBetaZeroWritesEveryCellInAllLayouts) {
+  // m = 3 takes the A * B^T dot path, 20 its column-panel path and 70 the
+  // row shards; every n leaves a ragged 32-column sliver.
+  for (const GemmShape& s : {GemmShape{3, 5, 7}, GemmShape{20, 9, 45},
+                             GemmShape{70, 6, 33}}) {
+    for (const bool trans_a : {false, true}) {
+      for (const bool trans_b : {false, true}) {
+        const Matrix a = trans_a ? RandomMatrix(s.k, s.m, 41)
+                                 : RandomMatrix(s.m, s.k, 41);
+        const Matrix b = trans_b ? RandomMatrix(s.n, s.k, 42)
+                                 : RandomMatrix(s.k, s.n, 42);
+        Matrix c(s.m, s.n, kNaN);
+        Gemm(trans_a, trans_b, 1.0, a, b, 0.0, &c);
+        ASSERT_FALSE(AnyNaN(c)) << s.m << "x" << s.n << " " << trans_a
+                                << trans_b;
+        const Matrix expected =
+            NaiveGemm(trans_a, trans_b, 1.0, a, b, 0.0, Matrix());
+        for (Index i = 0; i < s.m; ++i) {
+          for (Index j = 0; j < s.n; ++j) {
+            ASSERT_NEAR(c(i, j), expected(i, j), 1e-12);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OverwriteContractTest, SpMMWritesEveryRowIncludingEmptyOnes) {
+  // RandomSparse leaves every seventh row empty (rows 3, 10, ...).
+  const CsrMatrix graph = RandomSparse(30, 20, 3, 43);
+  const Matrix x = RandomMatrix(20, 5, 44);
+  Matrix y(30, 5, kNaN);
+  graph.SpMM(x, &y);
+  ASSERT_FALSE(AnyNaN(y));
+  EXPECT_EQ(y(3, 0), 0.0);
+  const Matrix expected = NaiveSpMM(graph, x);
+  for (Index i = 0; i < y.size(); ++i) {
+    ASSERT_EQ(y.data()[i], expected.data()[i]);
+  }
+  // The transpose runs the same kernel over the cached transposed matrix.
+  Matrix yt(20, 5, kNaN);
+  graph.SpMMT(RandomMatrix(30, 5, 45), &yt);
+  ASSERT_FALSE(AnyNaN(yt));
+}
+
+TEST(OverwriteContractTest, ReshapeRelabelsTheCopiedBuffer) {
+  const Tensor x = Tensor::Constant(RandomMatrix(4, 6, 46));
+  const Tensor y = ops::Reshape(x, 3, 8);
+  ASSERT_EQ(y.rows(), 3);
+  ASSERT_EQ(y.cols(), 8);
+  for (Index i = 0; i < 24; ++i) {
+    ASSERT_EQ(y.value().data()[i], x.value().data()[i]);
+  }
+}
+
+TEST(OverwriteContractTest, ScorerGathersAndPanelsOverwriteEveryCell) {
+  const Matrix users = RandomMatrix(10, 8, 47);
+  const Matrix items = RandomMatrix(50, 8, 48);
+  const DotProductScorer scorer(users, items);
+  const std::vector<Index> batch{7, 0, 3};
+  const auto expect_dots = [&](const Matrix& out,
+                               const std::vector<Index>& cols) {
+    ASSERT_FALSE(AnyNaN(out));
+    for (size_t r = 0; r < batch.size(); ++r) {
+      for (size_t j = 0; j < cols.size(); ++j) {
+        Real dot = 0.0;
+        for (Index c = 0; c < 8; ++c) {
+          dot += users(batch[r], c) * items(cols[j], c);
+        }
+        ASSERT_NEAR(out(static_cast<Index>(r), static_cast<Index>(j)), dot,
+                    1e-12);
+      }
+    }
+  };
+
+  ScoringArena arena;
+  arena.user_batch = Matrix(3, 8, kNaN);
+  Matrix block(3, 50, kNaN);
+  scorer.ScoreBlock(batch, {0, 50}, MatrixView(&block), &arena);
+  EXPECT_FALSE(AnyNaN(arena.user_batch));
+  std::vector<Index> all(50);
+  for (Index i = 0; i < 50; ++i) all[static_cast<size_t>(i)] = i;
+  expect_dots(block, all);
+
+  ScoringArena cand_arena;
+  cand_arena.user_batch = Matrix(3, 8, kNaN);
+  cand_arena.candidate_rows = Matrix(4, 8, kNaN);
+  const std::vector<Index> candidates{49, 2, 2, 17};
+  Matrix cand(3, 4, kNaN);
+  scorer.ScoreCandidates(batch, candidates, MatrixView(&cand), &cand_arena);
+  EXPECT_FALSE(AnyNaN(cand_arena.candidate_rows));
+  expect_dots(cand, candidates);
+}
+
+// Cosine similarity of rows a and b, straight from the definition.
+Real NaiveCosine(const Matrix& f, Index a, Index b) {
+  Real dot = 0.0;
+  Real na = 0.0;
+  Real nb = 0.0;
+  for (Index c = 0; c < f.cols(); ++c) {
+    dot += f(a, c) * f(b, c);
+    na += f(a, c) * f(a, c);
+    nb += f(b, c) * f(b, c);
+  }
+  return dot / (std::sqrt(na) * std::sqrt(nb));
+}
+
+// True when `chosen` holds k of the allowed columns, none outranked by an
+// allowed column left out (up to rounding).
+bool IsTopK(const Matrix& f, Index a, const std::vector<Index>& chosen,
+            const std::vector<bool>& allowed, Index k) {
+  if (static_cast<Index>(chosen.size()) != k) return false;
+  Real worst = std::numeric_limits<Real>::infinity();
+  for (const Index b : chosen) {
+    if (b == a || !allowed[static_cast<size_t>(b)]) return false;
+    worst = std::min(worst, NaiveCosine(f, a, b));
+  }
+  for (Index b = 0; b < f.rows(); ++b) {
+    if (b == a || !allowed[static_cast<size_t>(b)] ||
+        std::count(chosen.begin(), chosen.end(), b) > 0) {
+      continue;
+    }
+    if (NaiveCosine(f, a, b) > worst + 1e-12) return false;
+  }
+  return true;
+}
+
+TEST(OverwriteContractTest, KnnSimilarityPanelsMatchTheCosineOracle) {
+  const Matrix features = RandomMatrix(40, 6, 49);
+  const Index k = 5;
+  KnnGraphOptions options;
+  options.top_k = k;
+  const KnnLists lists = BuildItemKnnLists(features, options);
+  const std::vector<bool> everyone(40, true);
+  for (Index a = 0; a < 40; ++a) {
+    std::vector<Index> chosen;
+    for (const ScoredItem& e : lists.rows[static_cast<size_t>(a)]) {
+      ASSERT_FALSE(std::isnan(e.score));
+      ASSERT_NEAR(e.score, NaiveCosine(features, a, e.item), 1e-12);
+      chosen.push_back(e.item);
+    }
+    ASSERT_TRUE(IsTopK(features, a, chosen, everyone, k)) << a;
+  }
+
+  // The strict-cold expansion scores its cold rows in one more panel.
+  std::vector<bool> is_cold(40);
+  std::vector<Index> warm;
+  for (Index i = 0; i < 40; ++i) {
+    is_cold[static_cast<size_t>(i)] = i % 4 == 0;
+    if (i % 4 != 0) warm.push_back(i);
+  }
+  KnnGraphOptions warm_options = options;
+  warm_options.candidate_items = warm;
+  warm_options.query_items = warm;
+  const Matrix adjacency =
+      ExpandColdKnnAdjacency(features,
+                             BuildItemKnnLists(features, warm_options),
+                             is_cold, nullptr)
+          .ToDense();
+  for (Index a = 0; a < 40; a += 4) {
+    std::vector<Index> chosen;
+    for (Index b = 0; b < 40; ++b) {
+      if (adjacency(a, b) != 0.0) chosen.push_back(b);
+    }
+    ASSERT_TRUE(IsTopK(features, a, chosen, everyone, k)) << a;
   }
 }
 

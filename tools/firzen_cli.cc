@@ -10,7 +10,10 @@
 //       warm-start metrics, optionally serialize the final embeddings.
 //       Bounds: --dim >= 1, 0 <= --epochs <= INT_MAX, --seed >= 0
 //       (integers) and 0 < --cold-fraction < 1; a value out of bounds or
-//       not a number is a usage error (exit 2).
+//       not a number is a usage error (exit 2). So is an unknown --model,
+//       and a model that trains on item features (MM, CS, MKGAT, Firzen)
+//       without --text/--image, or on a knowledge graph (KG, MKGAT)
+//       without --kg.
 //
 //   firzen_cli serve-shard --embeddings model.fzem --shard-range A:B
 //              [--listen 127.0.0.1:0] [--item-block 512]
@@ -59,6 +62,7 @@
 //       the Recall@K quality ctest. With --shard-servers the flag is
 //       ignored here — each serve-shard process picks its own (start them
 //       all with the same value).
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -258,6 +262,38 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
                          &split_options.cold_fraction)) {
     return 2;
   }
+  const std::string model_name = FlagOr(flags, "model", "Firzen");
+  const std::vector<ModelInfo> models = AllModels();
+  const auto info = std::find_if(
+      models.begin(), models.end(),
+      [&](const ModelInfo& m) { return m.name == model_name; });
+  if (info == models.end()) {
+    std::fprintf(stderr, "unknown model '%s'; available:", model_name.c_str());
+    for (const ModelInfo& m : models) {
+      std::fprintf(stderr, " %s", m.name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
+  // Each missing input names the models that need it.
+  const auto missing = [&](const char* what, bool ModelInfo::*needs) {
+    std::fprintf(stderr, "model '%s' needs %s; needed by:",
+                 model_name.c_str(), what);
+    for (const ModelInfo& m : models) {
+      if (m.*needs) std::fprintf(stderr, " %s", m.name.c_str());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  };
+  if (info->needs_features && FlagOr(flags, "text", "").empty() &&
+      FlagOr(flags, "image", "").empty()) {
+    return missing("item features (--text and/or --image)",
+                   &ModelInfo::needs_features);
+  }
+  if (info->needs_kg && FlagOr(flags, "kg", "").empty()) {
+    return missing("a knowledge graph (--kg)", &ModelInfo::needs_kg);
+  }
+
   auto interactions = LoadInteractionsTsv(inter_path);
   if (!interactions.ok()) {
     std::fprintf(stderr, "%s\n", interactions.status().ToString().c_str());
@@ -300,16 +336,7 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   ApplyStrictColdSplit(interactions.value(), split_options, &rng, &dataset);
   dataset.CheckValid();
 
-  const std::string model_name = FlagOr(flags, "model", "Firzen");
   auto model = CreateModel(model_name);
-  if (model == nullptr) {
-    std::fprintf(stderr, "unknown model '%s'; available:", model_name.c_str());
-    for (const ModelInfo& info : AllModels()) {
-      std::fprintf(stderr, " %s", info.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 2;
-  }
 
   TrainOptions train;
   train.embedding_dim = static_cast<Index>(dim);

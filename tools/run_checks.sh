@@ -10,6 +10,9 @@
 #      firzen_perfbench) against the tree, so a library change that drops
 #      a name the benchmark calls fails here rather than in the bench run;
 #   2. rebuild with -DFIRZEN_SANITIZE=address and re-run ctest under ASan;
+#      sanitizer builds also fill the Matrix storage ResizeUninitialized
+#      grows with NaN (FIRZEN_NAN_FILL_NEW_STORAGE), so a kernel or op that
+#      reads an element before writing it fails the tests that run it;
 #   3. rebuild with -DFIRZEN_SANITIZE=thread and run the serving suites
 #      under TSan — the concurrent-serving stress tests hammering one shared
 #      ServingEngine (unsharded, and sharded with its shards ranking in
