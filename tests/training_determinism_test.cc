@@ -7,7 +7,11 @@
 // saves), writes its .fzem, and prints one digest line per model: the
 // 64-bit FNV-1a of the .fzem bytes and of the full users x items score
 // matrix. The score digest covers the models with no static embeddings to
-// save (KGCN, KGNNLS), which write no .fzem. There are two child
+// save (KGCN, KGNNLS), which write no .fzem. The child then runs
+// PrepareNormalColdInference on the normal-cold protocol of the same world
+// and hashes the full score matrix again, so the revealed-link paths
+// (LightGCN's and KGAT's rebuilt graphs, DropoutNet's known-user behavior
+// rows, Firzen's merged CKG) carry bits too. There are two child
 // configurations: the protocol one validates once and never stops early;
 // the early-stop one validates after every epoch with patience 0, so the
 // validation, best-state snapshot and early-stop paths of the epoch driver
@@ -23,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/data/split.h"
 #include "src/data/synthetic.h"
 #include "src/models/registry.h"
 #include "src/models/serialize.h"
@@ -64,11 +69,25 @@ TrainOptions ProtocolOptions() {
   return options;
 }
 
+// The 64-bit FNV-1a of `model`'s full users x items score matrix.
+std::string ScoreDigest(const Recommender& model, const Dataset& dataset) {
+  std::vector<Index> users;
+  for (Index u = 0; u < dataset.num_users; ++u) users.push_back(u);
+  Matrix scores(dataset.num_users, dataset.num_items);
+  ScoringArena arena;
+  model.MakeScorer()->ScoreBlock(users, ItemBlock{0, dataset.num_items},
+                                 MatrixView(&scores), &arena);
+  return Hex(Fnv1a(scores.data(), sizeof(Real) * scores.size()));
+}
+
 // Trains every model in this process's global pool and prints
-// "digest <model> <fzem-hash|none> <score-hash>" lines.
+// "digest <model> <fzem-hash|none> <score-hash> <normal-cold-score-hash>"
+// lines.
 void PrintModelDigests(const TrainOptions& options) {
   SetLogLevel(LogLevel::kError);
   const Dataset dataset = GenerateSyntheticDataset(BeautySConfig(0.1));
+  Rng protocol_rng(11);
+  const Dataset normal = MakeNormalColdProtocol(dataset, &protocol_rng);
   const std::string fzem_path = "/tmp/firzen_determinism_" +
                                 std::to_string(::getpid()) + ".fzem";
   for (const ModelInfo& info : AllModels()) {
@@ -89,15 +108,11 @@ void PrintModelDigests(const TrainOptions& options) {
       fzem_digest = Hex(Fnv1a(bytes.data(), bytes.size()));
     }
 
-    std::vector<Index> users;
-    for (Index u = 0; u < dataset.num_users; ++u) users.push_back(u);
-    Matrix scores(dataset.num_users, dataset.num_items);
-    ScoringArena arena;
-    model->MakeScorer()->ScoreBlock(users, ItemBlock{0, dataset.num_items},
-                                    MatrixView(&scores), &arena);
-    std::printf("digest %s %s %s\n", info.name.c_str(), fzem_digest.c_str(),
-                Hex(Fnv1a(scores.data(), sizeof(Real) * scores.size()))
-                    .c_str());
+    const std::string score_digest = ScoreDigest(*model, dataset);
+    model->PrepareNormalColdInference(normal);
+    std::printf("digest %s %s %s %s\n", info.name.c_str(),
+                fzem_digest.c_str(), score_digest.c_str(),
+                ScoreDigest(*model, normal).c_str());
   }
 }
 
@@ -123,7 +138,7 @@ std::string SelfPath() {
 }
 
 // Runs the child case `child` (a TrainingDeterminismChild test name) at
-// `threads` pool threads; returns model -> digest pair.
+// `threads` pool threads; returns model -> its three digests.
 std::map<std::string, std::string> ChildDigests(const std::string& child,
                                                 int threads) {
   const std::string command =
@@ -140,11 +155,12 @@ std::map<std::string, std::string> ChildDigests(const std::string& child,
   const int status = ::pclose(pipe);
   EXPECT_EQ(status, 0) << "child at " << threads << " threads:\n" << out;
   std::istringstream lines(out);
-  std::string tag, model, fzem, scores;
+  std::string tag, model, fzem, scores, normal_scores;
   for (std::string line; std::getline(lines, line);) {
     std::istringstream fields(line);
-    if (fields >> tag >> model >> fzem >> scores && tag == "digest") {
-      digests[model] = fzem + " " + scores;
+    if (fields >> tag >> model >> fzem >> scores >> normal_scores &&
+        tag == "digest") {
+      digests[model] = fzem + " " + scores + " " + normal_scores;
     }
   }
   return digests;
@@ -159,7 +175,9 @@ void ExpectSameDigestsAtPools1And4(const std::string& child) {
     ASSERT_EQ(one.count(info.name), 1u) << info.name;
     ASSERT_EQ(four.count(info.name), 1u) << info.name;
     EXPECT_EQ(one.at(info.name), four.at(info.name))
-        << info.name << ": .fzem / score digests differ between pools 1 and 4";
+        << info.name
+        << ": .fzem / score / normal-cold score digests differ between pools"
+           " 1 and 4";
   }
 }
 
