@@ -85,8 +85,9 @@ int main() {
   }
   {
     FirzenOptions o;
-    o.use_behavior = false;
-    o.use_modality = false;  // KG only
+    o.use_behavior = false;  // KG only
+    o.use_text = false;
+    o.use_image = false;
     modes.push_back({"KG-only", o});
   }
   modes.push_back({"complete", FirzenOptions()});

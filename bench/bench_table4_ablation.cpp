@@ -32,7 +32,8 @@ int main() {
   }
   {
     FirzenOptions o;
-    o.use_modality = false;
+    o.use_text = false;
+    o.use_image = false;
     variants.push_back({"w/o MA (BA+KA+MS)", o});
   }
   {

@@ -25,12 +25,14 @@ int main() {
   {
     FirzenOptions o;
     o.use_knowledge = false;
-    o.use_modality = false;
+    o.use_text = false;
+    o.use_image = false;
     configs.push_back({"BA", o});
   }
   {
     FirzenOptions o;
-    o.use_modality = false;
+    o.use_text = false;
+    o.use_image = false;
     configs.push_back({"BA+KA", o});
   }
   {

@@ -42,7 +42,6 @@ int main() {
   for (const Gate& gate : gates) {
     FirzenOptions options = model.options();
     options.use_knowledge = gate.ka;
-    options.use_modality = gate.va || gate.ta;
     options.use_image = gate.va;
     options.use_text = gate.ta;
     options.use_mshgl = gate.ms;

@@ -27,9 +27,9 @@ SahglOptions MakeSahglOptions(const FirzenOptions& o, Index dim,
   s.use_knowledge = o.use_knowledge;
   s.use_modality.clear();
   for (const Modality& m : dataset.modalities) {
-    bool enabled = o.use_modality;
-    if (m.name == "text") enabled = enabled && o.use_text;
-    if (m.name == "image") enabled = enabled && o.use_image;
+    bool enabled = true;
+    if (m.name == "text") enabled = o.use_text;
+    if (m.name == "image") enabled = o.use_image;
     s.use_modality.push_back(enabled);
   }
   return s;
@@ -110,8 +110,7 @@ void FirzenModel::Fit(const Dataset& dataset, const TrainOptions& options) {
     for (const Tensor& p : mshgl_.Params()) rec_params.push_back(p);
   }
 
-  const bool modalities_active =
-      options_.use_modality && (options_.use_text || options_.use_image);
+  const bool modalities_active = options_.use_text || options_.use_image;
   // Knowledge attention (Eqs. 9-11) is refreshed here and after each epoch's
   // TransR steps: the next epoch, validation, the final representations and
   // strict-cold inference all read the attention of the current parameters.

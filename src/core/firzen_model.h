@@ -55,11 +55,10 @@ struct FirzenOptions {
   bool dynamic_item_graphs = false;
 
   // Component gates: ablations (Table IV) and inference-time contribution
-  // analysis (Table VIII). Modality gate order follows dataset.modalities
-  // ("text", "image").
+  // analysis (Table VIII). use_text and use_image gate the modalities
+  // named "text" and "image"; the MA ablation turns both off.
   bool use_behavior = true;    // BA
   bool use_knowledge = true;   // KA
-  bool use_modality = true;    // MA (master switch for both modalities)
   bool use_mshgl = true;       // MS
   bool use_text = true;        // TA
   bool use_image = true;       // VA

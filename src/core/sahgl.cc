@@ -40,18 +40,16 @@ void Sahgl::RefreshAttention(const FrozenGraphs& graphs) {
                          kg_.relation.value(), kg_.rel_proj.value()));
 }
 
-Matrix Sahgl::ProjectedModalFeatures(size_t modality) const {
+Tensor Sahgl::Project(size_t modality) const {
   FIRZEN_CHECK_LT(static_cast<Index>(modality),
                   static_cast<Index>(modal_features_.size()));
-  Matrix projected;
-  Gemm(false, false, 1.0, modal_features_[modality].value(),
-       modal_proj_[modality].value(), 0.0, &projected);
-  for (Index r = 0; r < projected.rows(); ++r) {
-    for (Index c = 0; c < projected.cols(); ++c) {
-      projected(r, c) += modal_bias_[modality].value()(0, c);
-    }
-  }
-  return projected;
+  return ops::AddRowBroadcast(
+      ops::MatMul(modal_features_[modality], modal_proj_[modality]),
+      modal_bias_[modality]);
+}
+
+Matrix Sahgl::ProjectedModalFeatures(size_t modality) const {
+  return Project(modality).value();
 }
 
 std::vector<Tensor> Sahgl::RecParams() const {
@@ -70,13 +68,6 @@ SahglOutput Sahgl::Forward(const FrozenGraphs& graphs, const Dataset& dataset,
   const Index d = options_.embedding_dim;
   SahglOutput out;
 
-  std::vector<Index> user_rows(static_cast<size_t>(num_users_));
-  for (Index u = 0; u < num_users_; ++u) user_rows[static_cast<size_t>(u)] = u;
-  std::vector<Index> item_rows(static_cast<size_t>(num_items_));
-  for (Index i = 0; i < num_items_; ++i) {
-    item_rows[static_cast<size_t>(i)] = num_users_ + i;
-  }
-
   // ---- Behavior-aware graph convolution (Eqs. 5-6) ----
   Tensor behavior_user;
   Tensor behavior_item;
@@ -89,8 +80,8 @@ SahglOutput Sahgl::Forward(const FrozenGraphs& graphs, const Dataset& dataset,
     }
     Tensor pooled =
         Scale(AddN(layers), 1.0 / static_cast<Real>(layers.size()));
-    behavior_user = GatherRows(pooled, user_rows);
-    behavior_item = GatherRows(pooled, item_rows);
+    behavior_user = SliceRows(pooled, 0, num_users_);
+    behavior_item = SliceRows(pooled, num_users_, num_users_ + num_items_);
     if (!training) {
       // §III-C.1: strict cold items have no interaction edges; their ID rows
       // are untrained noise, so the behavior component is zeroed exactly as
@@ -114,8 +105,7 @@ SahglOutput Sahgl::Forward(const FrozenGraphs& graphs, const Dataset& dataset,
       out.modal_item.push_back(Tensor::Constant(Matrix(num_items_, d)));
       continue;
     }
-    Tensor projected = AddRowBroadcast(
-        MatMul(modal_features_[m], modal_proj_[m]), modal_bias_[m]);
+    Tensor projected = Project(m);
     if (training && options_.feature_dropout > 0.0) {
       projected = Dropout(projected, options_.feature_dropout, dropout_rng);
     }

@@ -74,6 +74,9 @@ class Sahgl {
   void set_options(const SahglOptions& options) { options_ = options; }
 
  private:
+  /// Linear(f_m) of Eq. 7 over all items: f_m W_m + b_m.
+  Tensor Project(size_t modality) const;
+
   SahglOptions options_;
   Tensor behavior_table_;           // (U + I) x d
   KgEmbeddings kg_;                 // over CKG entities

@@ -33,8 +33,6 @@ struct CollaborativeKg {
 
   Index ItemEntity(Index item) const { return item; }
   Index UserEntity(Index user) const { return num_kg_entities + user; }
-  /// Relation id of the user->item Interact edges.
-  Index InteractRelation() const { return (num_relations / 2) - 1; }
 };
 
 /// Builds the frozen CKG from training interactions and the item KG.

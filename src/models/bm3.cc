@@ -42,11 +42,12 @@ void Bm3::Fit(const Dataset& dataset, const TrainOptions& options) {
 
   EpochLoop loop;
   loop.compute_final = [&] {
-    LightGcn::PropagateFinal(*graph, joint.value(), options.num_layers,
-                             num_users, &final_user_, &final_item_);
-    Matrix modal;
-    Gemm(false, false, 1.0, features.value(), proj.value(), 0.0, &modal);
-    final_item_.Add(modal);
+    const Tensor propagated =
+        LightGcn::Propagate(graph, joint, options.num_layers);
+    final_user_ = SliceRows(propagated, 0, num_users).value();
+    final_item_ = Add(SliceRows(propagated, num_users, num_users + num_items),
+                      MatMul(features, proj))
+                      .value();
   };
 
   // BM3 learns without negatives: the batch's neg ids go unused.

@@ -27,12 +27,8 @@ void Cke::Fit(const Dataset& dataset, const TrainOptions& options) {
   loop.compute_final = [&] {
     // Item representation = ID embedding + structural (entity) embedding.
     final_user_ = user_table.value();
-    final_item_ = item_table.value();
-    for (Index i = 0; i < dataset.num_items; ++i) {
-      for (Index c = 0; c < final_item_.cols(); ++c) {
-        final_item_(i, c) += kg.entity.value()(i, c);
-      }
-    }
+    final_item_ =
+        Add(item_table, SliceRows(kg.entity, 0, dataset.num_items)).value();
   };
 
   loop.step = [&](const BprBatch& batch) {

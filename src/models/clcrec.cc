@@ -35,6 +35,8 @@ void ClcRec::Fit(const Dataset& dataset, const TrainOptions& options) {
     content_ = c.value();
     final_user_ = user_table.value();
     hybrid_.Resize(dataset.num_items, d);
+    // A hand blend, not the tape's Add(Scale, Scale): GCC contracts it into
+    // an FMA, so moving it is a bit change (ROADMAP Open item 1).
     for (Index i = 0; i < dataset.num_items; ++i) {
       for (Index col = 0; col < d; ++col) {
         hybrid_(i, col) =

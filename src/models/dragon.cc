@@ -52,20 +52,13 @@ void Dragon::Fit(const Dataset& dataset, const TrainOptions& options) {
       item_homo = SpMM(item_graph, item_homo);
     }
     // Users: propagate their behavior embedding over co-occurrence.
-    std::vector<Index> user_rows(static_cast<size_t>(num_users));
-    for (Index u = 0; u < num_users; ++u) {
-      user_rows[static_cast<size_t>(u)] = u;
-    }
-    Tensor behavior_users = GatherRows(behavior, user_rows);
+    Tensor behavior_users = SliceRows(behavior, 0, num_users);
     Tensor user_homo = behavior_users;
     for (int l = 0; l < options_.homo_layers; ++l) {
       user_homo = SpMM(user_graph, user_homo);
     }
-    std::vector<Index> item_rows(static_cast<size_t>(num_items));
-    for (Index i = 0; i < num_items; ++i) {
-      item_rows[static_cast<size_t>(i)] = num_users + i;
-    }
-    Tensor behavior_items = GatherRows(behavior, item_rows);
+    Tensor behavior_items =
+        SliceRows(behavior, num_users, num_users + num_items);
     *user_out = Add(behavior_users, user_homo);
     *item_out = Add(behavior_items, item_homo);
   };

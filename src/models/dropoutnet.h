@@ -30,18 +30,29 @@ class DropoutNet : public EmbeddingModel {
   void PrepareNormalColdInference(const Dataset& dataset) override;
 
  private:
-  void RecomputeItems(const Dataset& dataset, bool zero_cold_behavior,
+  /// User tower: tanh(e_u W_u + b_u) over the given user rows.
+  Tensor UserTower(const Tensor& user_rows) const;
+
+  /// Item tower: tanh(b W_b + f W_c + b_i) over behavior rows `behavior`
+  /// and their content rows `content`.
+  Tensor ItemTower(const Tensor& behavior, const Tensor& content) const;
+
+  /// final_item_ from the item tower over all items. With
+  /// `cold_behavior`, strict cold items' behavior rows are replaced: by the
+  /// mean user embedding of their revealed links when `use_known_links`,
+  /// else by zeros.
+  void RecomputeItems(const Dataset& dataset, bool cold_behavior,
                       bool use_known_links);
 
   Options options_;
-  Matrix user_table_;
-  Matrix item_table_;
-  Matrix features_;   // standardized concat modal features
-  Matrix w_user_;     // d x d
-  Matrix w_behavior_;  // d x d
-  Matrix w_content_;   // F x d
-  Matrix bias_user_;
-  Matrix bias_item_;
+  Tensor features_;  // constant: standardized concat modal features
+  Tensor user_table_;
+  Tensor item_table_;
+  Tensor w_user_;      // d x d
+  Tensor w_behavior_;  // d x d
+  Tensor w_content_;   // F x d
+  Tensor bias_user_;
+  Tensor bias_item_;
 };
 
 }  // namespace firzen

@@ -10,6 +10,12 @@
 // validation metric, a custom best-state snapshot and a log-line suffix.
 // The base also holds the loss helpers the step bodies share (BPR loss,
 // batch L2).
+//
+// One forward per model: compute_final and Prepare*ColdInference build
+// their tables by running the forward the step trains, on the parameter
+// Tensors, and taking .value(). No Matrix re-implementation of a forward:
+// two versions of one formula can drift apart silently. CLCRec's hybrid
+// blend is the one hand loop left (see the comment there).
 #ifndef FIRZEN_MODELS_EMBEDDING_MODEL_H_
 #define FIRZEN_MODELS_EMBEDDING_MODEL_H_
 

@@ -22,17 +22,16 @@ Tensor Kgat::PropagateAll(const std::shared_ptr<const CsrMatrix>& attention) {
 void Kgat::ComputeFinal(const CollaborativeKg& ckg,
                         const std::shared_ptr<const CsrMatrix>& attention) {
   const Tensor all = PropagateAll(attention);
-  const Matrix& propagated = all.value();
-  final_user_.Resize(ckg.num_users, propagated.cols());
-  final_item_.Resize(ckg.num_items, propagated.cols());
+  std::vector<Index> user_entities;
+  std::vector<Index> item_entities;
   for (Index u = 0; u < ckg.num_users; ++u) {
-    const Real* src = propagated.row(ckg.UserEntity(u));
-    for (Index c = 0; c < propagated.cols(); ++c) final_user_(u, c) = src[c];
+    user_entities.push_back(ckg.UserEntity(u));
   }
   for (Index i = 0; i < ckg.num_items; ++i) {
-    const Real* src = propagated.row(ckg.ItemEntity(i));
-    for (Index c = 0; c < propagated.cols(); ++c) final_item_(i, c) = src[c];
+    item_entities.push_back(ckg.ItemEntity(i));
   }
+  final_user_ = ops::GatherRows(all, std::move(user_entities)).value();
+  final_item_ = ops::GatherRows(all, std::move(item_entities)).value();
 }
 
 void Kgat::Fit(const Dataset& dataset, const TrainOptions& options) {

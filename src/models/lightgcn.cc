@@ -18,32 +18,11 @@ Tensor LightGcn::Propagate(const std::shared_ptr<const CsrMatrix>& graph,
   return Scale(AddN(layers), 1.0 / static_cast<Real>(layers.size()));
 }
 
-void LightGcn::PropagateFinal(const CsrMatrix& graph, const Matrix& table,
-                              int num_layers, Index num_users, Matrix* users,
-                              Matrix* items) {
-  Matrix propagated = table;
-  Matrix current = table;
-  Matrix next;
-  for (int l = 0; l < num_layers; ++l) {
-    graph.SpMM(current, &next);
-    current = next;
-    propagated.Add(current);
-  }
-  propagated.Scale(1.0 / static_cast<Real>(num_layers + 1));
-
-  const Index num_items = propagated.rows() - num_users;
-  users->Resize(num_users, propagated.cols());
-  items->Resize(num_items, propagated.cols());
-  for (Index u = 0; u < num_users; ++u) {
-    for (Index c = 0; c < propagated.cols(); ++c) {
-      (*users)(u, c) = propagated(u, c);
-    }
-  }
-  for (Index i = 0; i < num_items; ++i) {
-    for (Index c = 0; c < propagated.cols(); ++c) {
-      (*items)(i, c) = propagated(num_users + i, c);
-    }
-  }
+void LightGcn::ComputeFinal(const std::shared_ptr<const CsrMatrix>& graph) {
+  const Tensor propagated = Propagate(graph, joint_table_, num_layers_);
+  final_user_ = ops::SliceRows(propagated, 0, num_users_).value();
+  final_item_ =
+      ops::SliceRows(propagated, num_users_, num_users_ + num_items_).value();
 }
 
 void LightGcn::Fit(const Dataset& dataset, const TrainOptions& options) {
@@ -85,10 +64,7 @@ void LightGcn::Fit(const Dataset& dataset, const TrainOptions& options) {
     optimizer.Step({joint_table_});
     return loss.scalar();
   };
-  loop.compute_final = [&] {
-    PropagateFinal(*graph, joint_table_.value(), num_layers_, num_users_,
-                   &final_user_, &final_item_);
-  };
+  loop.compute_final = [&] { ComputeFinal(graph); };
   RunEpochs(dataset, options, loop);
 }
 
@@ -97,10 +73,8 @@ void LightGcn::PrepareNormalColdInference(const Dataset& dataset) {
   std::vector<Interaction> merged = dataset.train;
   merged.insert(merged.end(), dataset.cold_known.begin(),
                 dataset.cold_known.end());
-  PropagateFinal(
-      BuildNormalizedInteractionGraph(merged, num_users_, num_items_),
-      joint_table_.value(), num_layers_, num_users_, &final_user_,
-      &final_item_);
+  ComputeFinal(std::make_shared<const CsrMatrix>(
+      BuildNormalizedInteractionGraph(merged, num_users_, num_items_)));
 }
 
 }  // namespace firzen

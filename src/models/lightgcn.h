@@ -21,17 +21,17 @@ class LightGcn : public EmbeddingModel {
   /// revealed cold links and recompute final embeddings.
   void PrepareNormalColdInference(const Dataset& dataset) override;
 
-  /// Mean-pooled L-layer propagation of `table` over `graph`.
+  /// Mean-pooled L-layer propagation of `table` over `graph` (Eqs. 5-6).
+  /// The one propagation of every joint-table model (LightGCN, SGL, BM3,
+  /// DRAGON, MMSSL): training steps and final tables both run it, and the
+  /// final tables split the result with ops::SliceRows.
   static Tensor Propagate(const std::shared_ptr<const CsrMatrix>& graph,
                           const Tensor& table, int num_layers);
 
-  /// Propagate without the tape, split into the first `num_users` rows
-  /// (users) and the rest (items).
-  static void PropagateFinal(const CsrMatrix& graph, const Matrix& table,
-                             int num_layers, Index num_users, Matrix* users,
-                             Matrix* items);
-
  private:
+  /// Propagates the joint table over `graph` into final_user_/final_item_.
+  void ComputeFinal(const std::shared_ptr<const CsrMatrix>& graph);
+
   Tensor joint_table_;  // (U + I) x d parameter table
   Index num_users_ = 0;
   Index num_items_ = 0;

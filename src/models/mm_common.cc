@@ -6,8 +6,14 @@
 
 namespace firzen {
 
+void RequireModalFeatures(const Dataset& dataset) {
+  FIRZEN_CHECK_MSG(!dataset.modalities.empty(),
+                   "the dataset has no modality features (text/image); "
+                   "feature models need at least one");
+}
+
 Matrix ConcatModalFeatures(const Dataset& dataset) {
-  FIRZEN_CHECK(!dataset.modalities.empty());
+  RequireModalFeatures(dataset);
   Index total_dim = 0;
   for (const Modality& m : dataset.modalities) total_dim += m.features.cols();
   Matrix out(dataset.num_items, total_dim);

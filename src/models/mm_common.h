@@ -7,8 +7,12 @@
 
 namespace firzen {
 
+/// Aborts with a message naming the missing input when `dataset` carries
+/// no modality features: every feature model needs at least one.
+void RequireModalFeatures(const Dataset& dataset);
+
 /// Concatenation [modality_0 | modality_1 | ...] of all per-item feature
-/// tables (num_items x sum(dims)).
+/// tables (num_items x sum(dims)). Requires modality features.
 Matrix ConcatModalFeatures(const Dataset& dataset);
 
 /// Standardizes each column to zero mean / unit variance (in place); keeps

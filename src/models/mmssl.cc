@@ -16,6 +16,8 @@ namespace firzen {
 
 void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
   using namespace ops;  // NOLINT(build/namespaces)
+  // Each step picks one modality (batch.step % #modalities).
+  RequireModalFeatures(dataset);
   Rng rng(options.seed);
   const Index num_users = dataset.num_users;
   const Index num_items = dataset.num_items;
@@ -68,14 +70,8 @@ void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
   auto forward = [&](Tensor* user_out, Tensor* item_out,
                      std::vector<Tensor>* xus, std::vector<Tensor>* xis) {
     Tensor backbone = LightGcn::Propagate(graph, joint, options.num_layers);
-    std::vector<Index> user_rows(static_cast<size_t>(num_users));
-    for (Index u = 0; u < num_users; ++u) user_rows[static_cast<size_t>(u)] = u;
-    std::vector<Index> item_rows(static_cast<size_t>(num_items));
-    for (Index i = 0; i < num_items; ++i) {
-      item_rows[static_cast<size_t>(i)] = num_users + i;
-    }
-    Tensor hu = GatherRows(backbone, user_rows);
-    Tensor hi = GatherRows(backbone, item_rows);
+    Tensor hu = SliceRows(backbone, 0, num_users);
+    Tensor hi = SliceRows(backbone, num_users, num_users + num_items);
     xus->clear();
     xis->clear();
     for (size_t m = 0; m < modal_features.size(); ++m) {

@@ -39,7 +39,6 @@ class BprSampler {
   const std::vector<std::vector<Index>>& items_by_user() const {
     return items_by_user_;
   }
-  const std::vector<Index>& warm_items() const { return warm_items_; }
 
  private:
   bool UserHasItem(Index user, Index item) const;

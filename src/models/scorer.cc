@@ -83,16 +83,6 @@ uint64_t NextScorerId() {
 
 }  // namespace
 
-const char* ScoringPrecisionName(ScoringPrecision precision) {
-  switch (precision) {
-    case ScoringPrecision::kFp32:
-      return "fp32";
-    case ScoringPrecision::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
 Scorer::Scorer() : scorer_id_(NextScorerId()) {}
 
 Scorer::~Scorer() = default;

@@ -43,9 +43,6 @@ enum class ScoringPrecision {
   kInt8 = 1,
 };
 
-/// Stable lowercase name ("fp32", "int8") for flags, logs, and docs.
-const char* ScoringPrecisionName(ScoringPrecision precision);
-
 /// Half-open range [begin, end) of item ids.
 struct ItemBlock {
   Index begin = 0;

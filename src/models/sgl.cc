@@ -41,8 +41,9 @@ void Sgl::Fit(const Dataset& dataset, const TrainOptions& options) {
 
   EpochLoop loop;
   loop.compute_final = [&] {
-    LightGcn::PropagateFinal(*graph, table.value(), options.num_layers,
-                             num_users, &final_user_, &final_item_);
+    const Tensor main = LightGcn::Propagate(graph, table, options.num_layers);
+    final_user_ = SliceRows(main, 0, num_users).value();
+    final_item_ = SliceRows(main, num_users, num_users + num_items).value();
   };
 
   std::shared_ptr<CsrMatrix> view1;

@@ -27,22 +27,8 @@ void Vbpr::Fit(const Dataset& dataset, const TrainOptions& options) {
   loop.compute_final = [&] {
     // Concatenated towers make the two dot products one:
     //   [e_u | v_u] . [e_i | W f_i].
-    Matrix content;
-    Gemm(false, false, 1.0, features.value(), proj.value(), 0.0, &content);
-    final_user_.Resize(dataset.num_users, 2 * d);
-    final_item_.Resize(dataset.num_items, 2 * d);
-    for (Index u = 0; u < dataset.num_users; ++u) {
-      for (Index c = 0; c < d; ++c) {
-        final_user_(u, c) = user_id.value()(u, c);
-        final_user_(u, d + c) = user_visual.value()(u, c);
-      }
-    }
-    for (Index i = 0; i < dataset.num_items; ++i) {
-      for (Index c = 0; c < d; ++c) {
-        final_item_(i, c) = item_id.value()(i, c);
-        final_item_(i, d + c) = content(i, c);
-      }
-    }
+    final_user_ = ConcatCols({user_id, user_visual}).value();
+    final_item_ = ConcatCols({item_id, MatMul(features, proj)}).value();
   };
 
   loop.step = [&](const BprBatch& batch) {

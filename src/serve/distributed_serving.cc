@@ -140,10 +140,6 @@ ItemBlock DistributedServingEngine::shard_range(Index shard) const {
   return {conn.info.shard_begin, conn.info.shard_end};
 }
 
-const std::string& DistributedServingEngine::shard_address(Index shard) const {
-  return conns_[static_cast<size_t>(shard)]->address;
-}
-
 Status DistributedServingEngine::ExchangeOnShard(
     Conn* conn, const std::vector<uint8_t>& payload, size_t expected_replies,
     Clock::time_point deadline, std::vector<wire::ShardReply>* replies) const {

@@ -108,8 +108,6 @@ class DistributedServingEngine {
   Index num_shards() const { return static_cast<Index>(conns_.size()); }
   /// Global item range [begin, end) announced by one shard.
   ItemBlock shard_range(Index shard) const;
-  /// The address a shard was dialed at (options order).
-  const std::string& shard_address(Index shard) const;
 
   // Monotonic counters (tests, benches, ops).
   /// Shard round-trips attempted (one per shard per batch).
@@ -146,7 +144,7 @@ class DistributedServingEngine {
     net::UniqueFd fd FIRZEN_GUARDED_BY(mu);
     // Written once at Connect (before the engine is shared) and never
     // mutated again — a re-dial only COMPARES the announced info against
-    // this copy — so lock-free reads (shard_range, shard_address) are safe.
+    // this copy — so lock-free reads (shard_range) are safe.
     std::string address;
     wire::ShardInfo info;
   };

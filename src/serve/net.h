@@ -41,12 +41,6 @@ class UniqueFd {
   explicit operator bool() const { return fd_ >= 0; }
   /// Closes the held fd (if any) and adopts `fd`.
   void reset(int fd = -1);
-  /// Releases ownership without closing.
-  int release() {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
 
  private:
   int fd_ = -1;

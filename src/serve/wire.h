@@ -93,7 +93,6 @@ class Writer {
   void PutF64(double v);
   void PutBytes(const void* data, size_t size);
 
-  const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:

@@ -35,15 +35,6 @@ void Matrix::ResizeUninitialized(Index rows, Index cols) {
   data_.resize(static_cast<size_t>(rows * cols));
 }
 
-void Matrix::Add(const Matrix& other) {
-  FIRZEN_CHECK_EQ(rows_, other.rows_);
-  FIRZEN_CHECK_EQ(cols_, other.cols_);
-  const Real* src = other.data();
-  Real* dst = data();
-  const Index n = size();
-  for (Index i = 0; i < n; ++i) dst[i] += src[i];
-}
-
 void Matrix::Axpy(Real alpha, const Matrix& other) {
   FIRZEN_CHECK_EQ(rows_, other.rows_);
   FIRZEN_CHECK_EQ(cols_, other.cols_);
@@ -55,15 +46,6 @@ void Matrix::Axpy(Real alpha, const Matrix& other) {
 
 void Matrix::Scale(Real alpha) {
   for (auto& v : data_) v *= alpha;
-}
-
-Real Matrix::Dot(const Matrix& other) const {
-  FIRZEN_CHECK_EQ(rows_, other.rows_);
-  FIRZEN_CHECK_EQ(cols_, other.cols_);
-  Real acc = 0.0;
-  const Index n = size();
-  for (Index i = 0; i < n; ++i) acc += data_[i] * other.data_[i];
-  return acc;
 }
 
 Real Matrix::SquaredNorm() const {

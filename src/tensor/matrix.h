@@ -101,17 +101,11 @@ class Matrix {
   /// output costs no fill pass at all.
   void ResizeUninitialized(Index rows, Index cols);
 
-  /// Element-wise +=. Shapes must match.
-  void Add(const Matrix& other);
-
   /// this += alpha * other. Shapes must match.
   void Axpy(Real alpha, const Matrix& other);
 
   /// Multiply every element by alpha.
   void Scale(Real alpha);
-
-  /// Frobenius-inner-product <this, other>.
-  Real Dot(const Matrix& other) const;
 
   /// Sum of squares of all elements.
   Real SquaredNorm() const;

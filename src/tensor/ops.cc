@@ -1,6 +1,7 @@
 #include "src/tensor/ops.h"
 
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "src/util/check.h"
@@ -288,6 +289,13 @@ Tensor GatherRows(const Tensor& x, std::vector<Index> idx) {
   return Tensor(node);
 }
 
+Tensor SliceRows(const Tensor& x, Index begin, Index end) {
+  FIRZEN_CHECK_LE(begin, end);
+  std::vector<Index> idx(static_cast<size_t>(end - begin));
+  std::iota(idx.begin(), idx.end(), begin);
+  return GatherRows(x, std::move(idx));
+}
+
 Tensor SliceCols(const Tensor& x, Index begin, Index end) {
   FIRZEN_CHECK_GE(begin, 0);
   FIRZEN_CHECK_LT(begin, end);
@@ -310,23 +318,6 @@ Tensor SliceCols(const Tensor& x, Index begin, Index end) {
         Real* dst = x_node->grad.row(r) + begin;
         for (Index c = 0; c < w; ++c) dst[c] += src[c];
       }
-    };
-  }
-  return Tensor(node);
-}
-
-Tensor Transpose(const Tensor& x) {
-  auto node = NewNode("transpose", {x.node()});
-  node->value = x.value().Transposed();
-  if (node->requires_grad) {
-    node->backward_fn = [](TensorNode* self) {
-      const Matrix& g = self->grad;
-      Accumulate(self->parents[0].get(), [&](Matrix* gx, auto put) {
-        for (Index r = 0; r < gx->rows(); ++r) {
-          Real* dst = gx->row(r);
-          for (Index c = 0; c < gx->cols(); ++c) put(dst[c], g(c, r));
-        }
-      });
     };
   }
   return Tensor(node);

@@ -76,11 +76,11 @@ Tensor SpMM(std::shared_ptr<const CsrMatrix> a, const Tensor& x);
 /// y[k, :] = x[idx[k], :]. Backward scatter-adds into x.
 Tensor GatherRows(const Tensor& x, std::vector<Index> idx);
 
+/// Row slice [begin, end): GatherRows over that index range.
+Tensor SliceRows(const Tensor& x, Index begin, Index end);
+
 /// Column slice [begin, end).
 Tensor SliceCols(const Tensor& x, Index begin, Index end);
-
-/// Matrix transpose.
-Tensor Transpose(const Tensor& x);
 
 /// Row-wise L2 normalization with numeric floor eps.
 Tensor RowL2Normalize(const Tensor& x, Real eps = 1e-12);

@@ -18,8 +18,6 @@ void Sgd::Step(const std::vector<Tensor>& params) {
   }
 }
 
-void Adam::Register(const Tensor& param) { GetState(param); }
-
 Adam::State* Adam::GetState(const Tensor& param) {
   TensorNode* key = param.node().get();
   auto it = states_.find(key);

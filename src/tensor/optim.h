@@ -18,10 +18,6 @@ class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Registers a trainable parameter. Parameters may also be passed lazily to
-  /// Step; registration pre-allocates state.
-  virtual void Register(const Tensor& param) = 0;
-
   /// Applies one update using each parameter's accumulated gradient, then
   /// zeroes the gradients.
   virtual void Step(const std::vector<Tensor>& params) = 0;
@@ -33,10 +29,8 @@ class Sgd : public Optimizer {
   explicit Sgd(Real lr, Real weight_decay = 0.0)
       : lr_(lr), weight_decay_(weight_decay) {}
 
-  void Register(const Tensor& param) override { (void)param; }
   void Step(const std::vector<Tensor>& params) override;
 
-  void set_lr(Real lr) { lr_ = lr; }
   Real lr() const { return lr_; }
 
  private:
@@ -61,10 +55,8 @@ class Adam : public Optimizer {
 
   explicit Adam(Options options) : options_(options) {}
 
-  void Register(const Tensor& param) override;
   void Step(const std::vector<Tensor>& params) override;
 
-  void set_lr(Real lr) { options_.lr = lr; }
   Real lr() const { return options_.lr; }
 
  private:

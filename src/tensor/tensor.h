@@ -62,7 +62,6 @@ class Tensor {
   const Matrix& value() const { return node_->value; }
   Matrix* mutable_value() { return &node_->value; }
   const Matrix& grad() const { return node_->grad; }
-  Matrix* mutable_grad() { return &node_->grad; }
   bool requires_grad() const { return node_->requires_grad; }
 
   Index rows() const { return node_->value.rows(); }

@@ -32,9 +32,6 @@ class Status {
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
   }
-  static Status NotFound(std::string msg) {
-    return Status(StatusCode::kNotFound, std::move(msg));
-  }
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }

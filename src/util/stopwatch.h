@@ -11,10 +11,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Reset the start point to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or last Restart().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

@@ -27,10 +27,6 @@ void TablePrinter::AddCell(double value, int precision) {
   AddCell(FormatReal(value, precision));
 }
 
-void TablePrinter::AddRow(const std::vector<std::string>& cells) {
-  rows_.push_back(cells);
-}
-
 std::string TablePrinter::ToString() const {
   std::vector<size_t> widths(header_.size(), 0);
   for (size_t c = 0; c < header_.size(); ++c) widths[c] = header_[c].size();
@@ -64,19 +60,5 @@ std::string TablePrinter::ToString() const {
 }
 
 void TablePrinter::Print() const { std::fputs(ToString().c_str(), stdout); }
-
-std::string TablePrinter::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << ",";
-      out << row[c];
-    }
-    out << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
 
 }  // namespace firzen

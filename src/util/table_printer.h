@@ -24,17 +24,11 @@ class TablePrinter {
   /// Append a numeric cell rendered with `precision` decimals.
   void AddCell(double value, int precision = 2);
 
-  /// Convenience: add a full row at once.
-  void AddRow(const std::vector<std::string>& cells);
-
   /// Render the table to a string.
   std::string ToString() const;
 
   /// Render and write to stdout.
   void Print() const;
-
-  /// Render as comma-separated values (for piping into plotting tools).
-  std::string ToCsv() const;
 
  private:
   std::vector<std::string> header_;

@@ -78,9 +78,6 @@ class FIRZEN_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() FIRZEN_ACQUIRE() { mu_.lock(); }
-  void Unlock() FIRZEN_RELEASE() { mu_.unlock(); }
-
  private:
   friend class MutexLock;
   friend class CondVar;

@@ -4,11 +4,13 @@
 Asserts the EXACT multiset of (file, rule) findings over the fixture tree:
 every rule fires on its bad-pattern file, the allow()-escaped file produces
 zero findings, and nothing else fires. A linter that silently stops
-matching (a regex typo, a stripper bug) fails here, not in review.
+matching (a regex typo, a stripper bug) fails here, not in review. Also
+checks that every unused-api allowlist entry gives its reason.
 
 Usage: firzen_lint_test.py <repo_root>
 """
 
+import importlib.util
 import subprocess
 import sys
 
@@ -20,6 +22,9 @@ EXPECTED = sorted([
     ("src/eval/bad_unordered_iteration.cc", "unordered-iteration"),
     ("src/eval/bad_upward_forward_decl.h", "upward-forward-decl"),
     ("src/graph/bad_include_layering.cc", "include-layering"),
+    ("src/graph/fixture_api.h", "unused-api"),
+    ("src/graph/fixture_api.h", "unused-api"),
+    ("src/graph/fixture_api.h", "unused-api"),
     ("src/models/bad_stray_cpuid.cc", "stray-cpuid"),
     ("src/models/bad_stray_cpuid.cc", "stray-cpuid"),
     ("src/serve/bad_banned_time.cc", "banned-time"),
@@ -69,6 +74,16 @@ def main():
     if allowed:
         print("FAIL: the allow()-escaped fixture produced findings: %r"
               % allowed)
+        return 1
+
+    spec = importlib.util.spec_from_file_location("firzen_lint", lint)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    unexplained = [name for name, reason in
+                   module.UNUSED_API_ALLOWLIST.items() if not reason.strip()]
+    if unexplained:
+        print("FAIL: unused-api allowlist entries without a reason: %r"
+              % unexplained)
         return 1
 
     print("firzen_lint_test: OK (%d findings, exact match)" % len(got))

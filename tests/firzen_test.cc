@@ -328,7 +328,7 @@ TEST_P(AblationTest, VariantTrainsAndScores) {
   const std::string variant = GetParam();
   if (variant == "no_ba") options.use_behavior = false;
   if (variant == "no_ka") options.use_knowledge = false;
-  if (variant == "no_ma") options.use_modality = false;
+  if (variant == "no_ma") options.use_text = options.use_image = false;
   if (variant == "no_ms") options.use_mshgl = false;
   FirzenModel model(options);
   TrainOptions train = TinyTrainOptions();

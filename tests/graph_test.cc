@@ -492,7 +492,12 @@ TEST(CollaborativeKgTest, AlignmentAndReverseEdges) {
   EXPECT_EQ(ckg.num_entities, 6);          // 4 + 2 users
   EXPECT_EQ(ckg.num_relations, 2 * (2 + 1));  // fw + interact + reverses
   EXPECT_EQ(ckg.UserEntity(0), 4);
-  EXPECT_EQ(ckg.InteractRelation(), 2);
+  // The user -> item Interact edges carry the last forward relation id.
+  for (const Triplet& t : ckg.triplets) {
+    if (t.head == ckg.UserEntity(0)) {
+      EXPECT_EQ(t.relation, 2);
+    }
+  }
   // Each KG triplet and each interaction contribute forward + reverse.
   EXPECT_EQ(static_cast<Index>(ckg.triplets.size()), 2 * (2 + 2));
   // Storage alignment: edge_relation[p] must match triplets[p].

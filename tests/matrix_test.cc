@@ -76,12 +76,12 @@ TEST(GemmTest, AccumulatesWithBeta) {
   }
 }
 
-TEST(MatrixTest, AddAxpyScale) {
+TEST(MatrixTest, AxpyScale) {
   Matrix a(2, 2);
   a(0, 0) = 1;
   a(1, 1) = 2;
   Matrix b(2, 2, 1.0);
-  a.Add(b);
+  a.Axpy(1.0, b);
   EXPECT_EQ(a(0, 0), 2.0);
   a.Axpy(0.5, b);
   EXPECT_EQ(a(0, 0), 2.5);
@@ -89,14 +89,12 @@ TEST(MatrixTest, AddAxpyScale) {
   EXPECT_EQ(a(0, 0), 5.0);
 }
 
-TEST(MatrixTest, DotAndNorms) {
+TEST(MatrixTest, Norms) {
   Matrix a(1, 3);
   a(0, 0) = 3;
   a(0, 1) = 4;
   EXPECT_DOUBLE_EQ(a.SquaredNorm(), 25.0);
   EXPECT_DOUBLE_EQ(a.RowNorm(0), 5.0);
-  Matrix b(1, 3, 1.0);
-  EXPECT_DOUBLE_EQ(a.Dot(b), 7.0);
 }
 
 TEST(MatrixTest, TransposedRoundTrip) {

@@ -17,6 +17,8 @@
 #include "src/models/kgat.h"
 #include "src/models/kgcn.h"
 #include "src/models/lightgcn.h"
+#include "src/models/mm_common.h"
+#include "src/models/mmssl.h"
 #include "src/models/registry.h"
 #include "src/models/sampler.h"
 #include "src/util/logging.h"
@@ -425,6 +427,30 @@ TEST(EpochDriverDeathTest, RejectsZeroBatchSize) {
   options.batch_size = 0;
   DriverProbe probe({}, /*keep_best=*/true);
   EXPECT_DEATH(probe.Fit(TinyDataset(), options), "batch_size");
+}
+
+// A world with no modality features: the tiny world with them stripped.
+Dataset WithoutModalities() {
+  Dataset dataset = TinyDataset();
+  dataset.modalities.clear();
+  return dataset;
+}
+
+// MMSSL picks one modality per step (step % #modalities); without any it
+// must fail naming the missing input, not divide by zero.
+TEST(FeatureModelDeathTest, MmsslNamesMissingModalityFeatures) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset dataset = WithoutModalities();
+  TrainOptions options = TinyTrainOptions();
+  options.epochs = 1;
+  Mmssl model;
+  EXPECT_DEATH(model.Fit(dataset, options), "no modality features");
+}
+
+TEST(FeatureModelDeathTest, ConcatModalFeaturesNamesMissingFeatures) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Dataset dataset = WithoutModalities();
+  EXPECT_DEATH(ConcatModalFeatures(dataset), "no modality features");
 }
 
 }  // namespace

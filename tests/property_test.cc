@@ -133,14 +133,14 @@ TEST_P(CsrPropertyTest, SpMMLinearity) {
   x.FillNormal(&rng, 1.0);
   y.FillNormal(&rng, 1.0);
   Matrix xy = x;
-  xy.Add(y);
+  xy.Axpy(1.0, y);
   Matrix a_xy;
   a.SpMM(xy, &a_xy);
   Matrix ax;
   a.SpMM(x, &ax);
   Matrix ay;
   a.SpMM(y, &ay);
-  ax.Add(ay);
+  ax.Axpy(1.0, ay);
   for (Index i = 0; i < ax.size(); ++i) {
     EXPECT_NEAR(a_xy.data()[i], ax.data()[i], 1e-9);
   }

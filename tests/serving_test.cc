@@ -673,7 +673,7 @@ TEST(ServingEngineParityTest, FusedPassMatchesMaterializeThenRank) {
           ASSERT_EQ(got[r].items.size(), want[r].size())
               << "request=" << r << " threads=" << threads
               << " block=" << block
-              << " precision=" << ScoringPrecisionName(precision);
+              << " precision=" << static_cast<int>(precision);
           for (size_t j = 0; j < want[r].size(); ++j) {
             ASSERT_EQ(got[r].items[j].item, want[r][j].item)
                 << "request=" << r << " rank=" << j << " threads=" << threads

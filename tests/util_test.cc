@@ -120,9 +120,9 @@ TEST(ResultTest, HoldsValueOrStatus) {
   Result<int> good(42);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value(), 42);
-  Result<int> bad(Status::NotFound("missing"));
+  Result<int> bad(Status::InvalidArgument("missing"));
   ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -209,23 +209,18 @@ TEST(TablePrinterTest, AlignsAndRendersAllCells) {
   table.BeginRow();
   table.AddCell("alpha");
   table.AddCell(3.14159, 2);
-  table.AddRow({"b", "1"});
+  table.BeginRow();
+  table.AddCell("b");
+  table.AddCell("1");
   const std::string out = table.ToString();
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("3.14"), std::string::npos);
   EXPECT_NE(out.find("| b"), std::string::npos);
 }
 
-TEST(TablePrinterTest, CsvOutput) {
-  TablePrinter table({"a", "b"});
-  table.AddRow({"1", "2"});
-  EXPECT_EQ(table.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(StopwatchTest, MeasuresNonNegativeTime) {
   Stopwatch watch;
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
-  watch.Restart();
   EXPECT_GE(watch.ElapsedMillis(), 0.0);
 }
 

@@ -169,7 +169,7 @@ TEST(WireRequestBatchTest, CorruptCountsCannotForceGiantAllocations) {
   wire::Writer w;
   w.PutU64(1ULL << 60);
   w.PutU64(0);
-  const std::vector<uint8_t>& payload = w.bytes();
+  const std::vector<uint8_t> payload = w.Take();
   std::vector<RecRequest> requests;
   EXPECT_FALSE(
       wire::DecodeRequestBatch(payload.data(), payload.size(), &requests));
@@ -184,8 +184,9 @@ TEST(WireRequestBatchTest, CorruptCountsCannotForceGiantAllocations) {
   nested.PutU64(1);           // one reply
   nested.PutI64(0);           // user
   nested.PutU64(1ULL << 59);  // impossible item count
-  EXPECT_FALSE(wire::DecodeReplyBatch(nested.bytes().data(),
-                                      nested.bytes().size(), &replies));
+  const std::vector<uint8_t> nested_payload = nested.Take();
+  EXPECT_FALSE(wire::DecodeReplyBatch(nested_payload.data(),
+                                      nested_payload.size(), &replies));
 }
 
 TEST(WireReplyBatchTest, ScoresRoundTripBitExactly) {

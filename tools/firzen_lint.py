@@ -27,7 +27,11 @@ to tests that all run on one platform with one standard library:
     depends on the wire protocol" happens one convenience include at a
     time — and `class X;` / `struct X;` forward declarations of a type
     defined in a higher layer, the same dependency with the include
-    left out.
+    left out;
+  * library code nothing calls: a public function declared in a src/
+    header whose name appears nowhere but that header, its own .cc and
+    tests/ (unused-api; UNUSED_API_ALLOWLIST names the exceptions, each
+    with its reason).
 
 This linter turns each of those into a build failure. It is stdlib-only,
 regex-based (heuristic by design: it must never need a compiler), strips
@@ -96,6 +100,32 @@ RULES = {
     "upward-forward-decl":
         "forward declaration of a class defined in a higher layer; the "
         "lower layer must not know the type",
+    "unused-api":
+        "public function declared in a src/ header that nothing outside "
+        "its own header, its own .cc and tests/ calls; delete it, or "
+        "allowlist it with a reason",
+}
+
+# unused-api: the trees whose code counts as a caller (tests/ never does),
+# and the functions kept without one, each with the reason.
+UNUSED_API_USE_DIRS = ("src", "bench", "examples", "perfbench", "tools")
+UNUSED_API_ALLOWLIST = {
+    "CheckGradients":
+        "test utility: the finite-difference oracle of the autograd suites",
+    "CsrMatrix::ToDense":
+        "test utility: the dense oracle of the sparse-kernel suites",
+    "CsrMatrix::Filtered":
+        "test utility: the masked full-rebuild oracle of the strict-cold "
+        "graph expansion (graph_test, firzen_test)",
+    "MatrixView::Columns":
+        "test utility: column-panel views for the sharded GemmBT parity "
+        "suites",
+    "ColSum":
+        "test oracle: ColSumExp must stay bit-equal to ColSum(Exp(x))",
+    "ShardServer::set_stall_replies_us":
+        "test hook: fault injection for the stalled-shard cases",
+    "DefaultInitAllocator::construct":
+        "allocator interface: std::vector calls it, not firzen code",
 }
 
 UNORDERED_DECL_RE = re.compile(
@@ -349,6 +379,166 @@ def lint_file(path, rel, raw_text, defined_in):
     return findings
 
 
+ACCESS_LABEL_RE = re.compile(r"^\s*(public|private|protected)\s*$")
+CLASS_HEAD_RE = re.compile(
+    r"^\s*(?:template\s*<.*>\s*)?(class|struct|union)\s+"
+    r"(?:[A-Z_][A-Z0-9_]*\s*\([^)]*\)\s*)?(\w+)")
+FUNCTION_NAME_RE = re.compile(r"(~?\b[A-Za-z_]\w*)\s*$")
+NOT_FUNCTION_NAMES = {
+    "return", "if", "while", "for", "switch", "sizeof", "decltype",
+    "static_assert", "alignas", "alignof", "operator", "noexcept",
+}
+NOT_DECLARATION_RE = re.compile(r"^\s*(?:friend|using|typedef)\b")
+WORD_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+
+
+def blank_preprocessor(code):
+    """Blanks preprocessor lines (and their continuations) of stripped
+    code, keeping line count."""
+    out = []
+    continued = False
+    for line in code.split("\n"):
+        if continued or line.lstrip().startswith("#"):
+            continued = line.rstrip().endswith("\\")
+            out.append("")
+        else:
+            out.append(line)
+    return "\n".join(out)
+
+
+def function_name(statement, class_name):
+    """The declared function's name if `statement` (text up to its `;` or
+    body `{`) declares one, else None. Constructors, destructors,
+    operators, macros and variables are not function declarations."""
+    if NOT_DECLARATION_RE.match(statement):
+        return None
+    depth = 0
+    for pos, c in enumerate(statement):
+        if c == "<":
+            depth += 1
+        elif c == ">":
+            depth -= 1
+        elif c == "(" and depth == 0:
+            break
+    else:
+        return None
+    prefix = statement[:pos]
+    m = FUNCTION_NAME_RE.search(prefix)
+    if m is None or "=" in prefix or not prefix[:m.start()].strip():
+        return None
+    name = m.group(1)
+    if (name.startswith("~") or name in NOT_FUNCTION_NAMES or
+            name == class_name or re.match(r"^[A-Z0-9_]+$", name)):
+        return None
+    return name
+
+
+def declared_functions(code, public_only=True):
+    """(0-based line, qualified name) of each function declared or defined
+    outside a function body: at namespace scope or in classes. With
+    `public_only`, only the public interface: namespace scope and public
+    sections of classes that are themselves public."""
+    code = blank_preprocessor(code)
+    found = []
+    # Scope stack entries: [kind, class name, access]; kind is namespace,
+    # class or block (function bodies, enums, initializers: skipped).
+    scopes = []
+    start = 0  # where the current statement began
+    line = 0
+    statement_line = 0
+
+    def visible():
+        return all(k != "block" and
+                   (k != "class" or a == "public" or not public_only)
+                   for k, _, a in scopes)
+
+    def record(statement):
+        if not visible():
+            return
+        classes = [n for k, n, _ in scopes if k == "class"]
+        name = function_name(statement, classes[-1] if classes else None)
+        if name is not None:
+            found.append((statement_line, "::".join(classes + [name])))
+
+    for pos, c in enumerate(code):
+        if c == "\n":
+            line += 1
+            continue
+        if c not in "{};:":
+            if not code[start:pos].strip():
+                statement_line = line
+            continue
+        statement = " ".join(code[start:pos].split())
+        in_block = any(k == "block" for k, _, _ in scopes)
+        if c == ":":
+            if (not in_block and scopes and scopes[-1][0] == "class" and
+                    ACCESS_LABEL_RE.match(statement)):
+                scopes[-1][2] = statement.strip()
+                start = pos + 1
+            continue
+        if c == "{":
+            head = CLASS_HEAD_RE.match(statement)
+            if in_block:
+                scopes.append(["block", None, None])
+            elif re.match(r"^\s*namespace\b", statement):
+                scopes.append(["namespace", None, None])
+            elif head:
+                access = "private" if head.group(1) == "class" else "public"
+                scopes.append(["class", head.group(2), access])
+            else:
+                if not re.search(r"\benum\b", statement):
+                    record(statement)
+                scopes.append(["block", None, None])
+        elif c == "}":
+            if scopes:
+                scopes.pop()
+        elif not in_block:  # ';'
+            record(statement)
+        start = pos + 1
+    return found
+
+
+def unused_api_findings(src_root, sources):
+    """unused-api over the headers in `sources` ((path, rel, raw) triples).
+    Every C++ file under UNUSED_API_USE_DIRS but tests/ may call; in the
+    header and its own .cc, an occurrence of the name beyond its
+    declarations and definitions is a call."""
+    code = {}  # rel path -> comment- and string-stripped code
+    words = {}  # rel path -> identifiers in that code
+    for top in UNUSED_API_USE_DIRS:
+        for dirpath, dirnames, names in os.walk(os.path.join(src_root, top)):
+            dirnames[:] = [d for d in dirnames if d != "tests"]
+            for name in names:
+                if not name.endswith((".h", ".cc", ".cpp")):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, src_root)
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    code[rel] = strip_comments_and_strings(f.read())
+                words[rel] = set(WORD_RE.findall(code[rel]))
+    findings = []
+    for _, rel, _ in sources:
+        if not rel.endswith(".h") or rel not in code:
+            continue
+        own = [f for f in (rel, rel[:-2] + ".cc") if f in code]
+        sites = [q.split("::")[-1] for f in own
+                 for _, q in declared_functions(code[f], public_only=False)]
+        for line_idx, qualified in declared_functions(code[rel]):
+            if qualified in UNUSED_API_ALLOWLIST:
+                continue
+            name = qualified.split("::")[-1]
+            if any(name in ws for f, ws in words.items() if f not in own):
+                continue
+            name_re = re.compile(r"\b%s\b" % re.escape(name))
+            uses = sum(len(name_re.findall(code[f])) for f in own)
+            if uses > sites.count(name):
+                continue
+            findings.append(Finding(
+                rel, line_idx + 1, "unused-api",
+                "%s: %s" % (qualified, RULES["unused-api"])))
+    return findings
+
+
 def enumerate_files(src_root, compile_commands):
     """Files to lint: every .h/.cc under <src_root>/src. When a
     compile_commands.json is given, .cc files are restricted to those the
@@ -419,6 +609,7 @@ def main(argv):
     findings = []
     for path, rel, raw in sources:
         findings.extend(lint_file(path, rel, raw, defined_in))
+    findings.extend(unused_api_findings(args.src_root, sources))
 
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in findings:

@@ -5,8 +5,8 @@
 #   1. determinism linter (tools/firzen_lint.py): ALWAYS runs — stdlib
 #      Python, no compiler needed. Hash-order iteration, bare float-score
 #      comparators, non-seeded rng, wall-clock reads, naked tensor
-#      accumulation, include-layering, upward forward declarations (see
-#      docs/static_analysis.md).
+#      accumulation, include-layering, upward forward declarations,
+#      header functions nothing calls (see docs/static_analysis.md).
 #   2. clang-tidy over compile_commands.json with the curated .clang-tidy
 #      baseline. SKIPPED WITH A WARNING when clang-tidy is not installed —
 #      gcc-only hosts still get stages 1 and 3.
