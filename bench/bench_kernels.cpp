@@ -3,11 +3,13 @@
 // (including the backward-pass layouts of the Eq. 29 contrastive step), the
 // kNN item-item graph build and its strict-cold expansion, the KG attention
 // rebuild (per epoch and per strict-cold pass; a DESIGN.md §4 ablation
-// candidate), lazy vs dense Adam, and top-K ranking selection.
+// candidate), lazy vs dense Adam, top-K ranking selection, and the cost
+// of one ParallelFor hand-off.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/core/frozen_graphs.h"
 #include "src/core/losses.h"
@@ -523,6 +525,37 @@ void BM_ModalContrastiveStep(benchmark::State& state) {
   state.SetLabel("threads=" + std::to_string(GlobalPoolThreadCount()));
 }
 BENCHMARK(BM_ModalContrastiveStep)->Unit(benchmark::kMillisecond);
+
+// What one ParallelFor hand-off costs: a two-shard call over cheap
+// elementwise work on the global pool (second arg 1) against the same loop
+// run inline (second arg 0). Below the size where the two rows cross, the
+// split loses to its dispatch.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const Index n = state.range(0);
+  const bool pooled = state.range(1) != 0;
+  std::vector<Real> x(static_cast<size_t>(n), 0.5);
+  std::vector<Real> y(static_cast<size_t>(n));
+  ThreadPool* pool = pooled ? ThreadPool::Global() : nullptr;
+  for (auto _ : state) {
+    ParallelFor(
+        pool, n,
+        [&](Index begin, Index end) {
+          for (Index i = begin; i < end; ++i) {
+            y[static_cast<size_t>(i)] =
+                x[static_cast<size_t>(i)] * x[static_cast<size_t>(i)] + 1.0;
+          }
+        },
+        /*min_shard_size=*/n / 2);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(pooled ? "pool threads=" +
+                              std::to_string(GlobalPoolThreadCount())
+                        : "inline");
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgsProduct({{2048, 8192, 32768}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace firzen

@@ -1,8 +1,11 @@
 #include "src/tensor/optim.h"
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/tensor/ops.h"
 #include "src/util/check.h"
+#include "src/util/thread_pool.h"
 
 namespace firzen {
 
@@ -34,6 +37,7 @@ Adam::State* Adam::GetState(const Tensor& param) {
 }
 
 void Adam::Step(const std::vector<Tensor>& params) {
+  const Options& o = options_;
   for (const Tensor& p : params) {
     TensorNode* node = p.node().get();
     if (node->grad.empty()) continue;
@@ -41,56 +45,52 @@ void Adam::Step(const std::vector<Tensor>& params) {
     const Index rows = node->value.rows();
     const Index cols = node->value.cols();
     FIRZEN_CHECK_EQ(state->m.rows(), rows);
-
-    if (!options_.lazy) {
-      ++state->steps;
-      const Real bc1 = 1.0 - std::pow(options_.beta1, state->steps);
-      const Real bc2 = 1.0 - std::pow(options_.beta2, state->steps);
-      for (Index i = 0; i < rows * cols; ++i) {
-        Real g = node->grad.data()[i];
-        if (options_.weight_decay != 0.0) {
-          g += options_.weight_decay * node->value.data()[i];
-        }
-        Real& m = state->m.data()[i];
-        Real& v = state->v.data()[i];
-        m = options_.beta1 * m + (1.0 - options_.beta1) * g;
-        v = options_.beta2 * v + (1.0 - options_.beta2) * g * g;
-        const Real mhat = m / bc1;
-        const Real vhat = v / bc2;
-        node->value.data()[i] -=
-            options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
+    Real* value = node->value.data();
+    Real* grad = node->grad.data();
+    Real* m = state->m.data();
+    Real* v = state->v.data();
+    // Updates elements [begin, end) at step t and clears their gradient.
+    // Each element is independent, so shards give the same bits.
+    const auto update = [&](Index begin, Index end, int64_t t) {
+      const Real bc1 = 1.0 - std::pow(o.beta1, t);
+      const Real bc2 = 1.0 - std::pow(o.beta2, t);
+      for (Index i = begin; i < end; ++i) {
+        Real g = grad[i];
+        grad[i] = 0.0;
+        if (o.weight_decay != 0.0) g += o.weight_decay * value[i];
+        m[i] = o.beta1 * m[i] + (1.0 - o.beta1) * g;
+        v[i] = o.beta2 * v[i] + (1.0 - o.beta2) * g * g;
+        const Real mhat = m[i] / bc1;
+        const Real vhat = v[i] / bc2;
+        value[i] -= o.lr * mhat / (std::sqrt(vhat) + o.eps);
       }
-    } else {
-      for (Index r = 0; r < rows; ++r) {
-        const Real* grow = node->grad.row(r);
-        bool dirty = false;
-        for (Index c = 0; c < cols; ++c) {
-          if (grow[c] != 0.0) {
-            dirty = true;
-            break;
-          }
-        }
-        if (!dirty) continue;
-        const int64_t t = ++state->row_steps[static_cast<size_t>(r)];
-        const Real bc1 = 1.0 - std::pow(options_.beta1, t);
-        const Real bc2 = 1.0 - std::pow(options_.beta2, t);
-        Real* prow = node->value.row(r);
-        Real* mrow = state->m.row(r);
-        Real* vrow = state->v.row(r);
-        for (Index c = 0; c < cols; ++c) {
-          Real g = grow[c];
-          if (options_.weight_decay != 0.0) {
-            g += options_.weight_decay * prow[c];
-          }
-          mrow[c] = options_.beta1 * mrow[c] + (1.0 - options_.beta1) * g;
-          vrow[c] = options_.beta2 * vrow[c] + (1.0 - options_.beta2) * g * g;
-          const Real mhat = mrow[c] / bc1;
-          const Real vhat = vrow[c] / bc2;
-          prow[c] -= options_.lr * mhat / (std::sqrt(vhat) + options_.eps);
-        }
-      }
+    };
+    if (!o.lazy) {
+      const int64_t t = ++state->steps;
+      ParallelFor(
+          ThreadPool::Global(), rows * cols,
+          [&](Index begin, Index end) { update(begin, end, t); },
+          ops::detail::kElementwiseGrain);
+      continue;
     }
-    node->grad.Zero();
+    // Lazy: a row whose gradient is all zero keeps its moments and step.
+    const Index row_grain = std::max<Index>(
+        1, ops::detail::kElementwiseGrain / std::max<Index>(1, cols));
+    ParallelFor(
+        ThreadPool::Global(), rows,
+        [&](Index begin, Index end) {
+          for (Index r = begin; r < end; ++r) {
+            Real* grow = grad + r * cols;
+            if (std::all_of(grow, grow + cols,
+                            [](Real g) { return g == 0.0; })) {
+              std::fill(grow, grow + cols, 0.0);  // clears -0.0 too
+              continue;
+            }
+            update(r * cols, (r + 1) * cols,
+                   ++state->row_steps[static_cast<size_t>(r)]);
+          }
+        },
+        row_grain);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "src/util/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 
 #include "src/util/env.h"
@@ -8,16 +9,54 @@
 namespace firzen {
 namespace {
 
+// Spin before parking: spans the serial gaps between a training step's kernels.
+constexpr std::chrono::microseconds kSpinBudget(200);
+constexpr int kPausesPerYield = 16;
+
 thread_local bool t_in_pool_worker = false;
-// True while the calling thread runs the shard ParallelFor keeps for it.
-thread_local bool t_in_caller_shard = false;
+thread_local bool t_in_caller_shard = false;  // running its own shard 0
+
+// Spins until done() holds or kSpinBudget passes; returns done().
+template <typename Done>
+bool SpinUntil(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (int i = 1; !done(); ++i) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+    if (i % kPausesPerYield != 0) continue;
+    std::this_thread::yield();
+    if (std::chrono::steady_clock::now() >= deadline) return done();
+  }
+  return true;
+}
 
 }  // namespace
 
+// One ParallelFor call, on the caller's stack; workers claim shards under mu_.
+struct ThreadPool::Job {
+  void RunShard(Index s) {  // keeps the first exception any shard throws
+    try {
+      fn(s * shard, std::min(n, (s + 1) * shard));
+    } catch (...) {
+      if (!failed.exchange(true)) error = std::current_exception();
+    }
+  }
+
+  const std::function<void(Index, Index)>& fn;
+  const Index n;
+  const Index shard;
+  const Index num_shards = (n + shard - 1) / shard;
+  Index next_shard = 1;  // guarded by the pool's mu_, as is `next`
+  Job* next = nullptr;
+  std::atomic<Index> unfinished{num_shards - 1};  // worker shards
+  std::atomic<bool> failed{false};
+  std::exception_ptr error{};  // written once, by whoever sets `failed`
+};
+
 ThreadPool::ThreadPool(int num_threads)
     : num_threads_(std::max(0, num_threads)) {
-  workers_.reserve(num_threads_);
-  for (int i = 0; i < num_threads_; ++i) {
+  for (int i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -27,45 +66,35 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mu_);
     stop_ = true;
   }
-  task_cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (num_threads_ == 0) {
-    task();
-    return;
-  }
-  {
-    MutexLock lock(mu_);
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_cv_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  if (num_threads_ == 0) return;
-  MutexLock lock(mu_);
-  while (in_flight_ != 0) done_cv_.Wait(lock);
 }
 
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
   for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && tasks_.empty()) task_cv_.Wait(lock);
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+    ++spinning_;
+    const bool reserved = SpinUntil([this] {
+      Index u = unclaimed_.load();
+      while (u > 0 && !unclaimed_.compare_exchange_weak(u, u - 1)) {}
+      return u > 0 || stop_.load();
+    });
+    --spinning_;
+    if (stop_.load()) return;
+    MutexLock lock(mu_);
+    if (!reserved) {  // park
+      while (unclaimed_.load() == 0 && !stop_.load()) work_cv_.Wait(lock);
+      continue;
     }
-    task();
+    Job* job = jobs_;  // a reservation guarantees a listed, unclaimed shard
+    const Index s = job->next_shard++;
+    if (job->next_shard == job->num_shards) jobs_ = job->next;
     {
-      MutexLock lock(mu_);
-      if (--in_flight_ == 0) done_cv_.NotifyAll();
+      MutexUnlock unlock(lock, mu_);
+      job->RunShard(s);
     }
+    // The caller may return once this reaches 0: `job` is dead after.
+    if (job->unfinished.fetch_sub(1) == 1) done_cv_.NotifyAll();
   }
 }
 
@@ -92,51 +121,27 @@ void ParallelFor(ThreadPool* pool, Index n,
     fn(0, n);
     return;
   }
-  const Index num_shards =
-      std::min<Index>(pool->num_threads(),
-                      (n + min_shard_size - 1) / min_shard_size);
-  const Index shard = (n + num_shards - 1) / num_shards;
-  // Per-call completion group: the caller waits for ITS shards only, not
-  // for the pool-wide queue to drain (ThreadPool::Wait). Concurrent
-  // ParallelFor callers — e.g. serving requests sharing the global pool —
-  // therefore do not block on each other's work. A shard that throws still
-  // counts as finished; the group keeps the first exception and the caller
-  // rethrows it once every shard is done, so `fn`'s captures stay alive for
-  // the shards still running and the pool worker never unwinds.
-  struct Group {
-    Mutex mu;
-    CondVar cv;
-    Index pending FIRZEN_GUARDED_BY(mu);
-    std::exception_ptr error FIRZEN_GUARDED_BY(mu);
-  };
-  Group group{{}, {}, (n + shard - 1) / shard, nullptr};
-  const auto run_shard = [&fn, &group](Index begin, Index end) {
-    std::exception_ptr error;
-    try {
-      fn(begin, end);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    MutexLock lock(group.mu);
-    if (error != nullptr && group.error == nullptr) group.error = error;
-    if (--group.pending == 0) group.cv.NotifyOne();
-  };
-  for (Index begin = shard; begin < n; begin += shard) {
-    const Index end = std::min(begin + shard, n);
-    pool->Submit([&run_shard, begin, end] { run_shard(begin, end); });
-  }
-  // The caller runs the first shard itself instead of idling until the
-  // workers finish. Like a worker, it runs nested parallel sections inline.
-  t_in_caller_shard = true;
-  run_shard(0, shard);
-  t_in_caller_shard = false;
-  std::exception_ptr error;
+  const Index max_shards = std::min<Index>(
+      pool->num_threads(), (n + min_shard_size - 1) / min_shard_size);
+  ThreadPool::Job job{fn, n, (n + max_shards - 1) / max_shards};
   {
-    MutexLock lock(group.mu);
-    while (group.pending != 0) group.cv.Wait(lock);
-    error = group.error;
+    MutexLock lock(pool->mu_);
+    ThreadPool::Job** tail = &pool->jobs_;
+    while (*tail != nullptr) tail = &(*tail)->next;
+    *tail = &job;
+    pool->unclaimed_ += job.num_shards - 1;
   }
-  if (error != nullptr) std::rethrow_exception(error);
+  // Spinners see unclaimed_ move; parked workers are woken for the rest.
+  Index wake = job.num_shards - 1 - pool->spinning_;
+  for (; wake > 0; --wake) pool->work_cv_.NotifyOne();
+  t_in_caller_shard = true;
+  job.RunShard(0);
+  t_in_caller_shard = false;
+  if (!SpinUntil([&job] { return job.unfinished.load() == 0; })) {
+    MutexLock lock(pool->mu_);
+    while (job.unfinished.load() != 0) pool->done_cv_.Wait(lock);
+  }
+  if (job.failed.load()) std::rethrow_exception(job.error);
 }
 
 }  // namespace firzen

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/graph/knn_graph.h"
@@ -478,12 +479,12 @@ TEST(KernelParityTest, SpMMAccumAndSpMMTMatchDenseReference) {
 
 TEST(KernelParityTest, TransposedIsSafeUnderConcurrentFirstUse) {
   const CsrMatrix graph = RandomSparse(300, 200, 6, 31);
-  ThreadPool pool(4);
   std::vector<const CsrMatrix*> seen(8, nullptr);
+  std::vector<std::thread> racers;
   for (size_t i = 0; i < seen.size(); ++i) {
-    pool.Submit([&graph, &seen, i] { seen[i] = &graph.Transposed(); });
+    racers.emplace_back([&graph, &seen, i] { seen[i] = &graph.Transposed(); });
   }
-  pool.Wait();
+  for (std::thread& racer : racers) racer.join();
   for (const CsrMatrix* t : seen) {
     ASSERT_EQ(t, seen[0]);  // one shared instance, no torn initialization
   }

@@ -257,8 +257,8 @@ TEST(ServingConcurrencyTest, ShardedEngineBothParallelismPlacementsBitExact) {
   const std::vector<RecRequest> requests = MixedRequests();
   const std::vector<RecResponse> want = reference.RecommendBatch(requests);
 
-  ThreadPool wide_pool(8);   // 3 shards < 8 workers -> sequential placement
-  ThreadPool narrow_pool(1);  // 3 shards >= 1 worker -> parallel placement
+  ThreadPool wide_pool(8);   // 3 shards < 8 threads -> sequential placement
+  ThreadPool narrow_pool(1);  // 3 shards >= 1 thread -> parallel placement
   for (ThreadPool* pool : {&wide_pool, &narrow_pool}) {
     ServingEngineOptions options;
     options.num_shards = 3;

@@ -1,8 +1,8 @@
 // Training determinism across thread counts: every registered model, trained
 // on one tiny synthetic world, must end in the same bits whether the global
-// pool has 1 or 4 threads. The pool is sized once per process from
-// FIRZEN_NUM_THREADS, so the test re-runs its own binary twice — once per
-// pool size — with only the disabled child case selected. The child trains
+// pool has 1, 2 or 4 threads. The pool is sized once per process from
+// FIRZEN_NUM_THREADS, so the test re-runs its own binary once per pool size
+// with only the disabled child case selected. The child trains
 // each model (Fit, then PrepareColdInference, the state firzen_cli train
 // saves), writes its .fzem, and prints one digest line per model: the
 // 64-bit FNV-1a of the .fzem bytes and of the full users x items score
@@ -166,27 +166,31 @@ std::map<std::string, std::string> ChildDigests(const std::string& child,
   return digests;
 }
 
-// Every model's digests from `child` agree between pools 1 and 4.
-void ExpectSameDigestsAtPools1And4(const std::string& child) {
+// Every model's digests from `child` agree between pools 1, 2 and 4.
+void ExpectSameDigestsAtPools1And2And4(const std::string& child) {
   ASSERT_FALSE(SelfPath().empty());
   const auto one = ChildDigests(child, 1);
-  const auto four = ChildDigests(child, 4);
-  for (const ModelInfo& info : AllModels()) {
-    ASSERT_EQ(one.count(info.name), 1u) << info.name;
-    ASSERT_EQ(four.count(info.name), 1u) << info.name;
-    EXPECT_EQ(one.at(info.name), four.at(info.name))
-        << info.name
-        << ": .fzem / score / normal-cold score digests differ between pools"
-           " 1 and 4";
+  for (int threads : {2, 4}) {
+    const auto other = ChildDigests(child, threads);
+    for (const ModelInfo& info : AllModels()) {
+      ASSERT_EQ(one.count(info.name), 1u) << info.name;
+      ASSERT_EQ(other.count(info.name), 1u) << info.name;
+      EXPECT_EQ(one.at(info.name), other.at(info.name))
+          << info.name
+          << ": .fzem / score / normal-cold score digests differ between"
+             " pools 1 and "
+          << threads;
+    }
   }
 }
 
-TEST(TrainingDeterminismTest, EveryModelTrainsToTheSameBitsAtPools1And4) {
-  ExpectSameDigestsAtPools1And4("DISABLED_PrintsModelDigests");
+TEST(TrainingDeterminismTest, EveryModelTrainsToTheSameBitsAtPools1And2And4) {
+  ExpectSameDigestsAtPools1And2And4("DISABLED_PrintsModelDigests");
 }
 
-TEST(TrainingDeterminismTest, EarlyStoppingTrainsToTheSameBitsAtPools1And4) {
-  ExpectSameDigestsAtPools1And4("DISABLED_PrintsEarlyStopDigests");
+TEST(TrainingDeterminismTest,
+     EarlyStoppingTrainsToTheSameBitsAtPools1And2And4) {
+  ExpectSameDigestsAtPools1And2And4("DISABLED_PrintsEarlyStopDigests");
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/util/env.h"
@@ -180,14 +182,98 @@ TEST(ThreadPoolTest, ParallelForRethrowsWorkerExceptionOnCaller) {
   EXPECT_EQ(covered.load(), 400);
 }
 
-TEST(ThreadPoolTest, SubmitAndWait) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+// Eight threads share one pool, each issuing calls of varied sizes that
+// interleave on the job list: every call covers its range exactly once.
+TEST(ThreadPoolTest, ManyCallersShareOnePool) {
+  ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 300;
+  std::atomic<int> bad_calls{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&pool, &bad_calls, t] {
+      for (int c = 0; c < kCalls; ++c) {
+        const Index n = 1 + (t * 131 + c * 17) % 400;
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+        ParallelFor(&pool, n, [&hits](Index begin, Index end) {
+          for (Index i = begin; i < end; ++i) {
+            hits[static_cast<size_t>(i)].fetch_add(1);
+          }
+        }, /*min_shard_size=*/8);
+        for (const auto& h : hits) {
+          if (h.load() != 1) {
+            bad_calls.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 32);
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+}
+
+// Sleeps longer than the workers' spin budget let them park between calls,
+// so each call must wake a parked worker and, when the worker's shard is
+// slow, park the caller until that shard finishes.
+TEST(ThreadPoolTest, CallsAfterIdleGapsWakeParkedWorkers) {
+  ThreadPool pool(3);
+  for (int call = 0; call < 6; ++call) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::atomic<int> covered{0};
+    std::atomic<int> on_workers{0};
+    ParallelFor(&pool, 300, [&](Index begin, Index end) {
+      if (ThreadPool::InWorker()) {
+        on_workers.fetch_add(1);
+        if (call % 2 == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+      }
+      covered.fetch_add(static_cast<int>(end - begin));
+    }, /*min_shard_size=*/100);
+    EXPECT_EQ(covered.load(), 300);
+    EXPECT_EQ(on_workers.load(), 2);
+  }
+}
+
+// A ParallelFor inside a shard runs inline on the thread that runs the
+// shard, both in the caller's shard 0 and in a worker's shard.
+TEST(ThreadPoolTest, NestedCallsRunInlineOnCallerAndWorkerShards) {
+  ThreadPool pool(2);
+  std::atomic<int> nested_inline{0};
+  std::atomic<int> nested_on_worker{0};
+  ParallelFor(&pool, 2, [&](Index begin, Index end) {
+    ASSERT_EQ(end - begin, 1);
+    const std::thread::id outer = std::this_thread::get_id();
+    const bool on_worker = ThreadPool::InWorker();
+    ParallelFor(&pool, 1000, [&](Index b, Index e) {
+      EXPECT_EQ(b, 0);
+      EXPECT_EQ(e, 1000);
+      if (std::this_thread::get_id() == outer) nested_inline.fetch_add(1);
+      if (on_worker) nested_on_worker.fetch_add(1);
+    }, /*min_shard_size=*/1);
+  }, /*min_shard_size=*/1);
+  EXPECT_EQ(nested_inline.load(), 2);
+  EXPECT_EQ(nested_on_worker.load(), 1);
+}
+
+// Pools of every small size are destroyed while their workers spin (right
+// after a call), while they are parked (after a long idle gap), and unused.
+TEST(ThreadPoolTest, ShutsDownWhileWorkersSpinOrPark) {
+  for (int round = 0; round < 20; ++round) {
+    for (int threads = 1; threads <= 4; ++threads) {
+      ThreadPool pool(threads);
+      if (round % 4 == 0) continue;
+      std::atomic<int> covered{0};
+      ParallelFor(&pool, 64, [&covered](Index begin, Index end) {
+        covered.fetch_add(static_cast<int>(end - begin));
+      }, /*min_shard_size=*/1);
+      EXPECT_EQ(covered.load(), 64);
+      if (round % 4 == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+  }
 }
 
 TEST(EnvTest, DefaultsWhenUnset) {

@@ -26,12 +26,16 @@
 #      servers, kill/stall/reconnect matrix — its server accept/handler
 #      threads and per-shard exchange threads are the race canary for the
 #      distributed tier), scorer_parity_test, kernel_parity_test,
-#      util_test (ParallelFor's worker-to-caller exception hand-off),
-#      autograd_test and optim_test (the row-sharded Gemm kernels under
-#      training's backward pass, and the optimizer), graph_test and
-#      eval_test (the kNN build's, the strict-cold expansion's and the
-#      evaluator's parallel loops), core_components_test (the knowledge
-#      attention and the SAHGL/MSHGL modules over the frozen graphs), and
+#      util_test (ParallelFor's shard dispatcher: the worker-to-caller
+#      exception hand-off, eight callers sharing one pool, calls after
+#      idle gaps that wake parked workers, nested calls inline on caller
+#      and worker shards, and pools torn down while their workers spin or
+#      park), autograd_test and optim_test (the row-sharded Gemm kernels
+#      under training's backward pass, and the sharded Adam step),
+#      graph_test and eval_test (the kNN build's, the strict-cold
+#      expansion's and the evaluator's parallel loops),
+#      core_components_test (the knowledge attention and the SAHGL/MSHGL
+#      modules over the frozen graphs), and
 #      the training smoke: firzen_test and models_test train Firzen and
 #      every baseline, whose shared epoch driver validates through the
 #      pooled evaluator inside Fit.
@@ -143,10 +147,12 @@ if [[ "${FAST}" == "0" ]]; then
   echo "== pass 3: ThreadSanitizer build + serving suites =="
   # Full-suite TSan is prohibitively slow; the serving + scorer-parity
   # binaries are where threads share one engine/scorer, so they carry the
-  # race coverage. kernel_parity and util add the pooled kernels and
-  # ParallelFor's exception hand-off from a throwing worker shard to the
-  # caller; autograd and optim run the row-sharded Gemm kernels under
-  # training's backward pass; graph and eval run the kNN build's parallel
+  # race coverage. kernel_parity and util add the pooled kernels and the
+  # ParallelFor dispatcher's stress cases (exception hand-off from a
+  # worker shard, many callers on one pool, park-and-wake after idle gaps,
+  # nested inline calls, shutdown while workers spin or park); autograd and
+  # optim run the row-sharded Gemm kernels under training's backward pass
+  # and the sharded Adam step; graph and eval run the kNN build's parallel
   # query blocks and the evaluator's parallel selection and metric loops;
   # core_components the knowledge attention and the modules that propagate
   # over the frozen graphs.
