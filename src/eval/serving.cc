@@ -1,6 +1,7 @@
 #include "src/eval/serving.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "src/eval/serving_internal.h"
@@ -42,8 +43,8 @@ std::vector<PreparedRequest> PrepareRequests(
         FIRZEN_CHECK_LT(item, num_items);
       }
       // Deduplicate: each pool item is ranked once no matter how often the
-      // request lists it, and the sorted copy doubles as the membership
-      // filter for the union stream in RankRequestsInRange.
+      // request lists it, and the sorted copy is what PrepareBatch groups
+      // requests by.
       p.pool_sorted = request.candidates;
       std::sort(p.pool_sorted.begin(), p.pool_sorted.end());
       p.pool_sorted.erase(
@@ -74,80 +75,46 @@ PreparedBatch PrepareBatch(const std::vector<RecRequest>& requests,
   batch.requests = PrepareRequests(requests, state, num_items);
 
   // Requests over the full catalog share one fused score-and-rank stream
-  // per range; explicit candidate pools follow the plan below.
-  size_t total_entries = 0;
+  // per range. Explicit-pool requests whose deduplicated pool equals that
+  // of the previous explicit-pool request join its group, and a group
+  // scores only its own pool, so no cell a request did not ask for is ever
+  // scored.
   for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].candidates.empty()) {
+    const std::vector<Index>& pool = batch.requests[i].pool_sorted;
+    if (pool.empty()) {
       batch.streamed.push_back(i);
       batch.streamed_users.push_back(requests[i].user);
+    } else if (!batch.groups.empty() &&
+               batch.requests[batch.groups.back()[0]].pool_sorted == pool) {
+      batch.groups.back().push_back(i);
+      batch.group_users.back().push_back(requests[i].user);
     } else {
-      batch.explicit_idx.push_back(i);
-      total_entries += batch.requests[i].pool_sorted.size();
-    }
-  }
-  if (batch.explicit_idx.empty()) return batch;
-
-  // Unequal explicit pools batch by streaming the sorted union of all
-  // pools — one batched gather/Gemm per chunk instead of one scoring call
-  // per request. When the pools barely overlap the union costs
-  // O(requests * |union|) score cells against O(sum of pool sizes) for
-  // per-group scoring, so a waste bound gates it: past kUnionWasteFactor
-  // we fall back to grouping requests with identical pools (the TopKBatch
-  // shim's shape, which under the union is free anyway: union == pool).
-  // Identical pools: union cost == grouped cost (ratio 1). Disjoint pools:
-  // union scores ~|requests|x more cells than asked for.
-  for (size_t i : batch.explicit_idx) {
-    batch.union_items.insert(batch.union_items.end(),
-                             batch.requests[i].pool_sorted.begin(),
-                             batch.requests[i].pool_sorted.end());
-    batch.union_users.push_back(requests[i].user);
-  }
-  std::sort(batch.union_items.begin(), batch.union_items.end());
-  batch.union_items.erase(
-      std::unique(batch.union_items.begin(), batch.union_items.end()),
-      batch.union_items.end());
-  constexpr size_t kUnionWasteFactor = 4;
-  batch.use_union = batch.union_items.size() * batch.explicit_idx.size() <=
-                    kUnionWasteFactor * total_entries;
-  if (!batch.use_union) {
-    batch.union_items.clear();
-    batch.union_users.clear();
-    // Consecutive requests with identical (deduplicated) pools score as
-    // one group; every chunk item is then in every grouped pool.
-    for (size_t g0 = 0; g0 < batch.explicit_idx.size();) {
-      const std::vector<Index>& pool =
-          batch.requests[batch.explicit_idx[g0]].pool_sorted;
-      size_t g1 = g0 + 1;
-      while (g1 < batch.explicit_idx.size() &&
-             batch.requests[batch.explicit_idx[g1]].pool_sorted == pool) {
-        ++g1;
-      }
-      batch.groups.emplace_back(batch.explicit_idx.begin() + g0,
-                                batch.explicit_idx.begin() + g1);
-      batch.group_users.emplace_back();
-      for (size_t s = g0; s < g1; ++s) {
-        batch.group_users.back().push_back(
-            requests[batch.explicit_idx[s]].user);
-      }
-      g0 = g1;
+      batch.groups.push_back({i});
+      batch.group_users.push_back({requests[i].user});
     }
   }
   return batch;
 }
 
-void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
-                         const std::vector<RecRequest>& requests,
-                         const PreparedBatch& batch,
-                         const ServingSharedState& state, Index item_block,
-                         ThreadPool* pool, ArenaPool* arenas,
-                         std::vector<TopKHeap>* heaps) {
+std::vector<TopKHeap> RankRequestsInRange(
+    const Scorer& scorer, ItemBlock range,
+    const std::vector<RecRequest>& requests, const PreparedBatch& batch,
+    const ServingSharedState& state, Index item_block, ThreadPool* pool,
+    ArenaPool* arenas) {
   const std::vector<PreparedRequest>& prepared = batch.requests;
   FIRZEN_CHECK_EQ(static_cast<Index>(prepared.size()),
                   static_cast<Index>(requests.size()));
-  FIRZEN_CHECK_EQ(static_cast<Index>(heaps->size()),
-                  static_cast<Index>(requests.size()));
-  FIRZEN_CHECK_EQ(scorer.num_items(), range.size());
-  if (requests.empty() || range.size() == 0) return;
+  FIRZEN_CHECK_GE(range.begin, 0);
+  FIRZEN_CHECK_LE(range.begin, range.end);
+  FIRZEN_CHECK_LE(range.end, scorer.num_items());
+  // A heap can retain no more items than its range holds, so none reserves
+  // past that, however large k is.
+  std::vector<TopKHeap> heaps;
+  heaps.reserve(requests.size());
+  for (const RecRequest& request : requests) {
+    heaps.emplace_back(std::min(request.k, std::max<Index>(range.size(), 1)));
+  }
+  if (requests.empty() || range.size() == 0) return heaps;
   const std::vector<bool>& is_cold = state.is_cold;
 
   if (!batch.streamed.empty()) {
@@ -169,8 +136,6 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
         pool, num_tiles,
         [&](Index tile_begin, Index tile_end) {
           const ArenaPool::Lease arena = arenas->Acquire();
-          // A worker can retain no more items than its tiles hold, so its
-          // heaps never reserve past that, however large k is.
           const Index shard_items =
               std::min(tile_end * item_block, range.size()) -
               tile_begin * item_block;
@@ -182,9 +147,9 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
           }
           Matrix panel;  // streamed.size() x item_block, reused per tile
           for (Index t = tile_begin; t < tile_end; ++t) {
-            // Local view coordinates; global id = range.begin + local id.
-            const ItemBlock tile{t * item_block,
-                                 std::min((t + 1) * item_block, range.size())};
+            const ItemBlock tile{
+                range.begin + t * item_block,
+                std::min(range.begin + (t + 1) * item_block, range.end)};
             panel.ResizeUninitialized(static_cast<Index>(users.size()),
                                       tile.size());
             scorer.ScoreBlock(users, tile, MatrixView(&panel), arena.get());
@@ -196,8 +161,7 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
               // its floor, and the exclusion search and cold lookup run
               // only for items that pass the threshold (SelectTopK).
               SelectTopK(
-                  panel.row(static_cast<Index>(r)), tile.size(),
-                  range.begin + tile.begin,
+                  panel.row(static_cast<Index>(r)), tile.size(), tile.begin,
                   [&](Index item) {
                     return (!request.cold_only ||
                             is_cold[static_cast<size_t>(item)]) &&
@@ -210,48 +174,36 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
         /*min_shard_size=*/1);
     for (std::vector<TopKHeap>& local : shard_heaps) {
       for (size_t r = 0; r < local.size(); ++r) {
-        TopKHeap& heap = (*heaps)[batch.streamed[r]];
+        TopKHeap& heap = heaps[batch.streamed[r]];
         for (const ScoredItem& e : local[r].Sorted()) {
           heap.Push(e.item, e.score);
         }
       }
     }
   }
-  if (batch.explicit_idx.empty()) return;
+  if (batch.groups.empty()) return heaps;
 
-  // Explicit pools: execute the batch plan over this range. Streams the
-  // in-range slice of `pool_items` (global ids, sorted) in bounded chunks
-  // for the requests named by `idxs`, scoring each chunk once for all of
-  // them with exactly the planned user batch — including requests whose
-  // pool misses this range entirely, so the batch (and its per-cell
-  // rounding) never depends on the range. `filter` = chunk items may be
-  // outside a request's own pool and must be membership-checked (union
-  // mode only).
+  // Explicit pools: each group streams the in-range slice of its sorted
+  // pool in item_block-bounded chunks, scoring each chunk once for the
+  // group's whole user batch. Every chunk item is in every grouped pool.
   const ArenaPool::Lease arena = arenas->Acquire();
   Matrix chunk_scores;
-  std::vector<Index> chunk_local;
-  const auto stream_pool = [&](const std::vector<Index>& pool_items,
-                               const std::vector<size_t>& idxs,
-                               const std::vector<Index>& users, bool filter) {
-    const size_t slice_begin = static_cast<size_t>(
-        std::lower_bound(pool_items.begin(), pool_items.end(), range.begin) -
-        pool_items.begin());
-    const size_t slice_end = static_cast<size_t>(
-        std::lower_bound(pool_items.begin() + slice_begin, pool_items.end(),
-                         range.end) -
-        pool_items.begin());
-    if (slice_begin == slice_end) return;  // nothing in this range
-    for (size_t begin = slice_begin; begin < slice_end;
-         begin += static_cast<size_t>(item_block)) {
-      const size_t end =
-          std::min(begin + static_cast<size_t>(item_block), slice_end);
-      chunk_local.clear();
-      for (size_t j = begin; j < end; ++j) {
-        chunk_local.push_back(pool_items[j] - range.begin);
-      }
+  std::vector<Index> chunk;
+  for (size_t g = 0; g < batch.groups.size(); ++g) {
+    const std::vector<size_t>& idxs = batch.groups[g];
+    const std::vector<Index>& users = batch.group_users[g];
+    const std::vector<Index>& pool_items = prepared[idxs[0]].pool_sorted;
+    const auto slice_begin =
+        std::lower_bound(pool_items.begin(), pool_items.end(), range.begin);
+    const auto slice_end =
+        std::lower_bound(slice_begin, pool_items.end(), range.end);
+    for (auto begin = slice_begin; begin != slice_end;
+         begin += static_cast<ptrdiff_t>(chunk.size())) {
+      chunk.assign(begin,
+                   begin + std::min<ptrdiff_t>(item_block, slice_end - begin));
       chunk_scores.ResizeUninitialized(static_cast<Index>(users.size()),
-                                       static_cast<Index>(chunk_local.size()));
-      scorer.ScoreCandidates(users, chunk_local, MatrixView(&chunk_scores),
+                                       static_cast<Index>(chunk.size()));
+      scorer.ScoreCandidates(users, chunk, MatrixView(&chunk_scores),
                              arena.get());
       ParallelFor(
           pool, static_cast<Index>(idxs.size()),
@@ -260,40 +212,25 @@ void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
               const size_t idx = idxs[static_cast<size_t>(r)];
               const RecRequest& request = requests[idx];
               const PreparedRequest& p = prepared[idx];
-              TopKHeap& heap = (*heaps)[idx];
+              TopKHeap& heap = heaps[idx];
               const Real* row = chunk_scores.row(r);
-              for (size_t j = begin; j < end; ++j) {
-                const Index item = pool_items[j];
-                const Real score = row[j - begin];
+              for (size_t j = 0; j < chunk.size(); ++j) {
+                const Index item = chunk[j];
                 // Threshold first, as in the streamed pass above.
-                if (!heap.MightAccept(item, score)) continue;
-                if (filter &&
-                    !std::binary_search(p.pool_sorted.begin(),
-                                        p.pool_sorted.end(), item)) {
-                  continue;
-                }
+                if (!heap.MightAccept(item, row[j])) continue;
                 if (request.cold_only &&
                     !is_cold[static_cast<size_t>(item)]) {
                   continue;
                 }
                 if (Excluded(p, item)) continue;
-                heap.Push(item, score);
+                heap.Push(item, row[j]);
               }
             }
           },
           /*min_shard_size=*/8);
     }
-  };
-
-  if (batch.use_union) {
-    stream_pool(batch.union_items, batch.explicit_idx, batch.union_users,
-                /*filter=*/true);
-  } else {
-    for (size_t g = 0; g < batch.groups.size(); ++g) {
-      stream_pool(prepared[batch.groups[g][0]].pool_sorted, batch.groups[g],
-                  batch.group_users[g], /*filter=*/false);
-    }
   }
+  return heaps;
 }
 
 }  // namespace serving_internal
@@ -389,12 +326,6 @@ std::vector<RecResponse> ServingEngine::RecommendBatch(
   // count.
   const serving_internal::PreparedBatch batch =
       serving_internal::PrepareBatch(requests, *state_, num_items_);
-  const auto make_heaps = [&requests] {
-    std::vector<TopKHeap> heaps;
-    heaps.reserve(requests.size());
-    for (const RecRequest& request : requests) heaps.emplace_back(request.k);
-    return heaps;
-  };
   const auto respond = [&](size_t i, const std::vector<ScoredItem>& top) {
     responses[i].user = requests[i].user;
     responses[i].items.reserve(top.size());
@@ -402,15 +333,17 @@ std::vector<RecResponse> ServingEngine::RecommendBatch(
       responses[i].items.push_back({e.item, e.score});
     }
   };
+  const auto rank_range = [&](ItemBlock range) {
+    return serving_internal::RankRequestsInRange(
+        *scorer_, range, requests, batch, *state_, options_.item_block,
+        options_.pool, &arenas_);
+  };
 
   const Index num_shards = static_cast<Index>(ranges_.size());
   if (num_shards == 1) {
-    // Unsharded: the base scorer ranks the whole catalog as one range
-    // straight into the response heaps — no view, no merge.
-    std::vector<TopKHeap> heaps = make_heaps();
-    serving_internal::RankRequestsInRange(
-        *scorer_, {0, num_items_}, requests, batch, *state_,
-        options_.item_block, options_.pool, &arenas_, &heaps);
+    // Unsharded: the whole catalog is one range, ranked straight into the
+    // response heaps — no merge.
+    std::vector<TopKHeap> heaps = rank_range({0, num_items_});
     for (size_t i = 0; i < requests.size(); ++i) respond(i, heaps[i].Sorted());
     return responses;
   }
@@ -420,7 +353,6 @@ std::vector<RecResponse> ServingEngine::RecommendBatch(
   // disjoint item slices in parallel.
   std::vector<std::vector<TopKHeap>> shard_heaps(
       static_cast<size_t>(num_shards));
-  for (std::vector<TopKHeap>& heaps : shard_heaps) heaps = make_heaps();
 
   // Where the parallelism goes is a throughput choice only — per-shard
   // heaps are disjoint and per-cell scores partition-invariant, so both
@@ -431,11 +363,8 @@ std::vector<RecResponse> ServingEngine::RecommendBatch(
   // its item tiles across the pool. Either way every worker leases its own
   // arena from arenas_.
   const auto rank_shard = [&](Index s) {
-    const ItemBlock range = ranges_[static_cast<size_t>(s)];
-    const ItemRangeScorer view(scorer_.get(), range.begin, range.end);
-    serving_internal::RankRequestsInRange(
-        view, range, requests, batch, *state_, options_.item_block,
-        options_.pool, &arenas_, &shard_heaps[static_cast<size_t>(s)]);
+    shard_heaps[static_cast<size_t>(s)] =
+        rank_range(ranges_[static_cast<size_t>(s)]);
   };
   if (num_shards >= static_cast<Index>(options_.pool->num_threads())) {
     ParallelFor(

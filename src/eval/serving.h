@@ -6,12 +6,11 @@
 // full users x items score matrix never materializes.
 //
 // Sharding is an option (ServingEngineOptions::num_shards / boundaries):
-// the item id space splits into contiguous ranges, each range ranks through
-// a zero-copy ItemRangeScorer view of the one minted scorer into its own
-// heaps, and the per-range top-K lists merge under RanksBefore
-// (MergeTopK, src/eval/sharded_serving.h). Responses are bit-identical for
-// any shard layout; one range runs the unsharded path with no view and no
-// merge. The ranking core itself lives in src/eval/serving_internal.h.
+// the item id space splits into contiguous ranges, the one minted scorer
+// ranks each range in global item ids into its own heaps, and the
+// per-range top-K lists merge under RanksBefore (MergeTopK,
+// src/eval/sharded_serving.h). Responses are bit-identical for any shard
+// layout; one range runs the unsharded path with no merge. The ranking core itself lives in src/eval/serving_internal.h.
 //
 // Thread safety: one ServingEngine safely serves any number of concurrent
 // request threads. The scorer is shared (it is logically const; per-call
@@ -146,8 +145,8 @@ struct ServingEngineOptions {
   /// Numeric tier for the minted scorer (model-based constructor only; an
   /// explicitly passed scorer keeps its own). kInt8 scores through the
   /// quantized catalog (docs/quantization.md); models without a factorized
-  /// path silently keep fp32. Every shard scores through views of the one
-  /// scorer, so for a fixed precision + SIMD tier + catalog, responses stay
+  /// path silently keep fp32. Every shard scores through the one scorer,
+  /// so for a fixed precision + SIMD tier + catalog, responses stay
   /// bit-identical across shard layouts, batch sizes, and thread counts —
   /// the quant suites pin this.
   ScoringPrecision precision = ScoringPrecision::kFp32;
@@ -211,11 +210,11 @@ class ServingEngine {
 
   /// Answers every request, preserving order, on the calling thread (and
   /// the pool). Requests over the full catalog share one fused
-  /// score-and-rank stream; requests with explicit (possibly unequal)
-  /// candidate pools are batched by streaming the sorted union of their
-  /// pools in bounded chunks — one batched scoring call per chunk instead
-  /// of one per request. With several shards, every shard ranks its slice
-  /// into its own heaps and the per-shard lists merge under RanksBefore.
+  /// score-and-rank stream; consecutive requests with identical explicit
+  /// candidate pools score as one group over that pool in bounded chunks,
+  /// so no request's cells are scored outside its own pool. With several
+  /// shards, every shard ranks its slice into its own heaps and the
+  /// per-shard lists merge under RanksBefore.
   std::vector<RecResponse> RecommendBatch(
       const std::vector<RecRequest>& requests) const;
 
@@ -243,7 +242,7 @@ class ServingEngine {
   /// options, defaults the pool, and lays out the shards.
   void Init();
 
-  std::unique_ptr<const Scorer> scorer_;  // shard views borrow it per call
+  std::unique_ptr<const Scorer> scorer_;
   Index num_items_ = 0;
   std::shared_ptr<const ServingSharedState> state_;
   ServingEngineOptions options_;

@@ -1,9 +1,9 @@
 // Shared request-resolution and fused score-and-rank machinery behind
 // ServingEngine and the shard server. Requests are resolved once
 // (exclusion lists, deduplicated candidate pools — all in GLOBAL item ids),
-// then RankRequestsInRange runs over one or many item ranges: an unsharded
-// engine passes its base scorer over the whole catalog, a sharded engine
-// passes one ItemRangeScorer view per shard. One implementation, exercised
+// then RankRequestsInRange runs the one base scorer over one or many global
+// item ranges: an unsharded engine passes the whole catalog, a sharded
+// engine one range per shard. One implementation, exercised
 // by every serving path, is what keeps the shard-invariance contract
 // ("bit-identical responses for any shard count") enforceable — shard
 // layouts cannot drift apart in exclusion, dedup, cold-shelf, or
@@ -50,62 +50,51 @@ std::vector<PreparedRequest> PrepareRequests(
     Index num_items);
 
 /// The whole batch resolved once: per-request state plus the batching plan
-/// every item range executes — which requests stream the full catalog
-/// (and their user batch), and how explicit pools are scored: one union
-/// stream over all explicit requests, or per-identical-pool groups when
-/// the union would waste more than kUnionWasteFactor cells (barely
-/// overlapping pools). The plan is derived ONLY from the full request
-/// batch, never from any item range: it is paid once for any number of
-/// shards, and a range-independent plan keeps the per-shard work streams
-/// structurally identical. (Scores themselves are batch-size-invariant —
-/// the Gemm A * B^T contract in src/tensor/matrix.h — so shard layout
-/// could not bend a bit even if the user batches differed; the fixed plan
-/// is a cost/clarity invariant.)
+/// every item range executes. Full-catalog requests stream together (one
+/// user batch); explicit-pool requests form groups, each a run of
+/// requests whose deduplicated pool equals the previous explicit-pool
+/// request's, and a group scores only its own pool. The plan is derived
+/// ONLY from the full request batch, never from any item range: it is paid
+/// once for any number of shards. (Scores themselves are
+/// batch-size-invariant — the Gemm A * B^T contract in
+/// src/tensor/matrix.h — so the plan is a cost choice, never a bit.)
 struct PreparedBatch {
   std::vector<PreparedRequest> requests;  // parallels the RecRequest batch
   std::vector<size_t> streamed;           // full-catalog request indices
   std::vector<Index> streamed_users;
-  bool use_union = false;
-  std::vector<size_t> explicit_idx;  // all explicit-pool request indices
-  std::vector<Index> union_items;    // sorted unique union (union mode)
-  std::vector<Index> union_users;    // user batch for the union stream
-  std::vector<std::vector<size_t>> groups;       // grouped mode: indices
-  std::vector<std::vector<Index>> group_users;   // user batch per group
+  std::vector<std::vector<size_t>> groups;      // explicit-pool indices
+  std::vector<std::vector<Index>> group_users;  // user batch per group
 };
 
 /// Builds the shard-invariant plan above.
 PreparedBatch PrepareBatch(const std::vector<RecRequest>& requests,
                            const ServingSharedState& state, Index num_items);
 
-/// Scores the global item range [range.begin, range.end) for every request
-/// and pushes each eligible item into (*heaps)[i] keyed by GLOBAL item id.
-/// `scorer` is a view whose local item j is global item range.begin + j —
-/// the base scorer itself when the range spans the whole catalog, an
-/// ItemRangeScorer for a shard.
+/// Scores the global item range [range.begin, range.end) of `scorer`'s
+/// catalog for every request and returns one heap per request holding its
+/// top-k in that range, keyed by GLOBAL item id. Each heap is sized
+/// min(k, range.size()), so a huge k reserves no more than the range holds.
 ///
 /// Full-catalog requests share one fused pass: a ParallelFor over
 /// `item_block`-wide item tiles in which each worker scores its tiles for
 /// the whole streamed user batch and selects into worker-local heaps, which
-/// are then merged into `heaps`. Explicit pools execute `batch`'s plan
-/// restricted to the range: the in-range slice of the union (or of each
-/// group's pool) streams in `item_block`-bounded chunks while the user
-/// batches stay exactly as planned. Per-cell scores are batch- and
-/// partition-invariant and the heaps retain a unique top-k under
-/// RanksBefore, so ranking a catalog as one range or as many disjoint
-/// ranges, in any tile width, on any pool, retains exactly the same
-/// candidates at the same scores.
+/// are then merged. Each explicit-pool group streams the in-range slice of
+/// its pool in `item_block`-bounded chunks for the group's user batch.
+/// Per-cell scores are batch- and partition-invariant and the heaps retain
+/// a unique top-k under RanksBefore, so ranking a catalog as one range or
+/// as many disjoint ranges, in any tile width, on any pool, retains exactly
+/// the same candidates at the same scores.
 ///
 /// `arenas` supplies the scoring scratch: every worker of the fused pass
-/// leases its own arena, and the explicit-pool plan leases one. `pool`
+/// leases its own arena, and the explicit-pool groups lease one. `pool`
 /// runs the fused pass and the explicit-pool heap loops (nullptr =
 /// inline). An exception thrown by the scorer on any worker reaches the
-/// caller (see ParallelFor). heaps->size() must equal requests.size().
-void RankRequestsInRange(const Scorer& scorer, ItemBlock range,
-                         const std::vector<RecRequest>& requests,
-                         const PreparedBatch& batch,
-                         const ServingSharedState& state, Index item_block,
-                         ThreadPool* pool, ArenaPool* arenas,
-                         std::vector<TopKHeap>* heaps);
+/// caller (see ParallelFor).
+std::vector<TopKHeap> RankRequestsInRange(
+    const Scorer& scorer, ItemBlock range,
+    const std::vector<RecRequest>& requests, const PreparedBatch& batch,
+    const ServingSharedState& state, Index item_block, ThreadPool* pool,
+    ArenaPool* arenas);
 
 }  // namespace serving_internal
 }  // namespace firzen

@@ -10,15 +10,14 @@
 namespace firzen {
 namespace {
 
-// Warm-validation MRR@20 of the given final embeddings.
-Real ValidationMrr(const Dataset& dataset, const Matrix& user_emb,
-                   const Matrix& item_emb, ThreadPool* pool) {
+// Warm-validation MRR@20 of the scorer `model` serves with.
+Real ValidationMrr(const Recommender& model, const Dataset& dataset,
+                   ThreadPool* pool) {
   if (dataset.warm_val.empty()) return 0.0;
-  const DotProductScorer scorer(user_emb, item_emb);
   EvalOptions options;
   options.pool = pool;
   return EvaluateRanking(dataset, dataset.warm_val, EvalSetting::kWarm,
-                         scorer, options)
+                         *model.MakeScorer(ScoringPrecision::kFp32), options)
       .metrics.mrr;
 }
 
@@ -60,10 +59,7 @@ void EmbeddingModel::RunEpochs(const Dataset& dataset,
     if (loop.end_epoch) loop.end_epoch();
     if ((epoch + 1) % options.eval_every != 0) continue;
     loop.compute_final();
-    const Real mrr =
-        loop.validate
-            ? loop.validate()
-            : ValidationMrr(dataset, final_user_, final_item_, options.pool);
+    const Real mrr = ValidationMrr(*this, dataset, options.pool);
     const bool stop = stopper.Update(mrr);
     if (loop.keep_best && stopper.improved()) {
       if (loop.save_best) {

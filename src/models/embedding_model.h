@@ -3,11 +3,12 @@
 //
 // RunEpochs is the epoch driver: it draws BPR batches from one BprSampler
 // (seeded options.seed + 1), sums the step losses, validates warm MRR@20
-// every options.eval_every epochs, stops on options.patience, and ends on
-// the best validated state. A model's Fit initializes its parameters, then
-// hands RunEpochs an EpochLoop: its step body and how it computes its final
-// tables, plus optional hooks at the start and end of each epoch, a custom
-// validation metric, a custom best-state snapshot and a log-line suffix.
+// through the model's own MakeScorer() every options.eval_every epochs,
+// stops on options.patience, and ends on the best validated state. A
+// model's Fit initializes its parameters, then hands RunEpochs an
+// EpochLoop: its step body and how it computes its final tables, plus
+// optional hooks at the start and end of each epoch, a custom best-state
+// snapshot and a log-line suffix.
 // The base also holds the loss helpers the step bodies share (BPR loss,
 // batch L2).
 //
@@ -61,16 +62,13 @@ class EmbeddingModel : public Recommender {
   struct EpochLoop {
     /// One optimization step on `batch`; returns the step's loss.
     std::function<Real(const BprBatch& batch)> step;
-    /// Writes final_user_ and final_item_ from the current parameters: before
-    /// each validation and once after the last epoch.
+    /// Writes the tables MakeScorer() reads from the current parameters:
+    /// before each validation and once after the last epoch.
     std::function<void()> compute_final;
     /// Runs at the start of each epoch, before its first step.
     std::function<void(int epoch)> begin_epoch;
     /// Runs after each epoch's steps, before its validation.
     std::function<void()> end_epoch;
-    /// The early-stopping metric, read after compute_final. Default: warm
-    /// validation MRR@20 of final_user_ . final_item_.
-    std::function<Real()> validate;
     /// Whether the run ends on the best validated state (true) or the last.
     bool keep_best = true;
     /// Copy and bring back the best state. Default: final_user_ and

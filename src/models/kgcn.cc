@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-// Known back-edge: training-time validation metrics (see registry.h).
-// firzen-lint: allow(include-layering)
-#include "src/eval/evaluator.h"
 #include "src/tensor/init.h"
 #include "src/tensor/optim.h"
 #include "src/util/check.h"
@@ -123,7 +120,6 @@ void Kgcn::Fit(const Dataset& dataset, const TrainOptions& options) {
     bias_ = bias.value();
     publish();
   };
-  loop.validate = [&] { return ScoreValidationMrr(dataset, options.pool); };
   // The best state is the five tables the scorer reads, not final_*.
   Matrix best_user;
   Matrix best_entity;
@@ -312,17 +308,6 @@ Matrix Kgcn::ItemEmbeddings() const {
     for (Index c = 0; c < dim_; ++c) out(i, c) = entity_emb_(i, c);
   }
   return out;
-}
-
-Real Kgcn::ScoreValidationMrr(const Dataset& dataset,
-                              ThreadPool* pool) const {
-  if (dataset.warm_val.empty()) return 0.0;
-  const auto scorer = MakeScorer();
-  EvalOptions options;
-  options.pool = pool;
-  return EvaluateRanking(dataset, dataset.warm_val, EvalSetting::kWarm,
-                         *scorer, options)
-      .metrics.mrr;
 }
 
 }  // namespace firzen

@@ -47,8 +47,6 @@ class Kgcn : public EmbeddingModel {
   virtual Real SmoothnessWeight() const { return 0.0; }
 
  private:
-  Real ScoreValidationMrr(const Dataset& dataset, ThreadPool* pool) const;
-
   Options kgcn_options_;
   // Frozen neighbor samples per item (tails and relations, S per item).
   std::vector<Index> neighbor_tails_;

@@ -1,10 +1,10 @@
 #include "src/models/mmssl.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "src/core/discriminator.h"
+#include "src/core/losses.h"
 #include "src/graph/interaction_graph.h"
 #include "src/models/lightgcn.h"
 #include "src/models/mm_common.h"
@@ -110,44 +110,9 @@ void Mmssl::Fit(const Dataset& dataset, const TrainOptions& options) {
     const std::vector<Index> adv_items = batch.sampler->SampleWarmItems(adv_b);
     // Observed block with Gumbel augmentation + auxiliary cosine signal
     // (Eq. 23), treated as the "real" sample (constant).
-    Matrix real_block(adv_b, adv_b);
-    for (Index r = 0; r < adv_b; ++r) {
-      const auto& seen = train_sets[static_cast<size_t>(adv_users[r])];
-      Real max_v = -1e30;
-      std::vector<Real> row(static_cast<size_t>(adv_b));
-      for (Index c = 0; c < adv_b; ++c) {
-        const Real y = seen.count(adv_items[c]) > 0 ? 1.0 : 0.0;
-        row[static_cast<size_t>(c)] =
-            (y + adv_rng.Gumbel() * 0.1) / options_.temperature;
-        max_v = std::max(max_v, row[static_cast<size_t>(c)]);
-      }
-      Real denom = 0.0;
-      for (Index c = 0; c < adv_b; ++c) {
-        row[static_cast<size_t>(c)] =
-            std::exp(row[static_cast<size_t>(c)] - max_v);
-        denom += row[static_cast<size_t>(c)];
-      }
-      for (Index c = 0; c < adv_b; ++c) {
-        Real phi = 0.0;
-        const Real* eu = final_user_.empty()
-                             ? nullptr
-                             : final_user_.row(adv_users[r]);
-        if (eu != nullptr) {
-          const Real* ei = final_item_.row(adv_items[c]);
-          Real nu = 0.0;
-          Real ni = 0.0;
-          for (Index k = 0; k < final_user_.cols(); ++k) {
-            phi += eu[k] * ei[k];
-            nu += eu[k] * eu[k];
-            ni += ei[k] * ei[k];
-          }
-          phi /= std::sqrt(nu * ni) + 1e-12;
-        }
-        real_block(r, c) = row[static_cast<size_t>(c)] / denom +
-                           options_.aux_weight * phi;
-      }
-    }
-    Tensor real = Tensor::Constant(real_block);
+    Tensor real = Tensor::Constant(BuildAugmentedBlock(
+        adv_users, adv_items, train_sets, final_user_, final_item_,
+        options_.temperature, options_.aux_weight, &adv_rng));
 
     // Fake block from modality features (Eq. 22), one modality per step.
     const size_t m = static_cast<size_t>(batch.step) % modal_features.size();

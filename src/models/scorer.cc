@@ -202,51 +202,4 @@ void DotProductScorer::ScoreCandidates(const std::vector<Index>& users,
          arena->candidate_rows.rows(), out, pool_);
 }
 
-ItemRangeScorer::ItemRangeScorer(const Scorer* base, Index item_begin,
-                                 Index item_end)
-    : base_(base), item_begin_(item_begin), item_end_(item_end) {
-  FIRZEN_CHECK(base != nullptr);
-  FIRZEN_CHECK_GE(item_begin, 0);
-  FIRZEN_CHECK_LE(item_begin, item_end);
-  FIRZEN_CHECK_LE(item_end, base->num_items());
-}
-
-void ItemRangeScorer::ScoreBlock(const std::vector<Index>& users,
-                                 ItemBlock block, MatrixView out,
-                                 ScoringArena* arena) const {
-  CheckBlock(block, num_items());
-  base_->ScoreBlock(users,
-                    {block.begin + item_begin_, block.end + item_begin_}, out,
-                    arena);
-}
-
-void ItemRangeScorer::ScoreCandidates(const std::vector<Index>& users,
-                                      const std::vector<Index>& candidates,
-                                      MatrixView out,
-                                      ScoringArena* arena) const {
-  FIRZEN_CHECK(arena != nullptr);
-  // Translate into the arena's transient buffer — no allocation in the
-  // per-chunk hot path once its capacity has grown. When `candidates` IS
-  // that buffer (a view stacked on another view, same arena), translate in
-  // place instead of clearing the input out from under ourselves; each
-  // nesting level just adds its own offset.
-  std::vector<Index>& global = arena->translated_ids;
-  if (&candidates == &global) {
-    for (Index& id : global) {
-      FIRZEN_CHECK_GE(id, 0);
-      FIRZEN_CHECK_LT(id, num_items());
-      id += item_begin_;
-    }
-  } else {
-    global.clear();
-    global.reserve(candidates.size());
-    for (Index local : candidates) {
-      FIRZEN_CHECK_GE(local, 0);
-      FIRZEN_CHECK_LT(local, num_items());
-      global.push_back(local + item_begin_);
-    }
-  }
-  base_->ScoreCandidates(users, global, out, arena);
-}
-
 }  // namespace firzen

@@ -82,9 +82,6 @@ class ScoringArena {
   Matrix user_batch;                // gathered user rows (DotProductScorer)
   Matrix candidate_rows;            // gathered candidate rows
   Matrix rel_logits;                // per-user relation logits (KGCN)
-  // Transient per-call id-translation buffer (ItemRangeScorer): valid only
-  // within one call, never cached across calls.
-  std::vector<Index> translated_ids;
   // Int8 scoring scratch (DotProductScorer in kInt8 mode). The quantized
   // user batch is cached under `cached_users` exactly like `user_batch`;
   // the candidate-side buffers are per-call gathers of catalog rows.
@@ -227,47 +224,6 @@ class DotProductScorer : public Scorer {
   ThreadPool* pool_;
   ScoringPrecision precision_;
   QuantizedMatrix quant_items_;  // built at mint time in kInt8 mode
-};
-
-/// Item-range-restricted view of a base scorer: presents the contiguous
-/// global item range [item_begin, item_end) as a shard-local catalog of
-/// size item_end - item_begin (local item j = global item item_begin + j).
-/// This is the per-shard scoring handle behind a sharded ServingEngine and
-/// the shard server: one base scorer is minted once, then each catalog
-/// shard gets a zero-copy view over its slice, so sibling shards share the
-/// mint-time work (entity projections, embedding tables) and only
-/// translate coordinates.
-///
-/// Every call delegates to the base scorer, so per-item scores are
-/// bit-identical to scoring the same global items through the base directly
-/// — the property the sharded top-K merge relies on. The view is as
-/// thread-safe as its base: logically const, scratch in the caller's arena
-/// (arena caches key to the BASE scorer, so one arena may be reused across
-/// sibling views of the same base without invalidation). The base scorer
-/// must outlive the view.
-class ItemRangeScorer : public Scorer {
- public:
-  /// Requires 0 <= item_begin <= item_end <= base->num_items().
-  ItemRangeScorer(const Scorer* base, Index item_begin, Index item_end);
-
-  Index num_items() const override { return item_end_ - item_begin_; }
-  Index item_begin() const { return item_begin_; }
-  Index item_end() const { return item_end_; }
-
-  /// `block` is in LOCAL coordinates ([0, num_items())); delegates the
-  /// translated global range to the base scorer.
-  void ScoreBlock(const std::vector<Index>& users, ItemBlock block,
-                  MatrixView out, ScoringArena* arena) const override;
-
-  /// `candidates` are LOCAL ids; translated to global for the base.
-  void ScoreCandidates(const std::vector<Index>& users,
-                       const std::vector<Index>& candidates, MatrixView out,
-                       ScoringArena* arena) const override;
-
- private:
-  const Scorer* base_;
-  Index item_begin_;
-  Index item_end_;
 };
 
 }  // namespace firzen

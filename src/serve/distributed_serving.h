@@ -8,8 +8,8 @@
 // Determinism contract (the headline): on the healthy path a distributed
 // response is BYTE-IDENTICAL to ServingEngine over the same catalog and
 // shared state, for any shard layout. Shard servers run the identical
-// shared core (PrepareBatch + RankRequestsInRange) over ItemRangeScorer
-// views, scores cross the wire as raw IEEE-754 bits, per-shard lists
+// shared core (PrepareBatch + RankRequestsInRange) over their global item
+// ranges of the base scorer, scores cross the wire as raw IEEE-754 bits, per-shard lists
 // arrive in RanksBefore order, and the merge is the same MergeTopK — so
 // there is no step where a bit could differ.
 // tests/distributed_serving_test.cc pins this for shard counts {1,2,3,7}

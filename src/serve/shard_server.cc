@@ -34,8 +34,6 @@ ShardServer::ShardServer(std::unique_ptr<Scorer> scorer,
   FIRZEN_CHECK_LE(shard_.end, num_items_);
   FIRZEN_CHECK_GT(options_.item_block, 0);
   if (options_.pool == nullptr) options_.pool = ThreadPool::Global();
-  view_ = std::make_unique<const ItemRangeScorer>(scorer_.get(), shard_.begin,
-                                                  shard_.end);
   stall_replies_us_.store(options_.stall_replies_us,
                           std::memory_order_relaxed);
 }
@@ -180,16 +178,13 @@ void ShardServer::HandleConnection(net::UniqueFd conn) {
     }
 
     // The in-process sharded engine's per-shard half, verbatim: prepare
-    // the FULL batch in global ids, rank this shard's range through the
-    // view, collect each heap's RanksBefore-sorted top-k (global ids).
+    // the FULL batch in global ids, rank this shard's range of the base
+    // scorer, collect each heap's RanksBefore-sorted top-k (global ids).
     const serving_internal::PreparedBatch batch =
         serving_internal::PrepareBatch(requests, *state_, num_items_);
-    std::vector<TopKHeap> heaps;
-    heaps.reserve(requests.size());
-    for (const RecRequest& req : requests) heaps.emplace_back(req.k);
-    serving_internal::RankRequestsInRange(*view_, shard_, requests, batch,
-                                          *state_, options_.item_block,
-                                          options_.pool, &arenas_, &heaps);
+    std::vector<TopKHeap> heaps = serving_internal::RankRequestsInRange(
+        *scorer_, shard_, requests, batch, *state_, options_.item_block,
+        options_.pool, &arenas_);
     std::vector<wire::ShardReply> replies(requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
       replies[i].user = requests[i].user;

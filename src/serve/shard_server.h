@@ -3,11 +3,12 @@
 // with that shard's per-request top-K lists — exactly the lists a sharded
 // in-process ServingEngine computes for the same range, because
 // both run the identical shared core: serving_internal::PrepareBatch over
-// the FULL request batch in global ids, then RankRequestsInRange over an
-// ItemRangeScorer view. The coordinator (DistributedServingEngine) merges
-// these lists with MergeTopK, so a healthy distributed response is
-// byte-identical to the in-process engine by construction — the shared
-// code path is the proof, the distributed-invariance suite the pin.
+// the FULL request batch in global ids, then RankRequestsInRange over the
+// shard's global item range of the base scorer. The coordinator
+// (DistributedServingEngine) merges these lists with MergeTopK, so a
+// healthy distributed response is byte-identical to the in-process engine
+// by construction — the shared code path is the proof, the
+// distributed-invariance suite the pin.
 //
 // Protocol per connection (see src/serve/wire.h): hello/shard-info
 // handshake, then a strict request/reply alternation. Malformed or
@@ -64,9 +65,9 @@ struct ShardServerOptions {
 
 /// Serves one contiguous item-id shard of a catalog over the wire
 /// protocol. The scorer is the BASE (full-catalog) scorer; the server
-/// scores through its own ItemRangeScorer view of [shard.begin,
-/// shard.end), so per-item scores are bit-identical to any other
-/// partitioning of the same base (the Scorer block-invariance contract).
+/// scores its global items [shard.begin, shard.end) through it directly,
+/// so per-item scores are bit-identical to any other partitioning of the
+/// same base (the Scorer block-invariance contract).
 class ShardServer {
  public:
   /// `state` must be non-null with is_cold sized to the base scorer's
@@ -122,7 +123,6 @@ class ShardServer {
   std::string ValidateRequests(const std::vector<RecRequest>& requests) const;
 
   std::unique_ptr<const Scorer> scorer_;
-  std::unique_ptr<const ItemRangeScorer> view_;
   std::shared_ptr<const ServingSharedState> state_;
   ItemBlock shard_;
   Index num_items_ = 0;

@@ -738,6 +738,19 @@ TEST(DistributedServingTest, ServerRefusesInvalidInputAndSurvives) {
   auto connected = ConnectTo(servers);
   ASSERT_TRUE(connected.ok()) << connected.status().ToString();
   const ServingEngine reference(&model, dataset);
+
+  // A k far past the catalog is valid: the server sizes its heaps by the
+  // items in its shard and answers as for k = kItems.
+  RecRequest huge_k;
+  huge_k.user = 0;
+  huge_k.k = Index{1} << 62;
+  RecRequest whole = huge_k;
+  whole.k = kItems;
+  const std::vector<RecResponse> huge_got =
+      connected.value()->RecommendBatch({huge_k});
+  ExpectAllOk(huge_got, "huge k");
+  ExpectBitIdentical(huge_got, reference.RecommendBatch({whole}), "huge k");
+
   const std::vector<RecRequest> requests = ShardRequests();
   const std::vector<RecResponse> got =
       connected.value()->RecommendBatch(requests);

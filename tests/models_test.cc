@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <set>
+#include <utility>
 
 #include "src/data/split.h"
 #include "src/data/synthetic.h"
@@ -23,6 +26,7 @@
 #include "src/models/sampler.h"
 #include "src/util/logging.h"
 #include "src/util/thread_pool.h"
+#include "tests/cell_scorer.h"
 
 namespace firzen {
 namespace {
@@ -265,19 +269,28 @@ TEST(LightGcnTest, NormalColdInferenceChangesColdScores) {
 }
 
 // A model with no parameters that records what the epoch driver does: its
-// step counts calls and returns 0, its final tables hold the number of steps
-// run so far, and its validation replays a scripted MRR sequence.
+// step counts calls and returns 0, and its final tables hold the number of
+// steps run so far. Validation ranks through MakeScorer(), which the probe
+// overrides to replay a scripted share of "good" users: validation i
+// scores every warm-validation item of a good user (user % 10 below
+// 10 * share) above all other items, and those of every other user below
+// them, so the warm MRR@20 rises and falls with the script.
 class DriverProbe : public EmbeddingModel {
  public:
-  DriverProbe(std::vector<Real> mrr_script, bool keep_best)
-      : mrr_script_(std::move(mrr_script)), keep_best_(keep_best) {}
+  using EmbeddingModel::MakeScorer;
+
+  DriverProbe(std::vector<Real> share_script, bool keep_best)
+      : share_script_(std::move(share_script)), keep_best_(keep_best) {}
 
   std::string Name() const override { return "DriverProbe"; }
 
   void Fit(const Dataset& dataset, const TrainOptions& options) override {
-    int epoch = -1;
+    num_items_ = dataset.num_items;
+    for (const Interaction& x : dataset.warm_val) {
+      validation_.insert({x.user, x.item});
+    }
     EpochLoop loop;
-    loop.begin_epoch = [&](int e) { epoch = e; };
+    loop.begin_epoch = [&](int e) { epoch_ = e; };
     loop.step = [&](const BprBatch& batch) {
       EXPECT_EQ(batch.users.size(), static_cast<size_t>(options.batch_size));
       ++steps;
@@ -289,13 +302,21 @@ class DriverProbe : public EmbeddingModel {
       final_user_(0, 0) = static_cast<Real>(steps);
       final_item_ = final_user_;
     };
-    loop.validate = [&] {
-      const size_t i = validated_epochs.size();
-      validated_epochs.push_back(epoch);
-      return i < mrr_script_.size() ? mrr_script_[i] : 0.0;
-    };
     loop.keep_best = keep_best_;
     RunEpochs(dataset, options, loop);
+  }
+
+  std::unique_ptr<Scorer> MakeScorer(
+      ScoringPrecision /*precision*/) const override {
+    const size_t i = validated_epochs.size();
+    validated_epochs.push_back(epoch_);
+    const Real share = i < share_script_.size() ? share_script_[i] : 0.0;
+    return std::make_unique<CellScorer>(
+        [this, share](Index user, Index item) -> Real {
+          if (validation_.count({user, item}) == 0) return 0.0;
+          return static_cast<Real>(user % 10) < 10 * share ? 1.0 : -1.0;
+        },
+        num_items_);
   }
 
   // The step count the final tables were computed at.
@@ -303,11 +324,14 @@ class DriverProbe : public EmbeddingModel {
 
   int steps = 0;
   int computes = 0;
-  std::vector<int> validated_epochs;
+  mutable std::vector<int> validated_epochs;
 
  private:
-  std::vector<Real> mrr_script_;
+  std::vector<Real> share_script_;
   bool keep_best_;
+  Index num_items_ = 0;
+  int epoch_ = -1;
+  std::set<std::pair<Index, Index>> validation_;
 };
 
 TrainOptions DriverOptions() {
@@ -352,8 +376,8 @@ TEST(EpochDriverTest, ValidatesAfterEveryEvalEveryEpochs) {
   EXPECT_EQ(probe.computes, 3);  // two validations plus the final one
 }
 
-// Scripted MRR 0.1, 0.3, 0.2, 0.2 at patience 1: the second miss in a row
-// stops the run after epoch 3; the best validation was after epoch 1.
+// Scripted shares 0.1, 0.3, 0.2, 0.2 at patience 1: the second miss in a
+// row stops the run after epoch 3; the best validation was after epoch 1.
 TEST(EpochDriverTest, PatienceStopsAndSnapshotsRestoreTheBest) {
   TrainOptions options = DriverOptions();
   options.epochs = 10;

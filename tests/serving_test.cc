@@ -466,8 +466,8 @@ TEST(ServingEngineTest, NaNScoresNeverRecommended) {
   }
 }
 
-// --- Unequal explicit pools batch through one union stream; responses must
-// match the same requests served alone. ---
+// --- Unequal explicit pools in one batch (each scored as its own group);
+// responses must match the same requests served alone. ---
 
 TEST_F(ServingFixture, UnequalCandidatePoolsBatchBitExact) {
   ServingEngine engine(model_.get(), dataset_);
@@ -494,6 +494,35 @@ TEST_F(ServingFixture, UnequalCandidatePoolsBatchBitExact) {
     for (size_t j = 0; j < single.items.size(); ++j) {
       EXPECT_EQ(batched[i].items[j].item, single.items[j].item) << i;
       EXPECT_EQ(batched[i].items[j].score, single.items[j].score) << i;
+    }
+  }
+}
+
+// --- A k far past the catalog is answered like k = catalog size: response
+// heaps are sized by the items in their range, never by k. ---
+
+TEST_F(ServingFixture, HugeKIsAnsweredLikeTheWholeCatalog) {
+  std::vector<RecRequest> huge(2);
+  huge[0].user = 1;
+  huge[0].k = Index{1} << 62;
+  huge[1].user = 2;
+  huge[1].k = Index{1} << 62;
+  huge[1].candidates = {5, 0, 3};
+  std::vector<RecRequest> whole = huge;
+  for (RecRequest& request : whole) request.k = 6;
+  for (Index shards : {Index{1}, Index{3}}) {
+    ServingEngineOptions options;
+    options.num_shards = shards;
+    ServingEngine engine(model_.get(), dataset_, options);
+    const auto got = engine.RecommendBatch(huge);
+    const auto want = engine.RecommendBatch(whole);
+    for (size_t i = 0; i < huge.size(); ++i) {
+      ASSERT_EQ(got[i].items.size(), want[i].items.size()) << i;
+      EXPECT_FALSE(got[i].items.empty()) << i;
+      for (size_t j = 0; j < want[i].items.size(); ++j) {
+        EXPECT_EQ(got[i].items[j].item, want[i].items[j].item) << i;
+        EXPECT_EQ(got[i].items[j].score, want[i].items[j].score) << i;
+      }
     }
   }
 }

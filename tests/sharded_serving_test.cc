@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -133,48 +134,6 @@ TEST(MergeTopKTest, MergeIsIndependentOfShardLayoutIncludingTies) {
       EXPECT_EQ(merged[j].item, expected[j].item);
       EXPECT_EQ(merged[j].score, expected[j].score);
     }
-  }
-}
-
-// Regression: stacking one ItemRangeScorer on another while sharing one
-// arena must not clobber the arena's id-translation buffer mid-call (each
-// nesting level adds its offset in place).
-TEST(ItemRangeScorerTest, NestedViewsShareOneArenaSafely) {
-  const Matrix user_emb = RandomEmb(4, 6, 31);
-  const Matrix item_emb = RandomEmb(40, 6, 32);
-  const DotProductScorer base(user_emb, item_emb);
-  // outer covers global [10, 34); inner covers outer-local [4, 20)
-  // = global [14, 30).
-  const ItemRangeScorer outer(&base, 10, 34);
-  const ItemRangeScorer inner(&outer, 4, 20);
-  ASSERT_EQ(inner.num_items(), 16);
-
-  const std::vector<Index> users{0, 2, 3};
-  const std::vector<Index> local_candidates{0, 5, 15, 3};
-  ScoringArena arena;
-  Matrix got(static_cast<Index>(users.size()),
-             static_cast<Index>(local_candidates.size()));
-  inner.ScoreCandidates(users, local_candidates, MatrixView(&got), &arena);
-
-  std::vector<Index> global_candidates;
-  for (Index local : local_candidates) {
-    global_candidates.push_back(local + 14);
-  }
-  Matrix want(got.rows(), got.cols());
-  ScoringArena direct_arena;
-  base.ScoreCandidates(users, global_candidates, MatrixView(&want),
-                       &direct_arena);
-  for (Index i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got.data()[i], want.data()[i]) << "flat " << i;
-  }
-
-  // Blocks nest the same way: inner-local [2, 9) = global [16, 23).
-  Matrix block_got(static_cast<Index>(users.size()), 7);
-  inner.ScoreBlock(users, {2, 9}, MatrixView(&block_got), &arena);
-  Matrix block_want(static_cast<Index>(users.size()), 7);
-  base.ScoreBlock(users, {16, 23}, MatrixView(&block_want), &direct_arena);
-  for (Index i = 0; i < block_want.size(); ++i) {
-    ASSERT_EQ(block_got.data()[i], block_want.data()[i]) << "flat " << i;
   }
 }
 
@@ -383,14 +342,12 @@ TEST(ShardedEngineTest, NaNScoresNeverSurviveTheMergeForAnyShardCount) {
   }
 }
 
-// Regression: the explicit-pool scoring USER batch must come from the FULL
-// pools, not from what intersects each shard. 40 explicit requests put the
-// single engine's union batch on the Gemm row-sharded panel path (m > 32);
-// 36 of the pools live entirely in the first half of the catalog, so a
-// shard that naively batched only in-range requests would score the second
-// half with 4 users (m <= 32). The batch-size-invariant kernel means that
-// can no longer bend a bit, but the planned user batch is still the
-// contract RankRequestsInRange documents — keep it pinned.
+// Regression: the explicit-pool plan (which requests score together, with
+// which user batch) must come from the FULL pools, not from what
+// intersects each shard. 36 of the 40 pools live entirely in the first
+// half of the catalog, so most shards see a slice of only a few of them.
+// Per-cell scores are batch-size-invariant, so every shard count must
+// answer bit-identically to the unsharded engine.
 TEST(ShardedEngineTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
   const Dataset dataset = ShardDataset();
   // Wide embeddings: long dot products are where the Gemm paths' rounding
@@ -420,6 +377,40 @@ TEST(ShardedEngineTest, ShardLocalPoolsNeverShrinkTheScoringUserBatch) {
     const ServingEngine engine(&model, dataset, options);
     ExpectBitIdentical(engine.RecommendBatch(requests), want,
                        "batch-pinning shards=" + std::to_string(shards));
+  }
+}
+
+// Explicit pools score exactly the cells their requests asked for: two
+// overlapping, unequal pools (one with a duplicate) and one disjoint pool
+// cost the sum of their deduplicated sizes, at any shard count — never
+// requests x |union of pools|.
+TEST(ShardedEngineTest, ExplicitPoolsScoreExactlyTheRequestedCells) {
+  const Dataset dataset = ShardDataset();
+  std::vector<RecRequest> requests(3);
+  requests[0].candidates = {1, 5, 9, 20, 40, 60, 80};
+  requests[1].candidates = {5, 9, 33, 50, 3, 3};  // overlaps pool 0
+  requests[2].candidates = {90, 91, 92, 95};      // disjoint
+  constexpr size_t kRequestedCells = 7 + 5 + 4;  // deduplicated pool sizes
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].user = static_cast<Index>(i);
+    requests[i].k = 4;
+  }
+  for (Index shards : {Index{1}, Index{2}, Index{3}}) {
+    std::atomic<size_t> cells{0};
+    auto scorer = std::make_unique<CellScorer>(
+        [&](Index user, Index item) {
+          cells.fetch_add(1, std::memory_order_relaxed);
+          return static_cast<Real>((user * 31 + item * 17) % kItems);
+        },
+        kItems);
+    ServingEngineOptions options;
+    options.num_shards = shards;
+    const ServingEngine engine(std::move(scorer), dataset, options);
+    const std::vector<RecResponse> got = engine.RecommendBatch(requests);
+    EXPECT_EQ(cells.load(), kRequestedCells) << "shards=" << shards;
+    for (const RecResponse& response : got) {
+      EXPECT_FALSE(response.items.empty()) << "shards=" << shards;
+    }
   }
 }
 

@@ -17,7 +17,7 @@
 #      under TSan — the concurrent-serving stress tests hammering one shared
 #      ServingEngine (unsharded, and sharded with its shards ranking in
 #      parallel per call) from many threads are the data-race canary for
-#      the shared-scorer / caller-owned-arena / per-shard-view contract, and
+#      the shared-scorer / caller-owned-arena / per-shard-heap contract, and
 #      the admission stress exercises the AdmissionController ticket queue
 #      and leader-follower dispatcher hand-off under contention. The
 #      -R filter below matches serving_test, serving_admission_test,
